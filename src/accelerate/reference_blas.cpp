@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace ao::accelerate::reference {
 
@@ -15,16 +16,22 @@ void sgemm(bool transpose_a, bool transpose_b, std::size_t m, std::size_t n,
   auto b_at = [&](std::size_t kk, std::size_t j) {
     return transpose_b ? b[j * ldb + kk] : b[kk * ldb + j];
   };
+  // Accumulate in double so the reference is strictly more accurate than
+  // any FP32 path under test. The loop is i-k-j over a row of accumulators:
+  // each element still sums its products in k order, so the result is
+  // bit-identical to an i-j-k dot product, but B is streamed by rows.
+  std::vector<double> acc(n);
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      // Accumulate in double so the reference is strictly more accurate
-      // than any FP32 path under test.
-      double acc = 0.0;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        acc += static_cast<double>(a_at(i, kk)) * static_cast<double>(b_at(kk, j));
+    std::fill(acc.begin(), acc.end(), 0.0);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const auto a_ik = static_cast<double>(a_at(i, kk));
+      for (std::size_t j = 0; j < n; ++j) {
+        acc[j] += a_ik * static_cast<double>(b_at(kk, j));
       }
+    }
+    for (std::size_t j = 0; j < n; ++j) {
       const double prior = beta == 0.0f ? 0.0 : beta * c[i * ldc + j];
-      c[i * ldc + j] = static_cast<float>(alpha * acc + prior);
+      c[i * ldc + j] = static_cast<float>(alpha * acc[j] + prior);
     }
   }
 }

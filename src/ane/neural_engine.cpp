@@ -21,10 +21,10 @@ void gemm_fp16_host(std::size_t m, std::size_t n, std::size_t k,
   std::vector<float> a16(m * k);
   std::vector<float> b16(k * n);
   for (std::size_t i = 0; i < m * k; ++i) {
-    a16[i] = amx::half_to_float(amx::float_to_half(a[i]));
+    a16[i] = amx::round_to_half(a[i]);
   }
   for (std::size_t i = 0; i < k * n; ++i) {
-    b16[i] = amx::half_to_float(amx::float_to_half(b[i]));
+    b16[i] = amx::round_to_half(b[i]);
   }
   util::global_pool().parallel_for(m, [&](std::size_t i) {
     for (std::size_t j = 0; j < n; ++j) {

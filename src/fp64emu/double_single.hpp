@@ -9,7 +9,9 @@ namespace ao::fp64emu {
 ///
 /// The algorithms are the classical error-free transformations (Knuth's
 /// TwoSum, Dekker's split/TwoProd), written FMA-free because Metal's FP32
-/// fma contraction cannot be relied on across all GPU generations.
+/// fma contraction cannot be relied on across all GPU generations. They are
+/// defined inline so GEMM inner loops (the precision study, the emulated
+/// FP64 shader) run them without a call per operation.
 struct DoubleSingle {
   float hi = 0.0f;  ///< leading component
   float lo = 0.0f;  ///< trailing error term, |lo| <= ulp(hi)/2
@@ -19,26 +21,76 @@ struct DoubleSingle {
 
   /// Splits a double into hi + lo FP32 components (exact for the top 48
   /// mantissa bits).
-  static DoubleSingle from_double(double value);
+  static DoubleSingle from_double(double value) {
+    const auto hi = static_cast<float>(value);
+    const auto lo = static_cast<float>(value - static_cast<double>(hi));
+    return {hi, lo};
+  }
 
   double to_double() const { return static_cast<double>(hi) + lo; }
 
   static DoubleSingle from_float(float value) { return {value, 0.0f}; }
 };
 
+namespace detail {
+
+/// Dekker's splitter for FP32: 2^12 + 1 cleaves a 24-bit significand into
+/// two 12-bit halves whose products are exact in FP32.
+inline constexpr float kSplit = 4097.0f;
+
+struct Split {
+  float hi;
+  float lo;
+};
+
+inline Split split(float a) {
+  const float t = kSplit * a;
+  const float hi = t - (t - a);
+  return {hi, a - hi};
+}
+
+}  // namespace detail
+
 /// Error-free sum: a + b = s + e exactly (Knuth TwoSum, no branch).
-DoubleSingle two_sum(float a, float b);
+inline DoubleSingle two_sum(float a, float b) {
+  const float s = a + b;
+  const float v = s - a;
+  const float e = (a - (s - v)) + (b - v);
+  return {s, e};
+}
 
 /// Error-free product: a * b = p + e exactly (Dekker split TwoProd).
-DoubleSingle two_prod(float a, float b);
+inline DoubleSingle two_prod(float a, float b) {
+  const float p = a * b;
+  const detail::Split sa = detail::split(a);
+  const detail::Split sb = detail::split(b);
+  const float e = ((sa.hi * sb.hi - p) + sa.hi * sb.lo + sa.lo * sb.hi) +
+                  sa.lo * sb.lo;
+  return {p, e};
+}
 
 /// ds arithmetic. Results are accurate to ~2 ulps of the 49-bit format.
-DoubleSingle ds_add(DoubleSingle a, DoubleSingle b);
-DoubleSingle ds_sub(DoubleSingle a, DoubleSingle b);
-DoubleSingle ds_mul(DoubleSingle a, DoubleSingle b);
+inline DoubleSingle ds_add(DoubleSingle a, DoubleSingle b) {
+  DoubleSingle s = two_sum(a.hi, b.hi);
+  s.lo += a.lo + b.lo;
+  // Renormalize: fold the accumulated error back into a canonical pair.
+  return two_sum(s.hi, s.lo);
+}
+
+inline DoubleSingle ds_sub(DoubleSingle a, DoubleSingle b) {
+  return ds_add(a, {-b.hi, -b.lo});
+}
+
+inline DoubleSingle ds_mul(DoubleSingle a, DoubleSingle b) {
+  DoubleSingle p = two_prod(a.hi, b.hi);
+  p.lo += a.hi * b.lo + a.lo * b.hi;
+  return two_sum(p.hi, p.lo);
+}
 
 /// Fused a*b + c in ds arithmetic (the GEMM inner-loop operation).
-DoubleSingle ds_fma(DoubleSingle a, DoubleSingle b, DoubleSingle c);
+inline DoubleSingle ds_fma(DoubleSingle a, DoubleSingle b, DoubleSingle c) {
+  return ds_add(ds_mul(a, b), c);
+}
 
 /// FP32 operation count of one ds_fma — the cost model's basis for the
 /// emulated-FP64 GEMM (ds_mul ~ 10 ops + ds_add ~ 11 ops).

@@ -34,10 +34,11 @@ void CpuSingleGemm::multiply(std::size_t n, std::size_t memory_length,
                              bool functional) {
   validate(n, memory_length, left, right, out);
   if (functional) {
-    // The paper's baseline: standard algorithm, triple nested loop. The
-    // inner loop walks B by rows to stay bit-faithful to the classic i-j-k
-    // ordering would stride; we keep i-k-j so the functional run does not
-    // dominate the harness while remaining a naive single-threaded loop.
+    // The paper's baseline: standard algorithm, triple nested loop, single
+    // threaded. The loop order is i-k-j rather than the textbook i-j-k: the
+    // inner loop walks a row of B and a row of C contiguously instead of
+    // striding down a column of B, so the functional run does not dominate
+    // the harness. Each element still sums its products in k order.
     for (std::size_t i = 0; i < n; ++i) {
       float* c_row = out + i * n;
       std::fill(c_row, c_row + n, 0.0f);

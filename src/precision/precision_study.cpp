@@ -59,12 +59,17 @@ std::vector<double> gemm_quantized(const std::vector<double>& a,
   }
   std::vector<double> c(n * n, 0.0);
   util::global_pool().parallel_for(n, [&](std::size_t i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = 0.0;  // FP32 paths accumulate in FP32; modeled below
-      for (std::size_t kk = 0; kk < n; ++kk) {
-        acc = quantize(acc + quantize(qa[i * n + kk] * qb[kk * n + j]));
+    // i-k-j: row i of c holds the running sums, quantized after every add
+    // to model the format's accumulator. Each element still accumulates its
+    // own products in k order (the result is bit-identical to an i-j-k dot
+    // product) while B is read row by row.
+    double* acc = c.data() + i * n;
+    for (std::size_t kk = 0; kk < n; ++kk) {
+      const double a_ik = qa[i * n + kk];
+      const double* b_row = qb.data() + kk * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        acc[j] = quantize(acc[j] + quantize(a_ik * b_row[j]));
       }
-      c[i * n + j] = acc;
     }
   });
   return c;
@@ -83,12 +88,18 @@ std::vector<double> gemm_double_single(const std::vector<double>& a,
   }
   std::vector<double> c(n * n);
   util::global_pool().parallel_for(n, [&](std::size_t i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      DoubleSingle acc;
-      for (std::size_t kk = 0; kk < n; ++kk) {
-        acc = fp64emu::ds_fma(dsa[i * n + kk], dsb[kk * n + j], acc);
+    // i-k-j with a row of ds accumulators; per element the ds_fma chain runs
+    // in k order exactly as an i-j-k loop would.
+    std::vector<DoubleSingle> acc(n);
+    for (std::size_t kk = 0; kk < n; ++kk) {
+      const DoubleSingle a_ik = dsa[i * n + kk];
+      const DoubleSingle* b_row = dsb.data() + kk * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        acc[j] = fp64emu::ds_fma(a_ik, b_row[j], acc[j]);
       }
-      c[i * n + j] = acc.to_double();
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      c[i * n + j] = acc[j].to_double();
     }
   });
   return c;
@@ -166,8 +177,8 @@ std::vector<StudyResult> run_gemm_precision_study(soc::ChipModel chip,
         Format::kFp16, n, reference, gemm_quantized(a, b, n, [](double v) {
           // FP16 storage, FP32 accumulate (the ANE/AMX mixed mode): quantize
           // products, keep the running sum in FP32.
-          return static_cast<double>(amx::half_to_float(
-              amx::float_to_half(static_cast<float>(v))));
+          return static_cast<double>(
+              amx::round_to_half(static_cast<float>(v)));
         }));
     r.modeled_gflops = fp32_gflops * 2.0;  // FP16 runs ~2x FP32 on the GPU
     r.executing_unit = "GPU/ANE (FP16)";

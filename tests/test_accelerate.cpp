@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "accelerate/cblas.hpp"
@@ -195,6 +196,52 @@ TEST(ReferenceBlas, MaxAbsDiffFindsWorstCell) {
   const float x[] = {1, 2, 3, 4};
   const float y[] = {1, 2.5f, 3, 3};
   EXPECT_EQ(reference::max_abs_diff(x, y, 2, 2, 2), 1.0f);
+}
+
+/// The reference SGEMM as the textbook i-j-k loop, one double accumulator
+/// per output element. reference::sgemm must reproduce it bit for bit.
+void naive_ijk_sgemm(bool transpose_a, bool transpose_b, std::size_t m,
+                     std::size_t n, std::size_t k, float alpha, const float* a,
+                     std::size_t lda, const float* b, std::size_t ldb,
+                     float beta, float* c, std::size_t ldc) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const float a_v = transpose_a ? a[kk * lda + i] : a[i * lda + kk];
+        const float b_v = transpose_b ? b[j * ldb + kk] : b[kk * ldb + j];
+        acc += static_cast<double>(a_v) * static_cast<double>(b_v);
+      }
+      const double prior = beta == 0.0f ? 0.0 : beta * c[i * ldc + j];
+      c[i * ldc + j] = static_cast<float>(alpha * acc + prior);
+    }
+  }
+}
+
+TEST(ReferenceBlas, BitIdenticalToNaiveIjkForEveryTransposeCombination) {
+  const std::size_t m = 37;
+  const std::size_t n = 29;
+  const std::size_t k = 45;
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      // Leading dimensions wider than the rows they hold catch a loop that
+      // strides by the logical width instead.
+      const std::size_t lda = (ta ? m : k) + 3;
+      const std::size_t ldb = (tb ? k : n) + 5;
+      const std::size_t ldc = n + 2;
+      const auto a = random_matrix((ta ? k : m) * lda, 11);
+      const auto b = random_matrix((tb ? n : k) * ldb, 12);
+      std::vector<float> got = random_matrix(m * ldc, 13);
+      std::vector<float> want = got;
+      reference::sgemm(ta, tb, m, n, k, 1.5f, a.data(), lda, b.data(), ldb,
+                       -0.625f, got.data(), ldc);
+      naive_ijk_sgemm(ta, tb, m, n, k, 1.5f, a.data(), lda, b.data(), ldb,
+                      -0.625f, want.data(), ldc);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+                0)
+          << "transpose_a " << ta << " transpose_b " << tb;
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "accelerate/reference_blas.hpp"
@@ -9,6 +12,7 @@
 #include "amx/float16.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ao::amx {
 namespace {
@@ -52,6 +56,56 @@ TEST(Float16, NanPropagates) {
 
 TEST(Float16, UnderflowToZero) {
   EXPECT_EQ(half_to_float(float_to_half(1e-12f)), 0.0f);
+}
+
+/// round_to_half must be bit-identical to the two-step round trip.
+bool same_round_trip(std::uint32_t bits) {
+  const float value = std::bit_cast<float>(bits);
+  return std::bit_cast<std::uint32_t>(round_to_half(value)) ==
+         std::bit_cast<std::uint32_t>(half_to_float(float_to_half(value)));
+}
+
+TEST(Float16, RoundToHalfMatchesRoundTripAcrossTheFastPathBoundaries) {
+  // Every float with a biased exponent in [112, 143], both signs: the
+  // FP16-subnormal edge below the fast path, all of it, and the overflow
+  // edge above it.
+  std::vector<std::uint32_t> first_mismatch(2 * 32, 0);
+  std::vector<std::size_t> mismatches(2 * 32, 0);
+  util::global_pool().parallel_for(2 * 32, [&](std::size_t task) {
+    const std::uint32_t sign = task < 32 ? 0u : 0x80000000u;
+    const std::uint32_t exponent = 112u + static_cast<std::uint32_t>(task % 32);
+    const std::uint32_t base = sign | (exponent << 23);
+    for (std::uint32_t mantissa = 0; mantissa < (1u << 23); ++mantissa) {
+      if (!same_round_trip(base | mantissa) && mismatches[task]++ == 0) {
+        first_mismatch[task] = base | mantissa;
+      }
+    }
+  });
+  for (std::size_t task = 0; task < mismatches.size(); ++task) {
+    EXPECT_EQ(mismatches[task], 0u)
+        << "first mismatch at bits 0x" << std::hex << first_mismatch[task];
+  }
+}
+
+TEST(Float16, RoundToHalfMatchesRoundTripOnSpecialValues) {
+  const float specials[] = {
+      0.0f, -0.0f, INFINITY, -INFINITY, NAN, -NAN,
+      65504.0f, -65504.0f,             // FP16 max
+      65519.996f, 65520.0f, -65520.0f,  // last value that rounds down; first
+                                        // that rounds to infinity
+      0x1.0p-14f, 0x1.ff8p-15f,         // smallest normal, largest subnormal
+      0x1.ffcp-15f, 0x1.ffep-15f,       // the tie between them; above it
+      0x1.0p-24f, 0x1.0p-25f, 0x1.000002p-25f,  // smallest subnormal; the
+                                                // tie to zero and just above
+      1e-30f, std::numeric_limits<float>::denorm_min(),
+      std::numeric_limits<float>::max()};
+  for (const float v : specials) {
+    EXPECT_TRUE(same_round_trip(std::bit_cast<std::uint32_t>(v))) << v;
+  }
+  EXPECT_TRUE(std::isnan(round_to_half(NAN)));
+  EXPECT_EQ(round_to_half(65504.0f), 65504.0f);
+  EXPECT_EQ(round_to_half(65520.0f), INFINITY);
+  EXPECT_EQ(round_to_half(-65520.0f), -INFINITY);
 }
 
 // ------------------------------------------------------------ AmxUnit ------

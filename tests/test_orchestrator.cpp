@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -21,6 +22,7 @@
 #include "orchestrator/scheduler.hpp"
 #include "stream/cpu_stream.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace ao::orchestrator {
 namespace {
@@ -892,6 +894,44 @@ TEST(Campaign, NineKindCampaignRepeatsAcrossProcessesViaDiskStore) {
   EXPECT_EQ(first.fp64emu, second.fp64emu);
   EXPECT_EQ(first.sme, second.sme);
   std::remove(path.c_str());
+}
+
+// Golden store digest: FNV-1a over a fixed mixed campaign's sorted store
+// entry lines. Entries serialize FP as bit patterns, so a change under
+// execute that moves one record bit changes the digest. Optimisations of
+// execute must keep it; never re-capture the constant to make one pass.
+// (Captured with GCC on x86-64 Linux; libm results enter the records.)
+TEST(Campaign, GoldenStoreDigestIsUnchanged) {
+  harness::GemmExperiment::Options opts;
+  Campaign campaign;
+  campaign.chips({soc::ChipModel::kM1, soc::ChipModel::kM3})
+      .sizes({32, 64, 128, 256})  // all six impls run functionally + verify
+      .options(opts)
+      .precision_study({64})
+      .fp64_emulation({64})
+      .ane_inference({64})
+      .sme_gemm({64});
+  JobQueue queue;
+  campaign.expand(queue);
+  CampaignScheduler scheduler(opts, {2});
+
+  const std::uint64_t options_fp = options_fingerprint(opts);
+  std::mutex mutex;
+  std::vector<std::string> lines;
+  scheduler.run(queue, [&](const ExperimentJob& job,
+                           const MeasurementRecord& record, bool) {
+    std::string line = format_store_entry(key_for_job(job, options_fp), record);
+    std::lock_guard lock(mutex);
+    lines.push_back(std::move(line));
+  });
+  std::sort(lines.begin(), lines.end());
+  std::uint64_t digest = util::kFnv1aOffset;
+  for (const std::string& line : lines) {
+    digest = util::fnv1a_bytes(line.data(), line.size(), digest);
+    digest = util::fnv1a_bytes("\n", 1, digest);
+  }
+  EXPECT_EQ(lines.size(), 2u * (4u * 6u + 4u));
+  EXPECT_EQ(digest, 0x1c36c83768a2808eull) << std::hex << "digest 0x" << digest;
 }
 
 // --------------------------------------------------- compaction + merging --

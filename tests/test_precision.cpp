@@ -1,7 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstring>
+#include <span>
+#include <vector>
+
+#include "amx/float16.hpp"
+#include "fp64emu/double_single.hpp"
 #include "precision/precision_study.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace ao::precision {
 namespace {
@@ -61,6 +71,129 @@ TEST(PrecisionStudy, FormatNames) {
             std::string::npos);
   EXPECT_NE(to_string(Format::kFp16).find("FP16"), std::string::npos);
 }
+
+// --------------------------------------- bit identity vs the i-j-k loops --
+
+// Verbatim serial copies of the study's original kernels: the FP64 ground
+// truth, and the i-j-k quantized and double-single loops (one dot product
+// per output element, B read down its columns). The shipped kernels run
+// i-k-j for cache locality and must reproduce these results bit for bit.
+std::vector<double> fp64_ground_truth(const std::vector<double>& a,
+                                      const std::vector<double>& b,
+                                      std::size_t n) {
+  std::vector<double> c(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t kk = 0; kk < n; ++kk) {
+      const double a_ik = a[i * n + kk];
+      for (std::size_t j = 0; j < n; ++j) {
+        c[i * n + j] += a_ik * b[kk * n + j];
+      }
+    }
+  }
+  return c;
+}
+
+template <typename Quantize>
+std::vector<double> ijk_quantized(const std::vector<double>& a,
+                                  const std::vector<double>& b, std::size_t n,
+                                  Quantize quantize) {
+  std::vector<double> qa(n * n);
+  std::vector<double> qb(n * n);
+  for (std::size_t i = 0; i < n * n; ++i) {
+    qa[i] = quantize(a[i]);
+    qb[i] = quantize(b[i]);
+  }
+  std::vector<double> c(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (std::size_t kk = 0; kk < n; ++kk) {
+        acc = quantize(acc + quantize(qa[i * n + kk] * qb[kk * n + j]));
+      }
+      c[i * n + j] = acc;
+    }
+  }
+  return c;
+}
+
+std::vector<double> ijk_double_single(const std::vector<double>& a,
+                                      const std::vector<double>& b,
+                                      std::size_t n) {
+  using fp64emu::DoubleSingle;
+  std::vector<DoubleSingle> dsa(n * n);
+  std::vector<DoubleSingle> dsb(n * n);
+  for (std::size_t i = 0; i < n * n; ++i) {
+    dsa[i] = DoubleSingle::from_double(a[i]);
+    dsb[i] = DoubleSingle::from_double(b[i]);
+  }
+  std::vector<double> c(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      DoubleSingle acc;
+      for (std::size_t kk = 0; kk < n; ++kk) {
+        acc = fp64emu::ds_fma(dsa[i * n + kk], dsb[kk * n + j], acc);
+      }
+      c[i * n + j] = acc.to_double();
+    }
+  }
+  return c;
+}
+
+/// The study's error statistics, computed exactly as make_result does.
+std::array<double, 3> error_stats(const std::vector<double>& reference,
+                                  const std::vector<double>& value) {
+  double worst = 0.0;
+  double sum = 0.0;
+  double ref_scale = 0.0;
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    const double err = std::fabs(reference[i] - value[i]);
+    worst = std::max(worst, err);
+    sum += err;
+    ref_scale = std::max(ref_scale, std::fabs(reference[i]));
+  }
+  const double rel = worst / std::max(ref_scale, 1e-300);
+  return {worst, sum / static_cast<double>(reference.size()),
+          rel > 0.0 ? -std::log10(rel) : 16.0};
+}
+
+class PrecisionStudyBitIdentity : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PrecisionStudyBitIdentity, MatchesTheIjkLoopsBitForBit) {
+  const std::size_t n = GetParam();
+  const std::uint64_t seed = 99;
+  std::vector<double> a(n * n);
+  std::vector<double> b(n * n);
+  util::fill_uniform(std::span<double>(a), seed);
+  util::fill_uniform(std::span<double>(b), seed + 1);
+  const std::vector<double> reference = fp64_ground_truth(a, b, n);
+  const std::array<std::array<double, 3>, 4> want = {
+      error_stats(reference, reference),
+      error_stats(reference, ijk_double_single(a, b, n)),
+      error_stats(reference, ijk_quantized(a, b, n,
+                                           [](double v) {
+                                             return static_cast<double>(
+                                                 static_cast<float>(v));
+                                           })),
+      error_stats(reference, ijk_quantized(a, b, n, [](double v) {
+                    return static_cast<double>(amx::half_to_float(
+                        amx::float_to_half(static_cast<float>(v))));
+                  }))};
+
+  const auto results = run_gemm_precision_study(soc::ChipModel::kM2, n, seed);
+  ASSERT_EQ(results.size(), 4u);
+  for (std::size_t f = 0; f < 4; ++f) {
+    const std::array<double, 3> got = {results[f].max_abs_error,
+                                       results[f].mean_abs_error,
+                                       results[f].significant_digits};
+    EXPECT_EQ(std::memcmp(got.data(), want[f].data(), sizeof(got)), 0)
+        << to_string(results[f].format) << ": max " << got[0] << " vs "
+        << want[f][0] << ", mean " << got[1] << " vs " << want[f][1];
+  }
+}
+
+// 100 is not a multiple of any vector width or chunk size.
+INSTANTIATE_TEST_SUITE_P(Sizes, PrecisionStudyBitIdentity,
+                         ::testing::Values(std::size_t{64}, std::size_t{100}));
 
 TEST(PrecisionStudy, RejectsHugeSizes) {
   EXPECT_THROW(run_gemm_precision_study(soc::ChipModel::kM1, 4096),
