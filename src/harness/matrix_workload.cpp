@@ -1,7 +1,6 @@
 #include "harness/matrix_workload.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -42,9 +41,7 @@ MatrixSet::MatrixSet(std::size_t n, bool fill, std::uint64_t seed)
   }
 }
 
-void MatrixSet::clear_out() {
-  std::memset(out_.data(), 0, out_.capacity());
-}
+void MatrixSet::clear_out() { out_.clear(); }
 
 void fill_left_operand(float* data, std::size_t n, std::uint64_t seed) {
   parallel_fill_uniform(data, n * n, seed);

@@ -38,10 +38,10 @@ struct MatrixView {
   float* out = nullptr;
 };
 
-/// One benchmark operand set: three n x n FP32 matrices allocated exactly as
-/// the paper allocates them — aligned_alloc with the 16384-byte page size,
-/// lengths extended to the nearest page multiple "such that the GPU could
-/// bypass memory copying".
+/// One benchmark operand set: three n x n FP32 matrices laid out as the
+/// paper's aligned_alloc calls lay them out — aligned to the 16384-byte page
+/// size, lengths extended to the nearest page multiple "such that the GPU
+/// could bypass memory copying".
 class MatrixSet {
  public:
   /// Allocates and (optionally) fills A and B with uniform [0, 1) values;

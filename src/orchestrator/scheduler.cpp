@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <tuple>
 
 #include "amx/amx_gemm.hpp"
@@ -114,15 +113,16 @@ std::unique_ptr<MatrixBatch::OutLease> MatrixBatch::acquire_out() {
     }
   }
   if (out == nullptr) {
-    // Fresh AlignedBuffers are zeroed; recycled ones are re-zeroed on
-    // release, so every lease starts as clear_out() leaves a MatrixSet.
+    // Fresh AlignedBuffers read zero and recycled ones are cleared on
+    // release, so every lease starts as clear_out() leaves a MatrixSet. Only
+    // the pages a functional run writes are ever committed.
     out = std::make_unique<util::AlignedBuffer>(n_ * n_ * sizeof(float));
   }
   return std::make_unique<OutLease>(*this, std::move(out));
 }
 
 void MatrixBatch::release_out(std::unique_ptr<util::AlignedBuffer> out) {
-  std::memset(out->data(), 0, out->capacity());
+  out->clear();
   std::lock_guard lock(mutex_);
   free_outs_.push_back(std::move(out));
 }

@@ -18,8 +18,9 @@ GpuStream::GpuStream(metal::Device& device, std::size_t elements)
   b_ = device.new_buffer(bytes, mem::StorageMode::kShared);
   c_ = device.new_buffer(bytes, mem::StorageMode::kShared);
   // The STREAM initial values are written lazily, on the first functional
-  // pass — model-only runs (the orchestrator's bulk case) never touch the
-  // hundreds of MiB the untouched buffers only reserve.
+  // pass. Buffers commit host pages only on first touch, so model-only runs
+  // (the orchestrator's bulk case) cost address space, not the hundreds of
+  // MiB the arrays span.
 
   const auto& lib = shaders::default_library();
   for (std::size_t k = 0; k < soc::kAllStreamKernels.size(); ++k) {

@@ -7,7 +7,7 @@
 
 namespace ao::util {
 
-/// Page-aligned, page-granular host allocation.
+/// Page-aligned, page-granular, zero-filled host allocation.
 ///
 /// The paper allocates every matrix via aligned_alloc with the Apple page
 /// size (16384 bytes) and rounds lengths up to the next page multiple so the
@@ -15,12 +15,17 @@ namespace ao::util {
 /// memory copying", Section 3.2). This class reproduces those semantics as a
 /// RAII owner; ao::metal::Buffer validates the same alignment rules when
 /// wrapping one of these no-copy.
+///
+/// The memory is one private anonymous mapping: contents read zero, and host
+/// pages are committed on first touch, so a model-only run that never reads
+/// or writes a buffer pays for its address space only.
 class AlignedBuffer {
  public:
   AlignedBuffer() = default;
 
   /// Allocates at least `length` bytes aligned to `alignment`; the usable
-  /// capacity is rounded up to a whole number of alignment units and zeroed.
+  /// capacity is rounded up to a whole number of alignment units and reads
+  /// zero. Throws std::bad_alloc if the mapping fails.
   explicit AlignedBuffer(std::size_t length, std::size_t alignment = kApplePageSize);
 
   AlignedBuffer(const AlignedBuffer&) = delete;
@@ -39,6 +44,10 @@ class AlignedBuffer {
   void* data() { return data_; }
   const void* data() const { return data_; }
   bool empty() const { return data_ == nullptr; }
+
+  /// Zeroes the whole capacity by returning its pages to the kernel; costs
+  /// only the pages touched since the last clear. data() and capacity() stay.
+  void clear();
 
   /// Typed view over the *requested* length (not the rounded capacity).
   template <typename T>

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -526,6 +527,43 @@ TEST(MatrixBatch, SharedOperandsMatchTheSerialSuite) {
   auto out2 = batch.acquire_out();
   EXPECT_EQ(out2->view().out[7], 0.0f);
   EXPECT_EQ(batch.out_buffers_built(), 1u);
+
+  // A multi-page output written in several pages reads zero everywhere once
+  // it comes back from the free list.
+  MatrixBatch wide(256, /*fill=*/false, /*seed=*/0);
+  auto lease = wide.acquire_out();
+  float* const first = lease->view().out;
+  const std::size_t floats = lease->view().memory_length / sizeof(float);
+  for (std::size_t i = 0; i < floats; i += floats / 7) {
+    first[i] = 2.5f;
+  }
+  first[floats - 1] = -1.0f;
+  lease.reset();
+  auto again = wide.acquire_out();
+  ASSERT_EQ(again->view().out, first);  // the same, recycled buffer
+  for (std::size_t i = 0; i < floats; ++i) {
+    ASSERT_EQ(again->view().out[i], 0.0f) << "float " << i;
+  }
+  EXPECT_EQ(wide.out_buffers_built(), 1u);
+}
+
+long thread_minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_minflt;
+}
+
+TEST(MatrixBatch, ModelOnlyBuffersStayUntouched) {
+  constexpr std::size_t n = 4096;
+  const long before = thread_minor_faults();
+  {
+    MatrixBatch batch(n, /*fill=*/false, /*seed=*/0);
+    auto out = batch.acquire_out();
+  }  // the lease goes back through release_out(), then the batch is freed
+  const long faults = thread_minor_faults() - before;
+  // left, right and one output of 64 MiB each, in 4 KiB host pages.
+  const long pages = static_cast<long>(3 * n * n * sizeof(float) / 4096);
+  EXPECT_LT(faults, pages / 16) << "of " << pages << " pages";
 }
 
 // --------------------------------------------------------------- campaign --

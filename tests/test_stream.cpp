@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include "core/system.hpp"
 #include "stream/cpu_stream.hpp"
@@ -129,6 +130,23 @@ TEST(GpuStream, ChargesGpuActivity) {
   for (const auto& rec : system.soc().activity().records()) {
     EXPECT_EQ(rec.unit, soc::ComputeUnit::kGpu);
   }
+}
+
+long thread_minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_minflt;
+}
+
+TEST(GpuStream, ModelOnlyRunLeavesTheArraysUntouched) {
+  core::System system(soc::ChipModel::kM3);
+  const long before = thread_minor_faults();
+  GpuStream(system.device()).run(2);
+  const long faults = thread_minor_faults() - before;
+  // Three default arrays of 128 MiB, in 4 KiB host pages.
+  const long pages =
+      static_cast<long>(3 * GpuStream::kDefaultElements * sizeof(float) / 4096);
+  EXPECT_LT(faults, pages / 16) << "of " << pages << " pages";
 }
 
 // -------------------------------------------------- Figure-1 level facts ---

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <atomic>
 #include <cstring>
@@ -63,11 +64,49 @@ TEST(AlignedBuffer, RoundsUpToWholePages) {
 }
 
 TEST(AlignedBuffer, ZeroInitialized) {
-  AlignedBuffer buf(4096);
-  const auto span = buf.as_span<std::uint8_t>();
-  for (const auto byte : span) {
-    ASSERT_EQ(byte, 0u);
+  for (const std::size_t length :
+       {std::size_t{1}, std::size_t{4096}, std::size_t{kApplePageSize + 1},
+        static_cast<std::size_t>(3 * kMiB + 5)}) {
+    AlignedBuffer buf(length);
+    ASSERT_EQ(buf.capacity(), AlignedBuffer::round_up(length, kApplePageSize));
+    const auto* bytes = static_cast<const std::uint8_t*>(buf.data());
+    for (std::size_t i = 0; i < buf.capacity(); ++i) {
+      ASSERT_EQ(bytes[i], 0u) << "length " << length << " byte " << i;
+    }
   }
+}
+
+TEST(AlignedBuffer, HonoursAlignmentsAboveTheApplePage) {
+  AlignedBuffer buf(100000, 65536);
+  EXPECT_TRUE(AlignedBuffer::is_aligned(buf.data(), 65536));
+  EXPECT_EQ(buf.capacity(), 2u * 65536);
+  EXPECT_EQ(buf.alignment(), 65536u);
+}
+
+TEST(AlignedBuffer, ClearZeroesWrittenBytesInPlace) {
+  AlignedBuffer buf(5 * kApplePageSize + 7);
+  void* const data = buf.data();
+  const std::size_t capacity = buf.capacity();
+  auto* bytes = static_cast<std::uint8_t*>(data);
+  for (const std::size_t i : {std::size_t{0}, std::size_t{4095},
+                              kApplePageSize + 3, 3 * kApplePageSize,
+                              capacity - 1}) {
+    bytes[i] = 0xA5;
+  }
+  buf.clear();
+  EXPECT_EQ(buf.data(), data);
+  EXPECT_EQ(buf.capacity(), capacity);
+  for (std::size_t i = 0; i < capacity; ++i) {
+    ASSERT_EQ(bytes[i], 0u) << "byte " << i;
+  }
+  bytes[17] = 1;  // the cleared buffer stays writable
+  EXPECT_EQ(bytes[17], 1u);
+}
+
+// True while the page at the page-aligned `ptr` belongs to some mapping.
+bool is_mapped(void* ptr) {
+  unsigned char resident = 0;
+  return ::mincore(ptr, 1, &resident) == 0;
 }
 
 TEST(AlignedBuffer, MoveTransfersOwnership) {
@@ -77,6 +116,24 @@ TEST(AlignedBuffer, MoveTransfersOwnership) {
   EXPECT_EQ(b.data(), ptr);
   EXPECT_TRUE(a.empty());
   EXPECT_EQ(a.length(), 0u);
+  EXPECT_EQ(a.capacity(), 0u);
+  EXPECT_TRUE(is_mapped(ptr));
+}
+
+TEST(AlignedBuffer, MoveAssignReleasesTheTargetsMapping) {
+  AlignedBuffer source(3 * kApplePageSize);
+  AlignedBuffer target(2 * kApplePageSize);
+  void* const moved = source.data();
+  void* const old = target.data();
+  static_cast<std::uint8_t*>(moved)[5] = 9;
+  target = std::move(source);
+  EXPECT_TRUE(source.empty());
+  EXPECT_EQ(source.capacity(), 0u);
+  EXPECT_EQ(target.data(), moved);
+  EXPECT_EQ(target.capacity(), 3 * kApplePageSize);
+  EXPECT_EQ(static_cast<const std::uint8_t*>(target.data())[5], 9u);
+  EXPECT_FALSE(is_mapped(old));
+  EXPECT_TRUE(is_mapped(moved));
 }
 
 TEST(AlignedBuffer, RejectsZeroLength) {
