@@ -4,6 +4,7 @@
 
 #include "accelerate/cblas.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ao::gemm {
 namespace {
@@ -62,12 +63,13 @@ void CpuOmpGemm::multiply(std::size_t n, std::size_t memory_length,
                           bool functional) {
   validate(n, memory_length, left, right, out);
   if (functional) {
+    // Output tiles spread over the shared pool; each output element still
+    // sums its products in k order, so the result is bit-identical to
+    // CPU-Single's.
     const std::size_t blocks = (n + kBlock - 1) / kBlock;
-    const auto total = static_cast<long long>(blocks * blocks);
-#pragma omp parallel for schedule(static)
-    for (long long t = 0; t < total; ++t) {
-      const std::size_t bi = static_cast<std::size_t>(t) / blocks;
-      const std::size_t bj = static_cast<std::size_t>(t) % blocks;
+    util::global_pool().parallel_for(blocks * blocks, [&](std::size_t t) {
+      const std::size_t bi = t / blocks;
+      const std::size_t bj = t % blocks;
       const std::size_t i1 = std::min((bi + 1) * kBlock, n);
       const std::size_t j0 = bj * kBlock;
       const std::size_t j1 = std::min(j0 + kBlock, n);
@@ -84,7 +86,7 @@ void CpuOmpGemm::multiply(std::size_t n, std::size_t memory_length,
           }
         }
       }
-    }
+    });
   }
   charge(*ctx_, perf_, kind(), n, soc::ComputeUnit::kCpuPCluster);
 }

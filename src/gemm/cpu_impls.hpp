@@ -18,9 +18,11 @@ class CpuSingleGemm final : public IGemm {
   soc::PerfModel perf_;
 };
 
-/// CPU-OMP: multi-threaded tiled multiplication with OpenMP, after the
-/// open-source Block-Matrix-Multiplication-OpenMP implementation the paper
-/// uses (Section 3.2, footnote 1).
+/// CPU-OMP: multi-threaded tiled multiplication, after the open-source
+/// Block-Matrix-Multiplication-OpenMP implementation the paper uses
+/// (Section 3.2, footnote 1). The tiles run on util::global_pool(), the
+/// engine behind every other parallel kernel here, instead of an OpenMP
+/// team.
 class CpuOmpGemm final : public IGemm {
  public:
   explicit CpuOmpGemm(GemmContext& context);

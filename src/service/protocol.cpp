@@ -32,23 +32,6 @@ std::string lowercase(const std::string& s) {
   return out;
 }
 
-bool parse_u64_token(const std::string& token, std::uint64_t& value) {
-  if (token.empty()) {
-    return false;
-  }
-  value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    if (value > (UINT64_MAX - static_cast<std::uint64_t>(c - '0')) / 10) {
-      return false;  // overflow
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return true;
-}
-
 bool parse_size_list(const std::string& token, std::vector<std::size_t>& out) {
   out.clear();
   for (const std::string& part : split_csv(token)) {
@@ -101,6 +84,23 @@ std::string join_ints(const std::vector<int>& values) {
 }
 
 }  // namespace
+
+bool parse_u64_token(const std::string& token, std::uint64_t& value) {
+  if (token.empty()) {
+    return false;
+  }
+  value = 0;
+  for (const char c : token) {
+    if (c < '0' || c > '9') {
+      return false;
+    }
+    if (value > (UINT64_MAX - static_cast<std::uint64_t>(c - '0')) / 10) {
+      return false;  // overflow
+    }
+    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+  }
+  return true;
+}
 
 std::vector<std::string> split_words(const std::string& line) {
   std::istringstream in(line);

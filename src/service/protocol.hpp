@@ -87,6 +87,11 @@ struct CampaignRequest {
 /// session loop.
 std::vector<std::string> split_words(const std::string& line);
 
+/// Strict unsigned decimal: digits only (no sign, no spaces, not empty),
+/// and false on overflow instead of wrapping. The request parser, the task
+/// payload codec and ao_worker's flags all read their numbers through it.
+bool parse_u64_token(const std::string& token, std::uint64_t& value);
+
 /// True when `name` may name a campaign. Names are embedded in shard-store
 /// and request file paths by the service, so only [A-Za-z0-9._-] is
 /// accepted (no path separators), "." / ".." are rejected, and length is

@@ -20,6 +20,9 @@
 #include "util/hash.hpp"
 
 namespace ao::service {
+
+using obs::Metric;
+
 namespace {
 
 using orchestrator::CampaignScheduler;
@@ -172,17 +175,38 @@ std::string CampaignService::cancel_code(const CancelState& state) const {
 }
 
 void CampaignService::note_cancelled(const std::string& code) {
+  count({{code == "deadline-exceeded" ? Metric::kCampaignsDeadlineExpiredTotal
+                                      : Metric::kCampaignsAbortedTotal,
+          1}});
+}
+
+void CampaignService::count(
+    std::initializer_list<std::pair<Metric, std::uint64_t>> deltas) {
   std::lock_guard lock(totals_mutex_);
-  if (code == "deadline-exceeded") {
-    ++totals_.deadline_expired;
-  } else {
-    ++totals_.aborted;
+  for (const auto& [metric, delta] : deltas) {
+    totals_[metric] += delta;
   }
 }
 
-CampaignService::Totals CampaignService::totals() const {
-  std::lock_guard lock(totals_mutex_);
-  return totals_;
+obs::MetricValues CampaignService::snapshot() const {
+  obs::MetricValues values;
+  {
+    std::lock_guard lock(totals_mutex_);
+    values = totals_;
+  }
+  values[Metric::kCacheEntries] = cache_.size();
+  values[Metric::kStoreEntries] = cache_.store_entries();
+  values[Metric::kCampaignsRunning] = queue_.running_count();
+  values[Metric::kQueueDepth] = queue_.queued_count();
+  values[Metric::kPeakRunning] = queue_.peak_running();
+  values[Metric::kQueueRejectedTotal] = queue_.rejections();
+  values[Metric::kWorkersConnected] = registry_.connected_count();
+  values[Metric::kWorkersIdle] = registry_.idle_count();
+  const orchestrator::PlanCache::Stats plans = plan_cache_.stats();
+  values[Metric::kPlanCacheHitsTotal] = plans.hits;
+  values[Metric::kPlanCacheMissesTotal] = plans.misses;
+  values[Metric::kPlanCacheEntries] = plans.size;
+  return values;
 }
 
 std::vector<CampaignService::CampaignTimeline> CampaignService::timelines()
@@ -318,39 +342,19 @@ bool CampaignService::serve(std::istream& in, std::ostream& out) {
           out << "stats-client " << client << " queued " << s.queued
               << " running " << s.running << '\n';
         }
-        {
-          // Lifetime per-phase time aggregates from the timeline profiler —
-          // only phases that ever recorded a span.
-          std::lock_guard lock(profile_mutex_);
-          for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-            const auto& [count, total_ns] = phase_totals_[i];
-            if (count != 0) {
-              out << "stats-phase "
-                  << obs::phase_name(static_cast<obs::Phase>(i)) << " count "
-                  << count << " total-ns " << total_ns << '\n';
-            }
+        // Lifetime per-phase time aggregates: the count and sum of the
+        // phase's duration histogram — only phases that ever recorded a
+        // span.
+        const auto phases = metrics_.histograms(Metric::kPhaseDurationNs);
+        for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+          const auto it =
+              phases.find(obs::phase_name(static_cast<obs::Phase>(i)));
+          if (it != phases.end()) {
+            out << "stats-phase " << it->first << " count "
+                << it->second.count << " total-ns " << it->second.sum << '\n';
           }
         }
-        const Totals t = totals();
-        const orchestrator::PlanCache::Stats plans = plan_cache_.stats();
-        out << "stats campaigns " << t.campaigns << " sharded "
-            << t.sharded_campaigns << " records " << t.records_streamed
-            << " executed " << t.jobs_executed << " hits " << t.cache_hits
-            << " merged " << t.merged_entries << " cache-entries "
-            << cache_.size() << " store-entries " << cache_.store_entries()
-            << " running " << queue_.running_count() << " queued "
-            << queue_.queued_count() << " peak " << queue_.peak_running()
-            << " rejected " << queue_.rejections() << " remote-shards "
-            << t.remote_shards << " workers " << registry_.connected_count()
-            << " idle-workers " << registry_.idle_count() << " aborted "
-            << t.aborted << " deadline-expired " << t.deadline_expired
-            << " shard-retries " << t.shard_retries << " outbox-peak "
-            << t.outbox_peak << " outbox-blocked " << t.outbox_blocked
-            << " outbox-dropped " << t.outbox_dropped << " plan-hits "
-            << plans.hits << " plan-misses " << plans.misses
-            << " plan-entries " << plans.size << " queries " << t.queries
-            << " query-records " << t.query_records << " follows "
-            << t.follows << " stale-cursors " << t.stale_cursors << '\n';
+        out << obs::render_stats_line(snapshot());
       } else if (words[0] == "query") {
         reply_query(words, line, out);
       } else if (words[0] == "follow") {
@@ -426,38 +430,9 @@ void CampaignService::reply_profile(const std::string& name,
 }
 
 void CampaignService::reply_metrics(std::ostream& out) {
-  using obs::Metric;
-  // Counters restate the lifetime Totals (already monotone — two scrapes
+  // Counters restate the lifetime totals (already monotone — two scrapes
   // can only go up); gauges restate the current queue/registry state.
-  const Totals t = totals();
-  const auto count = [&](Metric metric, std::size_t value) {
-    metrics_.set(metric, static_cast<std::int64_t>(value));
-  };
-  count(Metric::kCampaignsTotal, t.campaigns);
-  count(Metric::kCampaignsShardedTotal, t.sharded_campaigns);
-  count(Metric::kCampaignsAbortedTotal, t.aborted);
-  count(Metric::kCampaignsDeadlineExpiredTotal, t.deadline_expired);
-  count(Metric::kQueueRejectedTotal, queue_.rejections());
-  count(Metric::kJobsExecutedTotal, t.jobs_executed);
-  count(Metric::kCacheHitsTotal, t.cache_hits);
-  count(Metric::kRecordsStreamedTotal, t.records_streamed);
-  count(Metric::kMergedEntriesTotal, t.merged_entries);
-  count(Metric::kRemoteShardsTotal, t.remote_shards);
-  count(Metric::kShardRetriesTotal, t.shard_retries);
-  count(Metric::kOutboxBlockedTotal, t.outbox_blocked);
-  count(Metric::kOutboxDroppedTotal, t.outbox_dropped);
-  const orchestrator::PlanCache::Stats plans = plan_cache_.stats();
-  count(Metric::kPlanCacheHitsTotal, plans.hits);
-  count(Metric::kPlanCacheMissesTotal, plans.misses);
-  count(Metric::kQueriesTotal, t.queries);
-  count(Metric::kQueryRecordsTotal, t.query_records);
-  count(Metric::kFollowsTotal, t.follows);
-  count(Metric::kStaleCursorsTotal, t.stale_cursors);
-  count(Metric::kQueueDepth, queue_.queued_count());
-  count(Metric::kCampaignsRunning, queue_.running_count());
-  count(Metric::kOutboxPeakDepth, t.outbox_peak);
-  count(Metric::kWorkersConnected, registry_.connected_count());
-  count(Metric::kWorkersIdle, registry_.idle_count());
+  metrics_.set_unlabelled(snapshot());
   // Per-endpoint gauges are rebuilt from scratch: a retired worker's series
   // must vanish from the exposition, not linger at its last value. Each
   // family is swapped atomically — sessions run on their own threads, and a
@@ -510,15 +485,11 @@ void CampaignService::finish_campaign_profile(std::uint64_t root_span,
                             static_cast<std::ptrdiff_t>(kMaxOrphanSpans));
   }
 
-  for (const auto& [phase, stats] : obs::phase_stats(mine)) {
-    auto& [count, total_ns] = phase_totals_[static_cast<std::size_t>(phase)];
-    count += stats.count;
-    total_ns += stats.total_ns;
-  }
-  // Feed the per-phase duration histograms of the `metrics` exposition —
-  // incremental, so a scrape between two campaigns stays monotone.
+  // Feed the per-phase duration histograms of the `metrics` exposition
+  // and the `stats-phase` lines — incremental, so a scrape between two
+  // campaigns stays monotone.
   for (const obs::Span& span : mine) {
-    metrics_.observe(obs::Metric::kPhaseDurationNs, span.duration_ns,
+    metrics_.observe(Metric::kPhaseDurationNs, span.duration_ns,
                      obs::phase_name(span.phase));
   }
 
@@ -602,10 +573,10 @@ void CampaignService::run_campaign(const CampaignRequest& request,
       outbox.close();
       const SessionOutbox::Stats stats = outbox.stats();
       std::lock_guard lock(service.totals_mutex_);
-      service.totals_.outbox_peak =
-          std::max(service.totals_.outbox_peak, stats.high_water);
-      service.totals_.outbox_blocked += stats.blocked;
-      service.totals_.outbox_dropped += stats.dropped;
+      std::uint64_t& peak = service.totals_[Metric::kOutboxPeakDepth];
+      peak = std::max<std::uint64_t>(peak, stats.high_water);
+      service.totals_[Metric::kOutboxBlockedTotal] += stats.blocked;
+      service.totals_[Metric::kOutboxDroppedTotal] += stats.dropped;
     }
   } active_guard{*this, cancel, outbox};
 
@@ -782,10 +753,7 @@ void CampaignService::run_in_process(
     const std::uint64_t now = profiler_.now();
     profiler_.record(obs::Phase::kAbort, now, now, root_span, e.code());
     note_cancelled(e.code());
-    {
-      std::lock_guard lock(totals_mutex_);
-      totals_.records_streamed += streamed;
-    }
+    count({{Metric::kRecordsStreamedTotal, streamed}});
     out << e.code() << " campaign " << id << '\n';
     out << "error " << e.code() << " campaign " << id << " records "
         << streamed << " of " << expected_records << " streamed before stop\n";
@@ -798,13 +766,10 @@ void CampaignService::run_in_process(
     return;
   }
 
-  {
-    std::lock_guard lock(totals_mutex_);
-    ++totals_.campaigns;
-    totals_.records_streamed += streamed;
-    totals_.jobs_executed += outputs.stats.jobs_executed;
-    totals_.cache_hits += outputs.stats.cache_hits;
-  }
+  count({{Metric::kCampaignsTotal, 1},
+         {Metric::kRecordsStreamedTotal, streamed},
+         {Metric::kJobsExecutedTotal, outputs.stats.jobs_executed},
+         {Metric::kCacheHitsTotal, outputs.stats.cache_hits}});
   out << "done campaign " << id << " records " << streamed << " executed "
       << outputs.stats.jobs_executed << " hits " << outputs.stats.cache_hits
       << '\n';
@@ -1040,16 +1005,13 @@ void CampaignService::run_sharded(
     out.flush();
   }
 
-  {
-    std::lock_guard lock(totals_mutex_);
-    ++totals_.campaigns;
-    ++totals_.sharded_campaigns;
-    totals_.records_streamed += streamed;
-    totals_.cache_hits += warm_hits;
-    totals_.merged_entries += merged;
-    totals_.remote_shards += remote_executed;
-    totals_.shard_retries += retries;
-  }
+  count({{Metric::kCampaignsTotal, 1},
+         {Metric::kCampaignsShardedTotal, 1},
+         {Metric::kRecordsStreamedTotal, streamed},
+         {Metric::kCacheHitsTotal, warm_hits},
+         {Metric::kMergedEntriesTotal, merged},
+         {Metric::kRemoteShardsTotal, remote_executed},
+         {Metric::kShardRetriesTotal, retries}});
   if (!failure.empty()) {
     out << "error exec-failed campaign " << id << " " << one_line(failure)
         << '\n';
@@ -1436,18 +1398,10 @@ std::shared_ptr<CampaignService::CampaignJournal> CampaignService::find_journal(
 void CampaignService::note_query_span(std::uint64_t started_ns,
                                       const std::string& label) {
   // Read-path spans have no campaign root to ride into a timeline, so their
-  // phase totals and histogram observation settle here, directly.
+  // histogram observation settles here, directly.
   const std::uint64_t now = profiler_.now();
   profiler_.record(obs::Phase::kQuery, started_ns, now, 0, label);
-  const std::uint64_t duration = now - started_ns;
-  {
-    std::lock_guard lock(profile_mutex_);
-    auto& [count, total_ns] =
-        phase_totals_[static_cast<std::size_t>(obs::Phase::kQuery)];
-    ++count;
-    total_ns += duration;
-  }
-  metrics_.observe(obs::Metric::kPhaseDurationNs, duration, "query");
+  metrics_.observe(Metric::kPhaseDurationNs, now - started_ns, "query");
 }
 
 void CampaignService::reply_query(const std::vector<std::string>& words,
@@ -1526,8 +1480,7 @@ void CampaignService::reply_query(const std::vector<std::string>& words,
   const auto page = cache_.query(filter, limit, cursor, &code);
   if (!page.has_value()) {
     if (code == "stale-cursor") {
-      std::lock_guard lock(totals_mutex_);
-      ++totals_.stale_cursors;
+      count({{Metric::kStaleCursorsTotal, 1}});
     }
     reply_error(out, code,
                 code == "no-store" ? "no write-through store attached"
@@ -1544,11 +1497,8 @@ void CampaignService::reply_query(const std::vector<std::string>& words,
       << page->matched << " generation " << page->generation << " read "
       << page->entries_read << " cursor "
       << (page->exhausted ? std::string("end") : page->cursor) << '\n';
-  {
-    std::lock_guard lock(totals_mutex_);
-    ++totals_.queries;
-    totals_.query_records += page->lines.size();
-  }
+  count({{Metric::kQueriesTotal, 1},
+         {Metric::kQueryRecordsTotal, page->lines.size()}});
   note_query_span(started_ns, "indexed read " +
                                   std::to_string(page->entries_read) + "/" +
                                   std::to_string(cache_.store_entries()) +
@@ -1598,10 +1548,7 @@ void CampaignService::reply_follow(const std::vector<std::string>& words,
       // A token from an older run of this name: its journal was superseded,
       // so replaying against the newer stream would duplicate or skip
       // records.
-      {
-        std::lock_guard lock(totals_mutex_);
-        ++totals_.stale_cursors;
-      }
+      count({{Metric::kStaleCursorsTotal, 1}});
       reply_error(out, "stale-cursor",
                   "cursor belongs to a superseded campaign run; restart the "
                   "follow",
@@ -1621,10 +1568,7 @@ void CampaignService::reply_follow(const std::vector<std::string>& words,
        ++i) {
     const auto entry = cache_.fetch_entry(keys[i]);
     if (!entry.has_value()) {
-      {
-        std::lock_guard lock(totals_mutex_);
-        ++totals_.stale_cursors;
-      }
+      count({{Metric::kStaleCursorsTotal, 1}});
       reply_error(out, "stale-cursor",
                   "record " + std::to_string(i) +
                       " left the store (evicted, then compacted away); "
@@ -1642,11 +1586,7 @@ void CampaignService::reply_follow(const std::vector<std::string>& words,
       << sent << " position " << keys.size() << " cursor "
       << encode_follow_cursor(journal_id, keys.size()) << " state "
       << (complete ? "complete" : "partial") << '\n';
-  {
-    std::lock_guard lock(totals_mutex_);
-    ++totals_.follows;
-    totals_.query_records += sent;
-  }
+  count({{Metric::kFollowsTotal, 1}, {Metric::kQueryRecordsTotal, sent}});
   note_query_span(started_ns,
                   "follow " + name + " records " + std::to_string(sent));
 }

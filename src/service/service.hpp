@@ -1,15 +1,16 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -108,32 +109,6 @@ class CampaignService {
     std::size_t plan_cache_capacity = 64;
   };
 
-  struct Totals {
-    std::size_t campaigns = 0;
-    std::size_t sharded_campaigns = 0;
-    std::size_t records_streamed = 0;
-    /// Jobs executed by in-process campaigns. Sharded work runs in worker
-    /// processes whose schedulers don't report back; it shows up as
-    /// merged_entries instead.
-    std::size_t jobs_executed = 0;
-    std::size_t cache_hits = 0;      ///< in-process scheduler hits + warm
-                                     ///< groups served before sharding
-    std::size_t merged_entries = 0;  ///< shard-store entries merged back
-    std::size_t remote_shards = 0;   ///< shards executed on remote workers
-    std::size_t aborted = 0;           ///< campaigns cancelled by `abort`
-    std::size_t deadline_expired = 0;  ///< campaigns past their `deadline`
-    std::size_t shard_retries = 0;     ///< shards re-dispatched after a
-                                       ///< worker endpoint died mid-shard
-    std::size_t outbox_peak = 0;     ///< deepest per-campaign outbox queue
-    std::size_t outbox_blocked = 0;  ///< record pushes stalled by a slow
-                                     ///< client (backpressure events)
-    std::size_t outbox_dropped = 0;  ///< record lines dropped by aborts
-    std::size_t queries = 0;         ///< `query` commands served
-    std::size_t query_records = 0;   ///< entry lines streamed by query/follow
-    std::size_t follows = 0;         ///< `follow` streams served
-    std::size_t stale_cursors = 0;   ///< reads rejected with `stale-cursor`
-  };
-
   explicit CampaignService(Config config);
 
   /// Handles one protocol session until the stream ends or a `shutdown`
@@ -162,7 +137,6 @@ class CampaignService {
   obs::TimelineProfiler& profiler() { return profiler_; }
   /// Retained per-campaign timelines, oldest first.
   std::vector<CampaignTimeline> timelines() const;
-  Totals totals() const;
   /// Campaign names in the order the queue admitted them (most recent
   /// kStartLogCapacity entries) — the observable start order the queue
   /// tests assert on.
@@ -192,6 +166,12 @@ class CampaignService {
   std::string cancel_code(const CancelState& state) const;
   /// Folds one cancelled campaign into the totals.
   void note_cancelled(const std::string& code);
+  /// Adds each delta to its lifetime counter, under one lock.
+  void count(
+      std::initializer_list<std::pair<obs::Metric, std::uint64_t>> deltas);
+  /// The lifetime counters plus the queue, registry, cache and plan-cache
+  /// state sampled now: every value a `stats` or `metrics` reply renders.
+  obs::MetricValues snapshot() const;
 
   struct CampaignJournal;  // defined below, next to its helpers
 
@@ -239,10 +219,10 @@ class CampaignService {
 
   /// Settles one finished campaign's telemetry: drains the profiler, pulls
   /// the root's subtree out (spans of still-running concurrent campaigns go
-  /// back to the orphan pool), folds its per-phase stats into the `stats`
-  /// totals, retains the timeline for the `profile` command, and — with
-  /// Config::profile_dir set — writes the JSON artifact. The campaign's root
-  /// span must already be closed.
+  /// back to the orphan pool), observes every span in the per-phase
+  /// duration histogram, retains the timeline for the `profile` command,
+  /// and — with Config::profile_dir set — writes the JSON artifact. The
+  /// campaign's root span must already be closed.
   void finish_campaign_profile(std::uint64_t root_span, std::uint64_t id,
                                const std::string& name,
                                const std::string& client);
@@ -250,9 +230,8 @@ class CampaignService {
   /// timeline (newest of that campaign name, with one given).
   void reply_profile(const std::string& name, std::ostream& out) const;
   /// Handles the `metrics` command: refreshes the counter/gauge samples
-  /// from the lifetime totals and fleet state (both already monotone where
-  /// Prometheus requires it) and streams the text exposition, terminated by
-  /// the `# EOF` marker.
+  /// from snapshot() (already monotone where Prometheus requires it) and
+  /// streams the text exposition, terminated by the `# EOF` marker.
   void reply_metrics(std::ostream& out);
 
   /// The record stream of one campaign, retained for `follow` replays: the
@@ -285,7 +264,7 @@ class CampaignService {
   void reply_follow(const std::vector<std::string>& words,
                     const std::string& line, std::ostream& out);
   /// Settles one read-path command's telemetry: the kQuery span plus its
-  /// phase totals/histogram (read spans have no campaign root to ride).
+  /// histogram observation (read spans have no campaign root to ride).
   void note_query_span(std::uint64_t started_ns, const std::string& label);
 
   Config config_;
@@ -309,7 +288,9 @@ class CampaignService {
   static constexpr std::size_t kStartLogCapacity = 64;
 
   mutable std::mutex totals_mutex_;
-  Totals totals_;
+  /// Lifetime counters, one slot per obs::Metric; the sampled gauges'
+  /// slots stay 0 here and are filled by snapshot().
+  obs::MetricValues totals_;
   std::vector<std::string> start_log_;
 
   /// Every in-flight campaign's cancellation handle — what `abort <name>`
@@ -327,14 +308,11 @@ class CampaignService {
   mutable std::mutex profile_mutex_;
   std::deque<CampaignTimeline> timelines_;
   std::vector<obs::Span> orphan_spans_;  ///< drained, not yet rooted
-  /// Lifetime per-phase aggregates (count, total_ns) — the `stats-phase`
-  /// feed; indexed by static_cast<size_t>(Phase).
-  std::array<std::pair<std::size_t, std::uint64_t>, obs::kPhaseCount>
-      phase_totals_{};
 
   /// The Prometheus exposition surface behind the `metrics` command.
-  /// Histograms accumulate as campaigns finish; counters and gauges are
-  /// refreshed from Totals / queue / registry at scrape time.
+  /// Histograms accumulate as spans settle (the per-phase histogram is also
+  /// the `stats-phase` feed); counters and gauges are restated from
+  /// snapshot() at scrape time.
   obs::MetricsRegistry metrics_;
 
   /// Recent campaigns' record streams for `follow` (bounded, oldest first).

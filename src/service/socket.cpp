@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "service/protocol.hpp"
 #include "util/error.hpp"
 
 namespace ao::service {
@@ -207,18 +208,9 @@ bool parse_host_port(const std::string& spec, std::string* host,
       colon + 1 == spec.size()) {
     return false;
   }
-  std::uint32_t value = 0;
-  for (std::size_t i = colon + 1; i < spec.size(); ++i) {
-    const char c = spec[i];
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<std::uint32_t>(c - '0');
-    if (value > 65535) {
-      return false;
-    }
-  }
-  if (value == 0) {
+  std::uint64_t value = 0;
+  if (!parse_u64_token(spec.substr(colon + 1), value) || value == 0 ||
+      value > 65535) {
     return false;
   }
   if (host != nullptr) {

@@ -18,24 +18,18 @@ namespace ao::service {
 
 bool parse_index_csv(const std::string& csv, std::vector<std::size_t>& out) {
   out.clear();
-  std::size_t value = 0;
-  bool in_number = false;
-  for (const char c : csv) {
-    if (c >= '0' && c <= '9') {
-      value = value * 10 + static_cast<std::size_t>(c - '0');
-      in_number = true;
-    } else if (c == ',' && in_number) {
-      out.push_back(value);
-      value = 0;
-      in_number = false;
-    } else {
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = csv.find(',', begin);
+    std::uint64_t value = 0;
+    if (!parse_u64_token(csv.substr(begin, comma - begin), value)) {
       return false;
     }
+    out.push_back(static_cast<std::size_t>(value));
+    if (comma == std::string::npos) {
+      return true;
+    }
+    begin = comma + 1;
   }
-  if (in_number) {
-    out.push_back(value);
-  }
-  return !out.empty();
 }
 
 namespace {

@@ -27,8 +27,9 @@ struct RemoteTask {
   CampaignRequest request;
 };
 
-/// Parses a "1,2,3" index list (digits and commas only; no empty list).
-/// Shared by the task payload codec and `ao_worker`'s `--groups` flag.
+/// Parses a "1,2,3" index list: parse_u64_token() numbers joined by single
+/// commas (no empty list, no empty or overflowing item). Shared by the task
+/// payload codec and `ao_worker`'s `--groups` flag.
 bool parse_index_csv(const std::string& csv, std::vector<std::size_t>& out);
 
 /// Serializes a shard assignment into the `task` frame payload:

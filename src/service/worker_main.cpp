@@ -27,6 +27,7 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -48,22 +49,6 @@ int usage() {
                "       ao_worker --stdio-frames [--name <id>] [--batch <n>] "
                "[--batch-flush-ms <ms>]\n";
   return 2;
-}
-
-bool parse_count(const char* text, std::size_t& out) {
-  std::size_t value = 0;
-  const char* p = text;
-  if (*p == '\0') {
-    return false;
-  }
-  for (; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<std::size_t>(*p - '0');
-  }
-  out = value;
-  return true;
 }
 
 }  // namespace
@@ -100,18 +85,24 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--stdio-frames") == 0) {
       stdio_frames = true;
     } else if (std::strcmp(argv[i], "--batch") == 0) {
-      if (!parse_count(needs_value("--batch"), session_options.record_batch) ||
-          session_options.record_batch == 0) {
+      std::uint64_t batch = 0;
+      if (!ao::service::parse_u64_token(needs_value("--batch"), batch) ||
+          batch == 0) {
         std::cerr << "ao_worker: --batch needs a positive integer\n";
         return 2;
       }
+      session_options.record_batch = batch;
     } else if (std::strcmp(argv[i], "--batch-flush-ms") == 0) {
-      std::size_t ms = 0;
-      if (!parse_count(needs_value("--batch-flush-ms"), ms)) {
-        std::cerr << "ao_worker: --batch-flush-ms needs an integer\n";
+      // Bounded so the nanosecond product below cannot wrap.
+      constexpr std::uint64_t kMaxMs = UINT64_MAX / 1'000'000;
+      std::uint64_t ms = 0;
+      if (!ao::service::parse_u64_token(needs_value("--batch-flush-ms"), ms) ||
+          ms > kMaxMs) {
+        std::cerr << "ao_worker: --batch-flush-ms needs an integer up to "
+                  << kMaxMs << "\n";
         return 2;
       }
-      session_options.batch_flush_ns = ms * 1'000'000ull;
+      session_options.batch_flush_ns = ms * 1'000'000;
     } else {
       std::cerr << "ao_worker: unknown option " << argv[i] << "\n";
       return 2;

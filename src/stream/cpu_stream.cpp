@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace ao::stream {
@@ -24,38 +25,34 @@ void CpuStream::ensure_arrays() {
 
 void CpuStream::kernel_pass(soc::StreamKernel kernel, int threads,
                             bool functional) {
-  const auto n = static_cast<long long>(elements_);
   if (functional) {
     ensure_arrays();
     double* a = a_.data();
     double* b = b_.data();
     double* c = c_.data();
-    switch (kernel) {
-      case soc::StreamKernel::kCopy:
-#pragma omp parallel for num_threads(threads) schedule(static)
-        for (long long i = 0; i < n; ++i) {
-          c[i] = a[i];
+    // `threads` contiguous chunks on the shared pool — the static schedule
+    // stream.c's OpenMP loops use.
+    const std::size_t n = elements_;
+    const auto chunks = static_cast<std::size_t>(threads);
+    util::global_pool().parallel_for(chunks, [&](std::size_t t) {
+      const std::size_t end = n * (t + 1) / chunks;
+      for (std::size_t i = n * t / chunks; i < end; ++i) {
+        switch (kernel) {
+          case soc::StreamKernel::kCopy:
+            c[i] = a[i];
+            break;
+          case soc::StreamKernel::kScale:
+            b[i] = kScalar * c[i];
+            break;
+          case soc::StreamKernel::kAdd:
+            c[i] = a[i] + b[i];
+            break;
+          case soc::StreamKernel::kTriad:
+            a[i] = b[i] + kScalar * c[i];
+            break;
         }
-        break;
-      case soc::StreamKernel::kScale:
-#pragma omp parallel for num_threads(threads) schedule(static)
-        for (long long i = 0; i < n; ++i) {
-          b[i] = kScalar * c[i];
-        }
-        break;
-      case soc::StreamKernel::kAdd:
-#pragma omp parallel for num_threads(threads) schedule(static)
-        for (long long i = 0; i < n; ++i) {
-          c[i] = a[i] + b[i];
-        }
-        break;
-      case soc::StreamKernel::kTriad:
-#pragma omp parallel for num_threads(threads) schedule(static)
-        for (long long i = 0; i < n; ++i) {
-          a[i] = b[i] + kScalar * c[i];
-        }
-        break;
-    }
+      }
+    });
   }
 
   const std::uint64_t bytes =

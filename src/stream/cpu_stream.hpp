@@ -16,7 +16,8 @@ namespace ao::stream {
 /// original. The paper's methodology: run with OMP_NUM_THREADS from 1 to the
 /// physical core count, repeat 10 times, keep the maximum bandwidth.
 ///
-/// Functional execution really moves the bytes with OpenMP on the host;
+/// Functional execution really moves the bytes on the host, one contiguous
+/// chunk per thread on util::global_pool() (OpenMP's static schedule);
 /// reported time always comes from the calibrated model via the SoC clock.
 class CpuStream {
  public:
@@ -29,8 +30,8 @@ class CpuStream {
   /// case) never touch host memory.
   explicit CpuStream(soc::Soc& soc, std::size_t elements = kDefaultElements);
 
-  /// One configuration: `threads` OpenMP threads, `repetitions` passes of
-  /// the four-kernel sequence.
+  /// One configuration: `threads` threads (OMP_NUM_THREADS in stream.c),
+  /// `repetitions` passes of the four-kernel sequence.
   RunResult run(int threads, int repetitions, bool functional = false);
 
   /// The paper's full methodology: sweep 1..total_cpu_cores threads at 10

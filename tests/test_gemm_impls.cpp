@@ -128,6 +128,25 @@ TEST(GemmRegistry, ImplementationsAgreeWithEachOther) {
   }
 }
 
+TEST(GemmRegistry, CpuOmpIsBitIdenticalToCpuSingle) {
+  // The pooled tiles keep every output element's k order, so the parallel
+  // result equals the single-threaded one bit for bit — also when the size
+  // leaves partial edge tiles.
+  core::System system(soc::ChipModel::kM1);
+  auto single = create_gemm(soc::GemmImpl::kCpuSingle, system.gemm_context());
+  auto omp = create_gemm(soc::GemmImpl::kCpuOmp, system.gemm_context());
+  const std::size_t n = 150;
+  harness::MatrixSet matrices(n, true, 21);
+  single->multiply(n, matrices.memory_length(), matrices.left(),
+                   matrices.right(), matrices.out(), true);
+  const std::vector<float> expected(matrices.out(), matrices.out() + n * n);
+  matrices.clear_out();
+  omp->multiply(n, matrices.memory_length(), matrices.left(), matrices.right(),
+                matrices.out(), true);
+  EXPECT_EQ(std::vector<float>(matrices.out(), matrices.out() + n * n),
+            expected);
+}
+
 TEST(GemmRegistry, GpuImplsWrapZeroCopy) {
   // The GPU paths must accept the page-rounded harness allocations without
   // copying: after a functional run, the harness output array holds the

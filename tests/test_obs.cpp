@@ -455,8 +455,13 @@ TEST(ObsGraft, AdoptAllocatesFreshTopologicalIds) {
 // ---------------------------------------------------------------- metrics --
 
 TEST(ObsMetrics, NamesAreStableSnakeCase) {
+  std::size_t families = 0;
   for (std::size_t i = 0; i < kMetricCount; ++i) {
     const std::string name = metric_name(static_cast<Metric>(i));
+    if (name.empty()) {
+      continue;  // a `stats`-only series
+    }
+    ++families;
     EXPECT_EQ(name.rfind("ao_", 0), 0u) << name;
     EXPECT_EQ(name.find_first_not_of("abcdefghijklmnopqrstuvwxyz_"),
               std::string::npos)
@@ -465,6 +470,8 @@ TEST(ObsMetrics, NamesAreStableSnakeCase) {
   EXPECT_EQ(metric_kind(Metric::kCampaignsTotal), MetricKind::kCounter);
   EXPECT_EQ(metric_kind(Metric::kQueueDepth), MetricKind::kGauge);
   EXPECT_EQ(metric_kind(Metric::kPhaseDurationNs), MetricKind::kHistogram);
+  EXPECT_EQ(families, 27u);
+  EXPECT_STREQ(metric_name(Metric::kCacheEntries), "");
 }
 
 TEST(ObsMetrics, RenderIsPrometheusTextExposition) {

@@ -213,6 +213,21 @@ TEST(WireFrame, TaskPayloadRoundTripsThroughItsTextForm) {
 
   EXPECT_FALSE(decode_task("garbage", &error).has_value());
   EXPECT_FALSE(decode_task("shard 1\ngroups x\n", &error).has_value());
+
+  // Indices that overflow 64 bits are rejected, not wrapped: 2^64 would
+  // read as shard 0 and 2^64 + 1 as group 1, running the wrong group.
+  const std::string block = payload.substr(payload.find("\nbegin") + 1);
+  ASSERT_TRUE(decode_task("shard 0\ngroups 1\n" + block, &error).has_value())
+      << error;
+  EXPECT_FALSE(decode_task("shard 18446744073709551616\n"
+                           "groups 18446744073709551617\n" +
+                               block,
+                           &error)
+                   .has_value());
+  EXPECT_FALSE(
+      decode_task("shard 0\ngroups 1,18446744073709551617\n" + block, &error)
+          .has_value());
+  EXPECT_FALSE(decode_task("shard 0\ngroups 1,\n" + block, &error).has_value());
 }
 
 // ----------------------------------------------------------------- session --
@@ -1451,6 +1466,288 @@ TEST(CampaignService, MetricsCommandRendersMonotonicPrometheusText) {
             std::string::npos);
   EXPECT_NE(text.find("ao_phase_duration_ns_count{phase=\"execute\"} "),
             std::string::npos);
+}
+
+// The operator surfaces of one scripted session, pinned as text: the `stats`
+// line byte for byte, the `stats-phase` phase set with its counts, and the
+// `metrics` exposition with its timing-valued samples (histogram buckets and
+// sums, the outbox high-water mark) masked. The session covers an in-process
+// campaign, a sharded campaign on in-process local workers, a query, a
+// follow and the abort of a queued campaign, so every counter family moves.
+std::string masked_surfaces(const std::vector<std::string>& lines) {
+  const auto mask_last = [](const std::string& line) {
+    return line.substr(0, line.rfind(' ')) + " <t>";
+  };
+  std::string text;
+  for (const auto& line : lines) {
+    std::string shown = line;
+    if (starts_with(line, "stats-phase ")) {
+      shown = line.substr(0, line.find(" total-ns "));
+    } else if (starts_with(line, "stats ")) {
+      const auto at = line.find(" outbox-peak ");
+      const auto end = line.find(' ', at + 13);
+      shown = line.substr(0, at + 13) + "<t>" + line.substr(end);
+    } else if (starts_with(line, "ao_phase_duration_ns_bucket") ||
+               starts_with(line, "ao_phase_duration_ns_sum") ||
+               starts_with(line, "ao_outbox_peak_depth ")) {
+      shown = mask_last(line);
+    }
+    text += shown;
+    text += '\n';
+  }
+  return text;
+}
+
+TEST(CampaignService, StatsPhaseAndMetricsTranscriptIsPinned) {
+  const auto dir = temp_dir("transcript");
+  CampaignService::Config config;
+  config.store_path = (dir / "service.aocache").string();
+  config.shard_dir = dir.string();
+  config.profile_clock = counter_clock();
+  CampaignService service(std::move(config));
+
+  ASSERT_TRUE(starts_with(serve_lines(service, nine_kind_block(2, 1)).back(),
+                          "done campaign "));
+  const auto sharded = serve_lines(
+      service,
+      "begin sharded\nchips m2\nimpls cpu-single,gpu-mps\nsizes 32,48\n"
+      "repetitions 2\nprecision 24 5\nsme 32 13\nworkers 1\nshards 2\nrun\n");
+  ASSERT_TRUE(starts_with(sharded.back(), "done campaign ")) << sharded.back();
+  serve_lines(service, "query limit 5\nfollow ninekinds\n");
+
+  auto blocker = service.queue().submit("blocker", 0, kResourceAll);
+  ASSERT_TRUE(blocker);
+  ASSERT_TRUE(blocker->try_start());
+  std::vector<std::string> queued;
+  std::thread waiter([&] {
+    queued = serve_lines(service, "begin queued\nchips m1\nane 24\nrun\n");
+  });
+  ASSERT_TRUE(wait_until([&] { return service.queue().queued_count() == 1; }));
+  ASSERT_TRUE(wait_until([&] {
+    return serve_lines(service, "abort queued\n") ==
+           std::vector<std::string>{"ok abort queued cancelled 1"};
+  }));
+  waiter.join();
+  blocker.reset();
+  ASSERT_FALSE(queued.empty());
+  EXPECT_TRUE(starts_with(queued.back(), "error aborted campaign "));
+
+  const std::string expected = R"(stats-phase campaign count 3
+stats-phase queue-wait count 3
+stats-phase admission count 3
+stats-phase schedule count 4
+stats-phase shard count 2
+stats-phase execute count 24
+stats-phase serialize count 20
+stats-phase merge count 2
+stats-phase abort count 1
+stats-phase plan count 3
+stats-phase query count 2
+stats campaigns 2 sharded 1 records 26 executed 24 hits 0 merged 6 cache-entries 26 store-entries 26 running 0 queued 0 peak 1 rejected 0 remote-shards 0 workers 0 idle-workers 0 aborted 1 deadline-expired 0 shard-retries 0 outbox-peak <t> outbox-blocked 0 outbox-dropped 0 plan-hits 0 plan-misses 3 plan-entries 3 queries 1 query-records 25 follows 1 stale-cursors 0
+# HELP ao_campaigns_total Campaigns completed since daemon start.
+# TYPE ao_campaigns_total counter
+ao_campaigns_total 2
+# HELP ao_campaigns_sharded_total Completed campaigns that ran sharded.
+# TYPE ao_campaigns_sharded_total counter
+ao_campaigns_sharded_total 1
+# HELP ao_campaigns_aborted_total Campaigns cancelled by the abort command.
+# TYPE ao_campaigns_aborted_total counter
+ao_campaigns_aborted_total 1
+# HELP ao_campaigns_deadline_expired_total Campaigns cancelled by an expired deadline.
+# TYPE ao_campaigns_deadline_expired_total counter
+ao_campaigns_deadline_expired_total 0
+# HELP ao_queue_rejected_total Campaign submissions rejected at admission.
+# TYPE ao_queue_rejected_total counter
+ao_queue_rejected_total 0
+# HELP ao_jobs_executed_total Jobs executed by schedulers (local and worker-side).
+# TYPE ao_jobs_executed_total counter
+ao_jobs_executed_total 24
+# HELP ao_cache_hits_total Jobs served from the warm result cache.
+# TYPE ao_cache_hits_total counter
+ao_cache_hits_total 0
+# HELP ao_records_streamed_total Measurement records streamed to clients.
+# TYPE ao_records_streamed_total counter
+ao_records_streamed_total 26
+# HELP ao_merged_entries_total Store entries merged from shard results.
+# TYPE ao_merged_entries_total counter
+ao_merged_entries_total 6
+# HELP ao_remote_shards_total Shards executed on remote workers.
+# TYPE ao_remote_shards_total counter
+ao_remote_shards_total 0
+# HELP ao_shard_retries_total Shards re-dispatched after a worker endpoint died.
+# TYPE ao_shard_retries_total counter
+ao_shard_retries_total 0
+# HELP ao_outbox_blocked_total Times a session outbox filled and blocked its producer.
+# TYPE ao_outbox_blocked_total counter
+ao_outbox_blocked_total 0
+# HELP ao_outbox_dropped_total Outbox lines discarded by campaign cancellation.
+# TYPE ao_outbox_dropped_total counter
+ao_outbox_dropped_total 0
+# HELP ao_plan_cache_hits_total Campaign checkouts served from the compiled plan cache.
+# TYPE ao_plan_cache_hits_total counter
+ao_plan_cache_hits_total 0
+# HELP ao_plan_cache_misses_total Campaign checkouts that had to compile their expansion.
+# TYPE ao_plan_cache_misses_total counter
+ao_plan_cache_misses_total 3
+# HELP ao_queries_total Store queries served through the secondary index.
+# TYPE ao_queries_total counter
+ao_queries_total 1
+# HELP ao_query_records_total Entry lines streamed by query and follow replies.
+# TYPE ao_query_records_total counter
+ao_query_records_total 25
+# HELP ao_follows_total Campaign record streams resumed via the follow command.
+# TYPE ao_follows_total counter
+ao_follows_total 1
+# HELP ao_stale_cursors_total Reads rejected because their cursor outlived a store rewrite.
+# TYPE ao_stale_cursors_total counter
+ao_stale_cursors_total 0
+# HELP ao_queue_depth Campaigns waiting in the admission queue.
+# TYPE ao_queue_depth gauge
+ao_queue_depth 0
+# HELP ao_campaigns_running Campaigns currently running.
+# TYPE ao_campaigns_running gauge
+ao_campaigns_running 0
+# HELP ao_outbox_peak_depth Largest session outbox depth seen.
+# TYPE ao_outbox_peak_depth gauge
+ao_outbox_peak_depth <t>
+# HELP ao_workers_connected Remote worker endpoints currently connected.
+# TYPE ao_workers_connected gauge
+ao_workers_connected 0
+# HELP ao_workers_idle Connected remote workers currently idle.
+# TYPE ao_workers_idle gauge
+ao_workers_idle 0
+# HELP ao_worker_rtt_ns Last heartbeat round-trip time per worker endpoint.
+# TYPE ao_worker_rtt_ns gauge
+# HELP ao_worker_clock_offset_ns Estimated worker-minus-daemon clock offset per endpoint.
+# TYPE ao_worker_clock_offset_ns gauge
+# HELP ao_phase_duration_ns Distribution of span durations per lifecycle phase.
+# TYPE ao_phase_duration_ns histogram
+ao_phase_duration_ns_bucket{phase="abort",le="1000"} <t>
+ao_phase_duration_ns_bucket{phase="abort",le="10000"} <t>
+ao_phase_duration_ns_bucket{phase="abort",le="100000"} <t>
+ao_phase_duration_ns_bucket{phase="abort",le="1000000"} <t>
+ao_phase_duration_ns_bucket{phase="abort",le="10000000"} <t>
+ao_phase_duration_ns_bucket{phase="abort",le="100000000"} <t>
+ao_phase_duration_ns_bucket{phase="abort",le="1000000000"} <t>
+ao_phase_duration_ns_bucket{phase="abort",le="10000000000"} <t>
+ao_phase_duration_ns_bucket{phase="abort",le="+Inf"} <t>
+ao_phase_duration_ns_sum{phase="abort"} <t>
+ao_phase_duration_ns_count{phase="abort"} 1
+ao_phase_duration_ns_bucket{phase="admission",le="1000"} <t>
+ao_phase_duration_ns_bucket{phase="admission",le="10000"} <t>
+ao_phase_duration_ns_bucket{phase="admission",le="100000"} <t>
+ao_phase_duration_ns_bucket{phase="admission",le="1000000"} <t>
+ao_phase_duration_ns_bucket{phase="admission",le="10000000"} <t>
+ao_phase_duration_ns_bucket{phase="admission",le="100000000"} <t>
+ao_phase_duration_ns_bucket{phase="admission",le="1000000000"} <t>
+ao_phase_duration_ns_bucket{phase="admission",le="10000000000"} <t>
+ao_phase_duration_ns_bucket{phase="admission",le="+Inf"} <t>
+ao_phase_duration_ns_sum{phase="admission"} <t>
+ao_phase_duration_ns_count{phase="admission"} 3
+ao_phase_duration_ns_bucket{phase="campaign",le="1000"} <t>
+ao_phase_duration_ns_bucket{phase="campaign",le="10000"} <t>
+ao_phase_duration_ns_bucket{phase="campaign",le="100000"} <t>
+ao_phase_duration_ns_bucket{phase="campaign",le="1000000"} <t>
+ao_phase_duration_ns_bucket{phase="campaign",le="10000000"} <t>
+ao_phase_duration_ns_bucket{phase="campaign",le="100000000"} <t>
+ao_phase_duration_ns_bucket{phase="campaign",le="1000000000"} <t>
+ao_phase_duration_ns_bucket{phase="campaign",le="10000000000"} <t>
+ao_phase_duration_ns_bucket{phase="campaign",le="+Inf"} <t>
+ao_phase_duration_ns_sum{phase="campaign"} <t>
+ao_phase_duration_ns_count{phase="campaign"} 3
+ao_phase_duration_ns_bucket{phase="execute",le="1000"} <t>
+ao_phase_duration_ns_bucket{phase="execute",le="10000"} <t>
+ao_phase_duration_ns_bucket{phase="execute",le="100000"} <t>
+ao_phase_duration_ns_bucket{phase="execute",le="1000000"} <t>
+ao_phase_duration_ns_bucket{phase="execute",le="10000000"} <t>
+ao_phase_duration_ns_bucket{phase="execute",le="100000000"} <t>
+ao_phase_duration_ns_bucket{phase="execute",le="1000000000"} <t>
+ao_phase_duration_ns_bucket{phase="execute",le="10000000000"} <t>
+ao_phase_duration_ns_bucket{phase="execute",le="+Inf"} <t>
+ao_phase_duration_ns_sum{phase="execute"} <t>
+ao_phase_duration_ns_count{phase="execute"} 24
+ao_phase_duration_ns_bucket{phase="merge",le="1000"} <t>
+ao_phase_duration_ns_bucket{phase="merge",le="10000"} <t>
+ao_phase_duration_ns_bucket{phase="merge",le="100000"} <t>
+ao_phase_duration_ns_bucket{phase="merge",le="1000000"} <t>
+ao_phase_duration_ns_bucket{phase="merge",le="10000000"} <t>
+ao_phase_duration_ns_bucket{phase="merge",le="100000000"} <t>
+ao_phase_duration_ns_bucket{phase="merge",le="1000000000"} <t>
+ao_phase_duration_ns_bucket{phase="merge",le="10000000000"} <t>
+ao_phase_duration_ns_bucket{phase="merge",le="+Inf"} <t>
+ao_phase_duration_ns_sum{phase="merge"} <t>
+ao_phase_duration_ns_count{phase="merge"} 2
+ao_phase_duration_ns_bucket{phase="plan",le="1000"} <t>
+ao_phase_duration_ns_bucket{phase="plan",le="10000"} <t>
+ao_phase_duration_ns_bucket{phase="plan",le="100000"} <t>
+ao_phase_duration_ns_bucket{phase="plan",le="1000000"} <t>
+ao_phase_duration_ns_bucket{phase="plan",le="10000000"} <t>
+ao_phase_duration_ns_bucket{phase="plan",le="100000000"} <t>
+ao_phase_duration_ns_bucket{phase="plan",le="1000000000"} <t>
+ao_phase_duration_ns_bucket{phase="plan",le="10000000000"} <t>
+ao_phase_duration_ns_bucket{phase="plan",le="+Inf"} <t>
+ao_phase_duration_ns_sum{phase="plan"} <t>
+ao_phase_duration_ns_count{phase="plan"} 3
+ao_phase_duration_ns_bucket{phase="query",le="1000"} <t>
+ao_phase_duration_ns_bucket{phase="query",le="10000"} <t>
+ao_phase_duration_ns_bucket{phase="query",le="100000"} <t>
+ao_phase_duration_ns_bucket{phase="query",le="1000000"} <t>
+ao_phase_duration_ns_bucket{phase="query",le="10000000"} <t>
+ao_phase_duration_ns_bucket{phase="query",le="100000000"} <t>
+ao_phase_duration_ns_bucket{phase="query",le="1000000000"} <t>
+ao_phase_duration_ns_bucket{phase="query",le="10000000000"} <t>
+ao_phase_duration_ns_bucket{phase="query",le="+Inf"} <t>
+ao_phase_duration_ns_sum{phase="query"} <t>
+ao_phase_duration_ns_count{phase="query"} 2
+ao_phase_duration_ns_bucket{phase="queue-wait",le="1000"} <t>
+ao_phase_duration_ns_bucket{phase="queue-wait",le="10000"} <t>
+ao_phase_duration_ns_bucket{phase="queue-wait",le="100000"} <t>
+ao_phase_duration_ns_bucket{phase="queue-wait",le="1000000"} <t>
+ao_phase_duration_ns_bucket{phase="queue-wait",le="10000000"} <t>
+ao_phase_duration_ns_bucket{phase="queue-wait",le="100000000"} <t>
+ao_phase_duration_ns_bucket{phase="queue-wait",le="1000000000"} <t>
+ao_phase_duration_ns_bucket{phase="queue-wait",le="10000000000"} <t>
+ao_phase_duration_ns_bucket{phase="queue-wait",le="+Inf"} <t>
+ao_phase_duration_ns_sum{phase="queue-wait"} <t>
+ao_phase_duration_ns_count{phase="queue-wait"} 3
+ao_phase_duration_ns_bucket{phase="schedule",le="1000"} <t>
+ao_phase_duration_ns_bucket{phase="schedule",le="10000"} <t>
+ao_phase_duration_ns_bucket{phase="schedule",le="100000"} <t>
+ao_phase_duration_ns_bucket{phase="schedule",le="1000000"} <t>
+ao_phase_duration_ns_bucket{phase="schedule",le="10000000"} <t>
+ao_phase_duration_ns_bucket{phase="schedule",le="100000000"} <t>
+ao_phase_duration_ns_bucket{phase="schedule",le="1000000000"} <t>
+ao_phase_duration_ns_bucket{phase="schedule",le="10000000000"} <t>
+ao_phase_duration_ns_bucket{phase="schedule",le="+Inf"} <t>
+ao_phase_duration_ns_sum{phase="schedule"} <t>
+ao_phase_duration_ns_count{phase="schedule"} 4
+ao_phase_duration_ns_bucket{phase="serialize",le="1000"} <t>
+ao_phase_duration_ns_bucket{phase="serialize",le="10000"} <t>
+ao_phase_duration_ns_bucket{phase="serialize",le="100000"} <t>
+ao_phase_duration_ns_bucket{phase="serialize",le="1000000"} <t>
+ao_phase_duration_ns_bucket{phase="serialize",le="10000000"} <t>
+ao_phase_duration_ns_bucket{phase="serialize",le="100000000"} <t>
+ao_phase_duration_ns_bucket{phase="serialize",le="1000000000"} <t>
+ao_phase_duration_ns_bucket{phase="serialize",le="10000000000"} <t>
+ao_phase_duration_ns_bucket{phase="serialize",le="+Inf"} <t>
+ao_phase_duration_ns_sum{phase="serialize"} <t>
+ao_phase_duration_ns_count{phase="serialize"} 20
+ao_phase_duration_ns_bucket{phase="shard",le="1000"} <t>
+ao_phase_duration_ns_bucket{phase="shard",le="10000"} <t>
+ao_phase_duration_ns_bucket{phase="shard",le="100000"} <t>
+ao_phase_duration_ns_bucket{phase="shard",le="1000000"} <t>
+ao_phase_duration_ns_bucket{phase="shard",le="10000000"} <t>
+ao_phase_duration_ns_bucket{phase="shard",le="100000000"} <t>
+ao_phase_duration_ns_bucket{phase="shard",le="1000000000"} <t>
+ao_phase_duration_ns_bucket{phase="shard",le="10000000000"} <t>
+ao_phase_duration_ns_bucket{phase="shard",le="+Inf"} <t>
+ao_phase_duration_ns_sum{phase="shard"} <t>
+ao_phase_duration_ns_count{phase="shard"} 2
+# EOF
+)";
+  EXPECT_EQ(masked_surfaces(serve_lines(service, "stats\nmetrics\n")),
+            expected);
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------- plan cache (service) -----

@@ -17,6 +17,12 @@ TEST(CpuStream, ValidationPassesFunctionally) {
   CpuStream bench(soc, kSmallArray);
   // stream.c's check: worst relative error across all arrays ~ 0.
   EXPECT_LT(bench.validate(3), 1e-12);
+  // Thread counts that do not divide the array still cover every element
+  // exactly once.
+  ASSERT_NE(kSmallArray % 3, 0u);
+  ASSERT_NE(kSmallArray % 7, 0u);
+  EXPECT_LT(bench.validate(3, 3), 1e-12);
+  EXPECT_LT(bench.validate(3, 7), 1e-12);
 }
 
 TEST(CpuStream, ModelMatchesCalibrationAtFullThreads) {

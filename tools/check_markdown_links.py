@@ -2,7 +2,7 @@
 """Checks that relative links in Markdown files resolve.
 
 Usage: check_markdown_links.py [--mentions DOC GLOB]...
-                               [--glossary DOC SRC]... FILE [FILE...]
+                               [--glossary DOC SRC[#stats]]... FILE [FILE...]
 
 For every inline link or image `[text](target)`:
   - http(s)/mailto targets are skipped (no network in CI);
@@ -18,11 +18,18 @@ bench/bench_*.cpp binary: adding a bench without documenting its paper
 figure fails the docs job.
 
 `--glossary DOC SRC` requires every string literal in SRC's `k...Names`
-array initializers (kPhaseNames, kMetricNames, ...) to appear in DOC —
-this keeps docs/observability.md's phase glossary in sync with
+array initializers (kPhaseNames, ...) and every family name in SRC's
+series table (the `k...Table = {{ ... }};` initializer whose rows start
+`{<metric>, "<stats token>", "<family>", ...}`) to appear in DOC — this
+keeps docs/observability.md's phase glossary in sync with
 src/obs/profiler.cpp and its metric glossary in sync with
 src/obs/metrics.cpp: renaming or adding a name without documenting it
 fails the docs job.
+
+`--glossary DOC SRC#stats` checks the table's other column: DOC's `stats`
+reply grammar (the production line starting with the quoted word "stats"
+and its quoted-word continuation lines) must list exactly the table's
+`stats` tokens, in table order.
 
 Exit status: 0 when every link resolves and every mention is present,
 1 otherwise.
@@ -84,25 +91,87 @@ def check_mentions(doc: Path, glob: str) -> list:
     return errors
 
 
-def check_glossary(doc: Path, src: Path) -> list:
-    """Every string literal in `src`'s `k...Names` array initializers
-    (kPhaseNames for span phases, kMetricNames for metric families) must
-    appear in `doc` — the documented glossary may not drift from the code."""
+TABLE_ROW_START = re.compile(r"\{\s*(?:\w+::)?k\w+\s*,")
+TABLE_ROW = re.compile(
+    r'\{\s*(?:\w+::)?k\w+\s*,\s*"([^"]*)"\s*,\s*"([^"]*)"\s*,')
+
+
+def series_table(code: str, src: Path):
+    """(rows, errors) of the series table in `code`: rows are (stats token,
+    family) pairs in table order, "" where the series has none."""
+    bodies = re.findall(r"k\w+Table\s*=\s*\{\{(.*?)\}\};", code, re.DOTALL)
+    if not bodies:
+        return [], []
+    rows = [row for body in bodies for row in TABLE_ROW.findall(body)]
+    starts = sum(len(TABLE_ROW_START.findall(body)) for body in bodies)
+    if not rows or len(rows) != starts:
+        return rows, [f"{src}: {starts - len(rows)} of {starts} series table "
+                      "rows do not parse as {metric, \"token\", \"family\", "
+                      "...} (--glossary)"]
+    return rows, []
+
+
+def stats_grammar(text: str) -> list:
+    """The quoted words of the `stats` reply production: the line starting
+    with "stats" plus its continuation lines of quoted words."""
+    words = []
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not words and stripped.startswith('"stats" '):
+            words = re.findall(r'"([^"]+)"', stripped)
+        elif words and stripped.startswith('"'):
+            words += re.findall(r'"([^"]+)"', stripped)
+        elif words:
+            break
+    return words[1:]
+
+
+def check_glossary(doc: Path, spec: str) -> list:
+    """Every string literal in the `k...Names` array initializers and every
+    family name of the series table in SRC must appear in `doc`; with
+    SRC#stats, `doc`'s `stats` grammar must list the table's tokens in
+    order — the documented glossary may not drift from the code."""
+    path, _, column = spec.partition("#")
+    src = Path(path)
+    if column not in ("", "stats"):
+        return [f"--glossary: unknown column '#{column}' (only #stats)"]
     if not doc.exists():
         return [f"{doc}: file not found (--glossary)"]
     if not src.exists():
         return [f"{src}: file not found (--glossary)"]
     code = src.read_text(encoding="utf-8")
+    text = doc.read_text(encoding="utf-8")
+    rows, errors = series_table(code, src)
+    if errors:
+        return errors
+    if column == "stats":
+        tokens = [token for token, _ in rows if token]
+        if not tokens:
+            return [f"{src}: no series table with stats tokens (--glossary)"]
+        documented = stats_grammar(text)
+        if documented == tokens:
+            return []
+        missing = [t for t in tokens if t not in documented]
+        unknown = [t for t in documented if t not in tokens]
+        if missing or unknown:
+            return [f"{doc}: stats grammar misses {missing} and lists "
+                    f"unknown {unknown} (table in {src})"]
+        at = next((i for i, (d, t) in enumerate(zip(documented, tokens))
+                   if d != t), None)
+        if at is None:
+            return [f"{doc}: stats grammar lists {len(documented)} tokens, "
+                    f"the table in {src} {len(tokens)} (a token repeats)"]
+        return [f"{doc}: stats grammar has '{documented[at]}' where the "
+                f"table in {src} has '{tokens[at]}' (token order differs)"]
     # Match the `kFooNames = { ... }` declarations only — a later
     # `kFooNames[i]` use must not swallow unrelated code as "names".
     initializers = re.findall(r"k\w+Names\s*=\s*\{(.*?)\}", code, re.DOTALL)
-    if not initializers:
-        return [f"{src}: no k...Names initializer found (--glossary)"]
     names = [name for body in initializers
              for name in re.findall(r'"([^"]+)"', body)]
+    names += [family for _, family in rows if family]
     if not names:
-        return [f"{src}: k...Names initializers have no string literals"]
-    text = doc.read_text(encoding="utf-8")
+        return [f"{src}: no k...Names initializer or series table names "
+                "found (--glossary)"]
     return [
         f"{doc}: glossary misses '{name}' (declared in {src})"
         for name in names
@@ -126,7 +195,7 @@ def main() -> int:
         if len(args) < at + 3:
             print(__doc__)
             return 1
-        glossaries.append((Path(args[at + 1]), Path(args[at + 2])))
+        glossaries.append((Path(args[at + 1]), args[at + 2]))
         del args[at : at + 3]
     if not args and not mentions and not glossaries:
         print(__doc__)
