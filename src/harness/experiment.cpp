@@ -28,12 +28,21 @@ void verify_measurement(GemmMeasurement& m, const MatrixView& matrices) {
     return;  // nothing was computed; there is nothing to check
   }
   const std::size_t n = matrices.n;
-  AO_REQUIRE(n == m.n, "verification matrices do not match the measurement");
   std::vector<float> expected(n * n);
   accelerate::reference::sgemm(false, false, n, n, n, 1.0f, matrices.left, n,
                                matrices.right, n, 0.0f, expected.data(), n);
-  m.max_error = accelerate::reference::max_abs_diff(expected.data(),
-                                                    matrices.out, n, n, n);
+  verify_measurement(m, matrices, expected.data());
+}
+
+void verify_measurement(GemmMeasurement& m, const MatrixView& matrices,
+                        const float* expected) {
+  if (!m.functional) {
+    return;
+  }
+  const std::size_t n = matrices.n;
+  AO_REQUIRE(n == m.n, "verification matrices do not match the measurement");
+  m.max_error =
+      accelerate::reference::max_abs_diff(expected, matrices.out, n, n, n);
   m.verified = m.max_error <= accelerate::reference::gemm_tolerance(n);
 }
 
@@ -51,7 +60,8 @@ GemmMeasurement GemmExperiment::measure(gemm::IGemm& impl,
 }
 
 GemmMeasurement GemmExperiment::measure_timed(gemm::IGemm& impl,
-                                              const MatrixView& matrices) {
+                                              const MatrixView& matrices,
+                                              bool compute) {
   const std::size_t n = matrices.n;
   soc::Soc& soc = ctx_->soc;
 
@@ -83,7 +93,7 @@ GemmMeasurement GemmExperiment::measure_timed(gemm::IGemm& impl,
     // Functional execution only on the first repetition: the numeric result
     // cannot change across repetitions, while the modeled time may (thermal
     // drift), exactly what the repeated timing is for.
-    const bool functional = m.functional && rep == 0;
+    const bool functional = compute && m.functional && rep == 0;
     const std::uint64_t t0 = soc.clock().now();
     impl.multiply(n, matrices.memory_length, matrices.left, matrices.right,
                   matrices.out, functional);

@@ -80,8 +80,12 @@ class GemmExperiment {
 
   /// Timing + power only, no verification — the orchestrator splits
   /// verification into a dependent job so it can run off the measurement
-  /// critical path.
-  GemmMeasurement measure_timed(gemm::IGemm& impl, const MatrixView& matrices);
+  /// critical path. With `compute == false` every repetition runs
+  /// model-only, charging the same simulated time, while the record's
+  /// `functional` still reports functional_at(): the orchestrator computes
+  /// each (impl, n) product once per campaign and shares it across chips.
+  GemmMeasurement measure_timed(gemm::IGemm& impl, const MatrixView& matrices,
+                                bool compute = true);
 
   /// Full sweep: every implementation over `sizes`, honoring paper_skips().
   /// Matrices are allocated once per size and shared across implementations.
@@ -115,5 +119,11 @@ bool functional_at(const GemmExperiment::Options& options, soc::GemmImpl impl,
 /// buffers, so the orchestrator can run it as a dependent job without
 /// leasing a simulated System.
 void verify_measurement(GemmMeasurement& m, const MatrixView& matrices);
+
+/// verify_measurement() against a reference product the caller already
+/// holds (`expected`, n x n, from accelerate::reference::sgemm over the same
+/// operands) — the orchestrator computes it once per matrix size.
+void verify_measurement(GemmMeasurement& m, const MatrixView& matrices,
+                        const float* expected);
 
 }  // namespace ao::harness

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cmath>
 #include <tuple>
+#include <utility>
 
+#include "accelerate/reference_blas.hpp"
 #include "amx/amx_gemm.hpp"
 #include "amx/sme_engine.hpp"
 #include "ane/neural_engine.hpp"
@@ -132,12 +134,179 @@ std::size_t MatrixBatch::out_buffers_built() const {
   return outs_built_;
 }
 
+const float* MatrixBatch::expected() {
+  std::call_once(expected_once_, [this] {
+    expected_.resize(n_ * n_);
+    accelerate::reference::sgemm(false, false, n_, n_, n_, 1.0f,
+                                 left_.as_span<float>().data(), n_,
+                                 right_.as_span<float>().data(), n_, 0.0f,
+                                 expected_.data(), n_);
+  });
+  return expected_.data();
+}
+
+bool MatrixBatch::claim(soc::GemmImpl impl) {
+  std::lock_guard lock(mutex_);
+  return !std::exchange(slots_[impl].claimed, true);
+}
+
+namespace {
+
+void apply(const MatrixBatch::Verdict& verdict, harness::GemmMeasurement& m) {
+  m.max_error = verdict.max_error;
+  m.verified = verdict.verified;
+}
+
+}  // namespace
+
+std::vector<MatrixBatch::Parked> MatrixBatch::settle(soc::GemmImpl impl,
+                                                     Verdict verdict) {
+  std::vector<Parked> parked;
+  {
+    std::lock_guard lock(mutex_);
+    NumericSlot& slot = slots_[impl];
+    slot.verdict = verdict;
+    parked.swap(slot.parked);
+  }
+  for (Parked& p : parked) {
+    apply(verdict, p.measurement);
+  }
+  return parked;
+}
+
+std::optional<MatrixBatch::Parked> MatrixBatch::copy_verdict_or_park(
+    soc::GemmImpl impl, Parked waiting) {
+  std::lock_guard lock(mutex_);
+  NumericSlot& slot = slots_[impl];
+  if (!slot.verdict.has_value()) {
+    slot.parked.push_back(std::move(waiting));
+    return std::nullopt;
+  }
+  apply(*slot.verdict, waiting.measurement);
+  return waiting;
+}
+
 // ------------------------------------------------------ CampaignScheduler --
 
 struct CampaignScheduler::MeasureState {
   harness::GemmMeasurement measurement;
   std::shared_ptr<MatrixBatch> batch;
+  /// Held only by the job that computed the product (its claimant); the
+  /// other chips' measurements have nothing to check.
   std::unique_ptr<MatrixBatch::OutLease> out;
+};
+
+namespace {
+
+/// The chip-free fields of an FP64-emulation record: the accuracy of the
+/// double-single GEMM on the simulated FP32-only GPU and of a plain FP32
+/// GEMM, both against a host FP64 reference. The emulated product does not
+/// depend on the device's chip.
+Fp64EmuRecord fp64emu_accuracy(metal::Device& device, std::size_t n,
+                               std::uint64_t seed) {
+  // Deterministic FP64 operands and host reference (the accuracy baseline).
+  std::vector<double> a(n * n);
+  std::vector<double> b(a.size());
+  util::fill_uniform(std::span<double>(a), seed);
+  util::fill_uniform(std::span<double>(b), seed + 1);
+  std::vector<double> expected(a.size(), 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t kk = 0; kk < n; ++kk) {
+      const double aik = a[i * n + kk];
+      for (std::size_t j = 0; j < n; ++j) {
+        expected[i * n + j] += aik * b[kk * n + j];
+      }
+    }
+  }
+
+  // Double-single GEMM — the X3 extension bench's dispatch, shared via
+  // run_emulated_gemm.
+  const std::vector<double> emu = fp64emu::run_emulated_gemm(
+      device, a.data(), b.data(), static_cast<std::uint32_t>(n));
+
+  Fp64EmuRecord record;
+  record.n = n;
+  record.seed = seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc32 = 0.0f;
+      for (std::size_t kk = 0; kk < n; ++kk) {
+        acc32 += static_cast<float>(a[i * n + kk]) *
+                 static_cast<float>(b[kk * n + j]);
+      }
+      const double ref = expected[i * n + j];
+      record.emu_max_abs_error = std::max(record.emu_max_abs_error,
+                                          std::abs(ref - emu[i * n + j]));
+      record.fp32_max_abs_error =
+          std::max(record.fp32_max_abs_error,
+                   std::abs(ref - static_cast<double>(acc32)));
+    }
+  }
+  return record;
+}
+
+/// The chip-free fields of an SME record: the FMOPA-tiled SGEMM through the
+/// SME engine vs the AMX emulator — the Section 2.1 "fairly similar at its
+/// core" claim, checked bit-for-bit.
+SmeRecord sme_accuracy(std::size_t n, std::uint64_t seed) {
+  std::vector<float> a(n * n);
+  std::vector<float> b(a.size());
+  util::fill_uniform(std::span<float>(a), seed);
+  util::fill_uniform(std::span<float>(b), seed + 1);
+
+  std::vector<float> c_sme(a.size(), 0.0f);
+  amx::sme_sgemm(n, n, n, a.data(), n, b.data(), n, c_sme.data(), n);
+  std::vector<float> c_amx(a.size(), 0.0f);
+  amx::amx_sgemm(n, n, n, 1.0f, a.data(), n, b.data(), n, 0.0f, c_amx.data(),
+                 n, /*threads=*/1);
+
+  SmeRecord record;
+  record.n = n;
+  record.seed = seed;
+  double sum = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    record.max_abs_diff =
+        std::max(record.max_abs_diff,
+                 static_cast<double>(std::abs(c_sme[i] - c_amx[i])));
+    sum += c_sme[i];
+  }
+  record.matches_amx = record.max_abs_diff == 0.0;
+  record.mean_output = sum / static_cast<double>(a.size());
+  return record;
+}
+
+/// Values computed once per (n, seed) within one run(). The first job to
+/// ask computes; a concurrent job asking for the same key waits for that
+/// result rather than computing it again.
+template <typename T>
+class OnceMap {
+ public:
+  template <typename Compute>
+  T get(std::size_t n, std::uint64_t seed, Compute&& compute) {
+    Entry* entry;
+    {
+      std::lock_guard lock(mutex_);
+      entry = &entries_[{n, seed}];  // map nodes never move
+    }
+    std::call_once(entry->once, [&] { entry->value = compute(); });
+    return entry->value;
+  }
+
+ private:
+  struct Entry {
+    std::once_flag once;
+    T value;
+  };
+  std::mutex mutex_;
+  std::map<std::pair<std::size_t, std::uint64_t>, Entry> entries_;
+};
+
+}  // namespace
+
+struct CampaignScheduler::StudyMemos {
+  OnceMap<PrecisionRecord> precision;
+  OnceMap<Fp64EmuRecord> fp64emu;
+  OnceMap<SmeRecord> sme;
 };
 
 CampaignScheduler::CampaignScheduler(
@@ -151,6 +320,8 @@ CampaignScheduler::CampaignScheduler(
       options_(options),
       cache_(cache),
       fingerprint_(options_fingerprint(experiment_options_)) {}
+
+CampaignScheduler::~CampaignScheduler() = default;
 
 void CampaignScheduler::set_profile_sink(obs::TimelineProfiler* profiler,
                                          std::uint64_t parent_span) {
@@ -175,6 +346,7 @@ CampaignOutputs CampaignScheduler::run(JobQueue& queue,
   stats_ = {};
   batches_.clear();
   pending_verify_.clear();
+  memos_ = std::make_unique<StudyMemos>();
   on_record_ = std::move(on_record);
   // The callback's captures live on the caller's stack; never let a failed
   // run leave it dangling in this long-lived scheduler.
@@ -488,6 +660,12 @@ void CampaignScheduler::run_gemm_measure(const ExperimentJob& job,
   }
 
   auto batch = batch_for(job.n);
+  // One functional run per (impl, n): the first chip to miss the cache
+  // computes the product; the others charge the same simulated time
+  // model-only and take the verdict from the claimant's verify job.
+  const bool compute =
+      harness::functional_at(experiment_options_, job.impl, job.n) &&
+      batch->claim(job.impl);
   auto out = batch->acquire_out();
   const harness::MatrixView view = out->view();
 
@@ -500,11 +678,15 @@ void CampaignScheduler::run_gemm_measure(const ExperimentJob& job,
     std::lock_guard lock(state_mutex_);
     ++stats_.jobs_executed;
   }
+  const harness::GemmMeasurement m =
+      experiment.measure_timed(*impl, view, compute);
   if (job.expects_verify) {
     auto state = std::make_shared<MeasureState>();
-    state->measurement = experiment.measure_timed(*impl, view);
+    state->measurement = m;
     state->batch = std::move(batch);
-    state->out = std::move(out);
+    if (compute) {
+      state->out = std::move(out);
+    }
     {
       std::lock_guard lock(state_mutex_);
       pending_verify_[job.id] = std::move(state);
@@ -512,7 +694,6 @@ void CampaignScheduler::run_gemm_measure(const ExperimentJob& job,
     // Publication and cache insertion wait for the verify job, so the
     // cached value always carries its verification verdict.
   } else {
-    const harness::GemmMeasurement m = experiment.measure(*impl, view);
     publish(job, m, outputs);
   }
   // Per-job clock isolation: the lease's boot epoch must still be current —
@@ -543,15 +724,33 @@ void CampaignScheduler::run_gemm_verify(const ExperimentJob& job,
     // nothing to check.
     return;
   }
-  harness::verify_measurement(state->measurement, state->out->view());
+  harness::GemmMeasurement& m = state->measurement;
+  if (state->out == nullptr) {
+    // Another chip's job computed this (impl, n): copy its verdict, or park
+    // until its verify job settles the verdict and publishes this record.
+    if (!m.functional) {
+      publish(job, m, outputs);  // nothing was computed anywhere
+      return;
+    }
+    auto ready = state->batch->copy_verdict_or_park(job.impl, {job, m});
+    if (ready.has_value()) {
+      publish(ready->job, ready->measurement, outputs);
+    }
+    return;
+  }
+  harness::verify_measurement(m, state->out->view(), state->batch->expected());
+  state->out.reset();  // recycle the output buffer
+  const auto parked =
+      state->batch->settle(job.impl, {m.max_error, m.verified});
   {
     std::lock_guard lock(state_mutex_);
     ++stats_.verifications;
     ++stats_.jobs_executed;
   }
-  publish(job, state->measurement, outputs);
-  state->out.reset();    // recycle the output buffer
-  state->batch.reset();  // and the operand reference
+  publish(job, m, outputs);
+  for (const MatrixBatch::Parked& p : parked) {
+    publish(p.job, p.measurement, outputs);
+  }
 }
 
 void CampaignScheduler::run_stream(const ExperimentJob& job,
@@ -610,14 +809,17 @@ void CampaignScheduler::run_precision_study(const ExperimentJob& job,
   if (serve_from_cache(job, outputs)) {
     return;
   }
-  // The study builds its own Soc (it needs no leased timeline — accuracy is
-  // host math, throughput comes from the calibrated model).
-  PrecisionRecord record;
+  // The study needs no leased timeline: accuracy is host math, shared by
+  // every chip of the run, and throughput comes from the calibrated model.
+  PrecisionRecord record = memos_->precision.get(job.n, job.study_seed, [&] {
+    PrecisionRecord accuracy;
+    accuracy.n = job.n;
+    accuracy.seed = job.study_seed;
+    accuracy.rows = precision::gemm_accuracy_pass(job.n, job.study_seed);
+    return accuracy;
+  });
   record.chip = job.chip;
-  record.n = job.n;
-  record.seed = job.study_seed;
-  record.rows =
-      precision::run_gemm_precision_study(job.chip, job.n, job.study_seed);
+  precision::fill_modeled_gflops(record.rows, job.chip);
   {
     std::lock_guard lock(state_mutex_);
     ++stats_.jobs_executed;
@@ -685,48 +887,11 @@ void CampaignScheduler::run_fp64_emulation(const ExperimentJob& job,
   const std::size_t n = job.n;
   AO_REQUIRE(n > 0, "fp64-emulation job needs a matrix size");
 
-  // Deterministic FP64 operands and host reference (the accuracy baseline).
-  std::vector<double> a(n * n);
-  std::vector<double> b(a.size());
-  util::fill_uniform(std::span<double>(a), job.study_seed);
-  util::fill_uniform(std::span<double>(b), job.study_seed + 1);
-  std::vector<double> expected(a.size(), 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t kk = 0; kk < n; ++kk) {
-      const double aik = a[i * n + kk];
-      for (std::size_t j = 0; j < n; ++j) {
-        expected[i * n + j] += aik * b[kk * n + j];
-      }
-    }
-  }
-
   auto lease = systems_.acquire(job.chip);
-
-  // Double-single GEMM on the simulated FP32-only GPU — the X3 extension
-  // bench's dispatch, shared via run_emulated_gemm.
-  const std::vector<double> emu =
-      fp64emu::run_emulated_gemm(lease.system().device(), a.data(), b.data(),
-                                 static_cast<std::uint32_t>(n));
-
-  Fp64EmuRecord record;
+  Fp64EmuRecord record = memos_->fp64emu.get(n, job.study_seed, [&] {
+    return fp64emu_accuracy(lease.system().device(), n, job.study_seed);
+  });
   record.chip = job.chip;
-  record.n = n;
-  record.seed = job.study_seed;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      float acc32 = 0.0f;
-      for (std::size_t kk = 0; kk < n; ++kk) {
-        acc32 += static_cast<float>(a[i * n + kk]) *
-                 static_cast<float>(b[kk * n + j]);
-      }
-      const double ref = expected[i * n + j];
-      record.emu_max_abs_error = std::max(record.emu_max_abs_error,
-                                          std::abs(ref - emu[i * n + j]));
-      record.fp32_max_abs_error =
-          std::max(record.fp32_max_abs_error,
-                   std::abs(ref - static_cast<double>(acc32)));
-    }
-  }
   // Throughput cost of the emulation: the FP32 roofline divided by the
   // per-ds_fma operation count (2 real flops delivered per emulated FMA).
   const soc::PerfModel perf(lease.system().soc());
@@ -748,32 +913,9 @@ void CampaignScheduler::run_sme_gemm(const ExperimentJob& job,
   const std::size_t n = job.n;
   AO_REQUIRE(n > 0, "sme-gemm job needs a matrix size");
 
-  std::vector<float> a(n * n);
-  std::vector<float> b(a.size());
-  util::fill_uniform(std::span<float>(a), job.study_seed);
-  util::fill_uniform(std::span<float>(b), job.study_seed + 1);
-
-  // FMOPA-tiled SGEMM through the SME engine vs the AMX emulator — the
-  // Section 2.1 "fairly similar at its core" claim, checked bit-for-bit.
-  std::vector<float> c_sme(a.size(), 0.0f);
-  amx::sme_sgemm(n, n, n, a.data(), n, b.data(), n, c_sme.data(), n);
-  std::vector<float> c_amx(a.size(), 0.0f);
-  amx::amx_sgemm(n, n, n, 1.0f, a.data(), n, b.data(), n, 0.0f, c_amx.data(),
-                 n, /*threads=*/1);
-
-  SmeRecord record;
+  SmeRecord record = memos_->sme.get(
+      n, job.study_seed, [&] { return sme_accuracy(n, job.study_seed); });
   record.chip = job.chip;
-  record.n = n;
-  record.seed = job.study_seed;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    record.max_abs_diff =
-        std::max(record.max_abs_diff,
-                 static_cast<double>(std::abs(c_sme[i] - c_amx[i])));
-    sum += c_sme[i];
-  }
-  record.matches_amx = record.max_abs_diff == 0.0;
-  record.mean_output = sum / static_cast<double>(a.size());
 
   auto lease = systems_.acquire(job.chip);
   const soc::PerfModel perf(lease.system().soc());

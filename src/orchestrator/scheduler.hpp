@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "core/system.hpp"
@@ -85,12 +86,47 @@ class SystemPool {
 /// measurement checks out its own output buffer from a small free list.
 /// This extends the per-size sharing the serial suite does to a concurrent
 /// setting — inputs are immutable after construction, outputs never alias.
+///
+/// The batch also holds what is chip-independent about its size: the
+/// reference product, and one numeric slot per impl. No numeric kernel reads
+/// the chip, so one functional run and one verdict per (impl, n) serve every
+/// chip of the campaign.
 class MatrixBatch {
  public:
   MatrixBatch(std::size_t n, bool fill, std::uint64_t seed);
 
   std::size_t n() const { return n_; }
   std::size_t memory_length() const { return left_.capacity(); }
+
+  /// The reference SGEMM of the operands, computed on first use and shared
+  /// by every impl's verification at this size.
+  const float* expected();
+
+  /// The chip-independent outcome of one impl's product at this size.
+  struct Verdict {
+    float max_error = 0.0f;
+    bool verified = false;
+  };
+
+  /// A measurement waiting for its impl's verdict, with the job it is
+  /// published under.
+  struct Parked {
+    ExperimentJob job;
+    harness::GemmMeasurement measurement;
+  };
+
+  /// True for the first caller per impl: its job runs the functional
+  /// repetition and verifies it; every other chip's job runs model-only.
+  bool claim(soc::GemmImpl impl);
+
+  /// Stores `impl`'s verdict and hands back, verdict applied, every
+  /// measurement parked waiting for it — the caller publishes them.
+  std::vector<Parked> settle(soc::GemmImpl impl, Verdict verdict);
+
+  /// Applies `impl`'s verdict to `waiting` and returns it when the verdict
+  /// exists; otherwise parks it until settle() and returns nullopt.
+  std::optional<Parked> copy_verdict_or_park(soc::GemmImpl impl,
+                                             Parked waiting);
 
   /// RAII checkout of one zeroed output buffer.
   class OutLease {
@@ -116,21 +152,33 @@ class MatrixBatch {
  private:
   void release_out(std::unique_ptr<util::AlignedBuffer> out);
 
+  struct NumericSlot {
+    bool claimed = false;
+    std::optional<Verdict> verdict;
+    std::vector<Parked> parked;
+  };
+
   std::size_t n_;
   util::AlignedBuffer left_;
   util::AlignedBuffer right_;
-  mutable std::mutex mutex_;
+  std::once_flag expected_once_;
+  std::vector<float> expected_;
+  mutable std::mutex mutex_;  ///< guards the free list and the slots
   std::vector<std::unique_ptr<util::AlignedBuffer>> free_outs_;
   std::size_t outs_built_ = 0;
+  std::map<soc::GemmImpl, NumericSlot> slots_;
 };
 
 /// Aggregate counters for one scheduler run.
 struct CampaignStats {
   std::size_t jobs_total = 0;
-  std::size_t jobs_executed = 0;    ///< ran on a leased System
+  /// Jobs that did work: ran a measurement, a study or a verification. A
+  /// verify job that copies its (impl, n) verdict from another chip's job
+  /// does none and is not counted.
+  std::size_t jobs_executed = 0;
   std::size_t cache_hits = 0;       ///< jobs serviced from the ResultCache
   std::size_t cache_misses = 0;     ///< cacheable jobs the cache lacked
-  std::size_t verifications = 0;
+  std::size_t verifications = 0;    ///< verdicts computed: one per (impl, n)
   std::size_t batches_allocated = 0;
   std::size_t out_buffers_allocated = 0;
   std::size_t systems_built = 0;
@@ -174,6 +222,14 @@ using StopFn = std::function<std::string()>;
 /// to settle first); batched operands are allocated lazily on the first
 /// non-cached job of a size and released when the last job of that size
 /// completes.
+///
+/// Numeric results are computed once per run and shared by every chip,
+/// since only timing and power depend on the chip: the first GEMM measure
+/// job of an (impl, n) to miss the cache runs the functional repetition
+/// (MatrixBatch::claim) and its verify job computes the verdict; the other
+/// chips' jobs run model-only and copy that verdict, parking their
+/// measurement until it exists. Precision, FP64-emulation and SME jobs
+/// share their chip-free accuracy results per (n, seed) the same way.
 class CampaignScheduler {
  public:
   struct Options {
@@ -185,6 +241,7 @@ class CampaignScheduler {
   explicit CampaignScheduler(harness::GemmExperiment::Options experiment_options);
   CampaignScheduler(harness::GemmExperiment::Options experiment_options,
                     Options options, ResultCache* cache = nullptr);
+  ~CampaignScheduler();
 
   /// Drains `queue`, returning aggregated outputs. Every record family is
   /// sorted into a canonical order independent of completion order (GEMM by
@@ -208,6 +265,7 @@ class CampaignScheduler {
 
  private:
   struct MeasureState;  // per measure-job handoff to its verify job
+  struct StudyMemos;    // chip-free study results of one run, per (n, seed)
 
   struct BatchState {
     std::shared_ptr<MatrixBatch> batch;  ///< allocated lazily on first miss
@@ -260,6 +318,7 @@ class CampaignScheduler {
   std::map<std::size_t, BatchState> batches_;
   std::map<JobId, std::shared_ptr<MeasureState>> pending_verify_;
   CampaignStats stats_;
+  std::unique_ptr<StudyMemos> memos_;  ///< replaced at the start of run()
 };
 
 }  // namespace ao::orchestrator

@@ -129,9 +129,7 @@ StudyResult make_result(Format format, std::size_t n,
 
 }  // namespace
 
-std::vector<StudyResult> run_gemm_precision_study(soc::ChipModel chip,
-                                                  std::size_t n,
-                                                  std::uint64_t seed) {
+std::vector<StudyResult> gemm_accuracy_pass(std::size_t n, std::uint64_t seed) {
   AO_REQUIRE(n >= 8 && n <= 1024, "study sizes are functional: keep n small");
   std::vector<double> a(n * n);
   std::vector<double> b(n * n);
@@ -140,51 +138,60 @@ std::vector<StudyResult> run_gemm_precision_study(soc::ChipModel chip,
 
   const std::vector<double> reference = gemm_fp64(a, b, n);
 
+  std::vector<StudyResult> results;
+  results.push_back(make_result(Format::kFp64Cpu, n, reference, reference));
+  results.back().executing_unit = "CPU/AMX";
+  results.push_back(make_result(Format::kFp64Emulated, n, reference,
+                                gemm_double_single(a, b, n)));
+  results.back().executing_unit = "GPU (double-single)";
+  results.push_back(make_result(
+      Format::kFp32, n, reference, gemm_quantized(a, b, n, [](double v) {
+        return static_cast<double>(static_cast<float>(v));
+      })));
+  results.back().executing_unit = "GPU (MPS)";
+  results.push_back(make_result(
+      Format::kFp16, n, reference, gemm_quantized(a, b, n, [](double v) {
+        // FP16 storage, FP32 accumulate (the ANE/AMX mixed mode): quantize
+        // products, keep the running sum in FP32.
+        return static_cast<double>(amx::round_to_half(static_cast<float>(v)));
+      })));
+  results.back().executing_unit = "GPU/ANE (FP16)";
+  return results;
+}
+
+void fill_modeled_gflops(std::vector<StudyResult>& rows, soc::ChipModel chip) {
   soc::Soc soc(chip);
   soc::PerfModel perf(soc);
   const double fp32_gflops = perf.gemm_gflops(soc::GemmImpl::kGpuMps, 4096);
+  for (StudyResult& r : rows) {
+    switch (r.format) {
+      case Format::kFp64Cpu:
+        // FP64 runs on the CPU at roughly half the AMX FP32 rate.
+        r.modeled_gflops =
+            soc::gemm_calibration(chip, soc::GemmImpl::kCpuAccelerate)
+                .peak_gflops /
+            2.0;
+        break;
+      case Format::kFp64Emulated:
+        // Each emulated FMA costs kFlopsPerDsFma FP32 ops on the GPU.
+        r.modeled_gflops = fp32_gflops / fp64emu::kFlopsPerDsFma * 2.0;
+        break;
+      case Format::kFp32:
+        r.modeled_gflops = fp32_gflops;
+        break;
+      case Format::kFp16:
+        r.modeled_gflops = fp32_gflops * 2.0;  // FP16 runs ~2x FP32 on the GPU
+        break;
+    }
+  }
+}
 
-  std::vector<StudyResult> results;
-
-  {
-    StudyResult r = make_result(Format::kFp64Cpu, n, reference, reference);
-    // FP64 runs on the CPU at roughly half the AMX FP32 rate.
-    r.modeled_gflops =
-        soc::gemm_calibration(chip, soc::GemmImpl::kCpuAccelerate).peak_gflops /
-        2.0;
-    r.executing_unit = "CPU/AMX";
-    results.push_back(r);
-  }
-  {
-    StudyResult r = make_result(Format::kFp64Emulated, n, reference,
-                                gemm_double_single(a, b, n));
-    // Each emulated FMA costs kFlopsPerDsFma FP32 ops on the GPU.
-    r.modeled_gflops = fp32_gflops / fp64emu::kFlopsPerDsFma * 2.0;
-    r.executing_unit = "GPU (double-single)";
-    results.push_back(r);
-  }
-  {
-    StudyResult r = make_result(
-        Format::kFp32, n, reference, gemm_quantized(a, b, n, [](double v) {
-          return static_cast<double>(static_cast<float>(v));
-        }));
-    r.modeled_gflops = fp32_gflops;
-    r.executing_unit = "GPU (MPS)";
-    results.push_back(r);
-  }
-  {
-    StudyResult r = make_result(
-        Format::kFp16, n, reference, gemm_quantized(a, b, n, [](double v) {
-          // FP16 storage, FP32 accumulate (the ANE/AMX mixed mode): quantize
-          // products, keep the running sum in FP32.
-          return static_cast<double>(
-              amx::round_to_half(static_cast<float>(v)));
-        }));
-    r.modeled_gflops = fp32_gflops * 2.0;  // FP16 runs ~2x FP32 on the GPU
-    r.executing_unit = "GPU/ANE (FP16)";
-    results.push_back(r);
-  }
-  return results;
+std::vector<StudyResult> run_gemm_precision_study(soc::ChipModel chip,
+                                                  std::size_t n,
+                                                  std::uint64_t seed) {
+  std::vector<StudyResult> rows = gemm_accuracy_pass(n, seed);
+  fill_modeled_gflops(rows, chip);
+  return rows;
 }
 
 }  // namespace ao::precision

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -35,9 +36,19 @@ struct StudyResult {
   bool operator==(const StudyResult&) const = default;
 };
 
-/// Runs the GEMM accuracy study at size n on uniformly random [0,1) inputs:
-/// computes the FP64 reference once, then each format's result functionally,
-/// and attaches the modeled throughput for `chip`.
+/// The chip-free half of the study: computes the FP64 reference once, then
+/// each format's result functionally, on uniformly random [0,1) inputs. Rows
+/// carry every field but `modeled_gflops` (0 here), so one pass serves every
+/// chip.
+std::vector<StudyResult> gemm_accuracy_pass(std::size_t n,
+                                            std::uint64_t seed = 99);
+
+/// The per-chip half: sets each row's `modeled_gflops` from `chip`'s
+/// calibrated model.
+void fill_modeled_gflops(std::vector<StudyResult>& rows, soc::ChipModel chip);
+
+/// Runs the GEMM accuracy study at size n and attaches the modeled
+/// throughput for `chip`: gemm_accuracy_pass() then fill_modeled_gflops().
 std::vector<StudyResult> run_gemm_precision_study(soc::ChipModel chip,
                                                   std::size_t n,
                                                   std::uint64_t seed = 99);

@@ -12,6 +12,7 @@
 #include <tuple>
 #include <vector>
 
+#include "accelerate/reference_blas.hpp"
 #include "core/system.hpp"
 #include "harness/experiment.hpp"
 #include "harness/matrix_workload.hpp"
@@ -21,6 +22,7 @@
 #include "orchestrator/record.hpp"
 #include "orchestrator/result_cache.hpp"
 #include "orchestrator/scheduler.hpp"
+#include "precision/precision_study.hpp"
 #include "stream/cpu_stream.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -566,6 +568,42 @@ TEST(MatrixBatch, ModelOnlyBuffersStayUntouched) {
   EXPECT_LT(faults, pages / 16) << "of " << pages << " pages";
 }
 
+TEST(MatrixBatch, NumericSlotsClaimOncePerImplAndReleaseParkedOnSettle) {
+  MatrixBatch batch(32, /*fill=*/true, /*seed=*/42);
+  // The shared reference product is the reference SGEMM of the operands.
+  harness::MatrixSet operands(32, /*fill=*/true, /*seed=*/42);
+  std::vector<float> expected(32 * 32);
+  accelerate::reference::sgemm(false, false, 32, 32, 32, 1.0f,
+                               operands.left(), 32, operands.right(), 32, 0.0f,
+                               expected.data(), 32);
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), batch.expected()));
+  EXPECT_EQ(batch.expected(), batch.expected());  // computed once
+
+  EXPECT_TRUE(batch.claim(soc::GemmImpl::kCpuSingle));
+  EXPECT_FALSE(batch.claim(soc::GemmImpl::kCpuSingle));
+  EXPECT_TRUE(batch.claim(soc::GemmImpl::kGpuMps));  // slots are per impl
+
+  MatrixBatch::Parked waiting;
+  waiting.job.chip = soc::ChipModel::kM2;
+  waiting.measurement.functional = true;
+  EXPECT_FALSE(
+      batch.copy_verdict_or_park(soc::GemmImpl::kCpuSingle, waiting));
+  // Another impl's verdict releases nothing parked under this one.
+  EXPECT_TRUE(batch.settle(soc::GemmImpl::kGpuMps, {0.5f, false}).empty());
+
+  const auto released = batch.settle(soc::GemmImpl::kCpuSingle, {0.25f, true});
+  ASSERT_EQ(released.size(), 1u);
+  EXPECT_EQ(released[0].job.chip, soc::ChipModel::kM2);
+  EXPECT_EQ(released[0].measurement.max_error, 0.25f);
+  EXPECT_TRUE(released[0].measurement.verified);
+
+  // After the verdict exists a late verify job copies it at once.
+  const auto late = batch.copy_verdict_or_park(soc::GemmImpl::kGpuMps, waiting);
+  ASSERT_TRUE(late.has_value());
+  EXPECT_EQ(late->measurement.max_error, 0.5f);
+  EXPECT_FALSE(late->measurement.verified);
+}
+
 // --------------------------------------------------------------- campaign --
 
 bool same_measurement(const harness::GemmMeasurement& a,
@@ -970,6 +1008,139 @@ TEST(Campaign, GoldenStoreDigestIsUnchanged) {
   }
   EXPECT_EQ(lines.size(), 2u * (4u * 6u + 4u));
   EXPECT_EQ(digest, 0x1c36c83768a2808eull) << std::hex << "digest 0x" << digest;
+}
+
+const std::vector<soc::ChipModel> kFourChips{
+    soc::ChipModel::kM1, soc::ChipModel::kM2, soc::ChipModel::kM3,
+    soc::ChipModel::kM4};
+
+/// The four-chip GEMM grid whose every point runs functionally and verifies.
+Campaign functional_grid(std::vector<soc::ChipModel> chips) {
+  harness::GemmExperiment::Options opts;
+  opts.repetitions = 2;
+  Campaign campaign;
+  campaign.chips(std::move(chips)).sizes({32, 64, 128, 256}).options(opts)
+      .concurrency(4);
+  return campaign;
+}
+
+// Only timing and power depend on the chip: a four-chip campaign computes
+// one product and one verdict per (impl, n), yet every record equals the
+// one a campaign of that chip alone produces (which in turn matches the
+// serial loop: ConcurrentRunMatchesTheSerialSuite).
+TEST(Campaign, FourChipCampaignComputesEachProductOnce) {
+  const auto result = functional_grid(kFourChips).run();
+  ASSERT_EQ(result.gemm.size(), 4u * 4u * 6u);
+  const std::size_t points = 4u * 6u;  // (impl, n) verify points
+  EXPECT_EQ(result.stats.verifications, points);
+  EXPECT_EQ(result.stats.jobs_executed, result.gemm.size() + points);
+  for (const auto& m : result.gemm) {
+    EXPECT_TRUE(m.functional);
+    EXPECT_TRUE(m.verified) << soc::to_string(m.impl) << " n=" << m.n;
+  }
+
+  std::vector<harness::GemmMeasurement> separate;
+  for (const auto chip : kFourChips) {
+    const auto alone = functional_grid({chip}).run();
+    EXPECT_EQ(alone.stats.verifications, points);
+    separate.insert(separate.end(), alone.gemm.begin(), alone.gemm.end());
+  }
+  EXPECT_EQ(result.gemm, separate);  // both sorted (chip, n, impl)
+}
+
+// Studies share their chip-free accuracy per (n, seed): one run mixing two
+// seeds over four chips equals per-chip studies and single-chip campaigns.
+TEST(Campaign, StudiesShareAccuracyPerSizeAndSeedAcrossChips) {
+  const auto studies = [](std::vector<soc::ChipModel> chips,
+                          std::uint64_t seed) {
+    Campaign campaign;
+    campaign.chips(std::move(chips)).impls({}).sizes({})
+        .precision_study({32, 48}, seed)
+        .fp64_emulation({24}, seed)
+        .sme_gemm({32}, seed)
+        .concurrency(4);
+    return campaign;
+  };
+  JobQueue queue;
+  studies(kFourChips, 5).expand(queue);
+  studies(kFourChips, 6).expand(queue);
+  CampaignScheduler scheduler(harness::GemmExperiment::Options{}, {4});
+  const auto mixed = scheduler.run(queue);
+  ASSERT_EQ(mixed.precision.size(), 4u * 2u * 2u);
+  ASSERT_EQ(mixed.fp64emu.size(), 4u * 2u);
+  ASSERT_EQ(mixed.sme.size(), 4u * 2u);
+
+  for (const auto& record : mixed.precision) {
+    EXPECT_EQ(record.rows, precision::run_gemm_precision_study(
+                               record.chip, record.n, record.seed))
+        << soc::to_string(record.chip) << " n=" << record.n
+        << " seed=" << record.seed;
+  }
+  std::vector<Fp64EmuRecord> fp64emu;
+  std::vector<SmeRecord> sme;
+  for (const auto chip : kFourChips) {
+    for (const std::uint64_t seed : {5u, 6u}) {
+      const auto alone = studies({chip}, seed).run();
+      fp64emu.insert(fp64emu.end(), alone.fp64emu.begin(),
+                     alone.fp64emu.end());
+      sme.insert(sme.end(), alone.sme.begin(), alone.sme.end());
+    }
+  }
+  EXPECT_EQ(mixed.fp64emu, fp64emu);  // both sorted (chip, n, seed)
+  EXPECT_EQ(mixed.sme, sme);
+  EXPECT_NE(mixed.sme[0].mean_output, mixed.sme[1].mean_output);
+}
+
+// m1 and m3 already cached, m2 and m4 missing: the cached chips never
+// execute (nor claim a product), the missing ones compute and verify it,
+// and the records equal a cold run's.
+TEST(Campaign, PartiallyCachedCampaignExecutesOnlyTheMissingChips) {
+  const auto grid = [](std::vector<soc::ChipModel> chips) {
+    Campaign campaign = functional_grid(std::move(chips));
+    campaign.precision_study({32}, 5).fp64_emulation({24}, 5).sme_gemm({32},
+                                                                      5);
+    return campaign;
+  };
+  ResultCache cache;
+  const auto seeded = grid({soc::ChipModel::kM1, soc::ChipModel::kM3})
+                          .cache(&cache)
+                          .run();
+  EXPECT_EQ(seeded.stats.cache_hits, 0u);
+
+  Campaign campaign = grid(kFourChips);
+  JobQueue queue;
+  campaign.expand(queue);
+  harness::GemmExperiment::Options opts;
+  opts.repetitions = 2;
+  CampaignScheduler scheduler(opts, {4}, &cache);
+  std::mutex mutex;
+  std::map<soc::ChipModel, std::pair<std::size_t, std::size_t>> per_chip;
+  const auto result = scheduler.run(
+      queue, [&](const ExperimentJob& job, const MeasurementRecord&,
+                 bool from_cache) {
+        std::lock_guard lock(mutex);
+        auto& [hits, fresh] = per_chip[job.chip];
+        ++(from_cache ? hits : fresh);
+      });
+
+  const std::size_t per_chip_records = 4u * 6u + 3u;
+  for (const auto chip : kFourChips) {
+    const bool cached =
+        chip == soc::ChipModel::kM1 || chip == soc::ChipModel::kM3;
+    EXPECT_EQ(per_chip[chip].first, cached ? per_chip_records : 0u)
+        << soc::to_string(chip);
+    EXPECT_EQ(per_chip[chip].second, cached ? 0u : per_chip_records)
+        << soc::to_string(chip);
+  }
+  EXPECT_EQ(result.stats.cache_hits, 2u * per_chip_records);
+  EXPECT_EQ(result.stats.verifications, 4u * 6u);
+  EXPECT_EQ(result.stats.jobs_executed, 2u * per_chip_records + 4u * 6u);
+
+  const auto cold = grid(kFourChips).run();
+  EXPECT_EQ(result.gemm, cold.gemm);
+  EXPECT_EQ(result.precision, cold.precision);
+  EXPECT_EQ(result.fp64emu, cold.fp64emu);
+  EXPECT_EQ(result.sme, cold.sme);
 }
 
 // --------------------------------------------------- compaction + merging --

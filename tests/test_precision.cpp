@@ -10,6 +10,9 @@
 #include "amx/float16.hpp"
 #include "fp64emu/double_single.hpp"
 #include "precision/precision_study.hpp"
+#include "soc/calibration.hpp"
+#include "soc/perf_model.hpp"
+#include "soc/soc.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -65,6 +68,38 @@ INSTANTIATE_TEST_SUITE_P(AllChips, PrecisionStudyTest,
                          ::testing::Values(soc::ChipModel::kM1,
                                            soc::ChipModel::kM4),
                          [](const auto& info) { return to_string(info.param); });
+
+// The split API: one chip-free accuracy pass, filled per chip, equals the
+// composed study on every chip — the form the campaign scheduler shares.
+TEST(PrecisionStudy, SplitApiEqualsTheComposedStudyForEveryChip) {
+  const auto pass = gemm_accuracy_pass(48, 7);
+  ASSERT_EQ(pass.size(), 4u);
+  for (const auto& row : pass) {
+    EXPECT_EQ(row.modeled_gflops, 0.0);
+    EXPECT_FALSE(row.executing_unit.empty());
+  }
+  for (const auto chip : soc::kAllChipModels) {
+    auto rows = pass;
+    fill_modeled_gflops(rows, chip);
+    EXPECT_EQ(rows, run_gemm_precision_study(chip, 48, 7)) << to_string(chip);
+
+    // The per-chip fill is the calibrated model alone.
+    soc::Soc soc(chip);
+    const double fp32 =
+        soc::PerfModel(soc).gemm_gflops(soc::GemmImpl::kGpuMps, 4096);
+    EXPECT_EQ(rows[0].modeled_gflops,
+              soc::gemm_calibration(chip, soc::GemmImpl::kCpuAccelerate)
+                      .peak_gflops /
+                  2.0);
+    EXPECT_EQ(rows[1].modeled_gflops, fp32 / fp64emu::kFlopsPerDsFma * 2.0);
+    EXPECT_EQ(rows[2].modeled_gflops, fp32);
+    EXPECT_EQ(rows[3].modeled_gflops, fp32 * 2.0);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      rows[i].modeled_gflops = 0.0;
+      EXPECT_EQ(rows[i], pass[i]);  // the fill touches nothing else
+    }
+  }
+}
 
 TEST(PrecisionStudy, FormatNames) {
   EXPECT_NE(to_string(Format::kFp64Emulated).find("double-single"),

@@ -1543,7 +1543,7 @@ stats-phase merge count 2
 stats-phase abort count 1
 stats-phase plan count 3
 stats-phase query count 2
-stats campaigns 2 sharded 1 records 26 executed 24 hits 0 merged 6 cache-entries 26 store-entries 26 running 0 queued 0 peak 1 rejected 0 remote-shards 0 workers 0 idle-workers 0 aborted 1 deadline-expired 0 shard-retries 0 outbox-peak <t> outbox-blocked 0 outbox-dropped 0 plan-hits 0 plan-misses 3 plan-entries 3 queries 1 query-records 25 follows 1 stale-cursors 0
+stats campaigns 2 sharded 1 records 26 executed 22 hits 0 merged 6 cache-entries 26 store-entries 26 running 0 queued 0 peak 1 rejected 0 remote-shards 0 workers 0 idle-workers 0 aborted 1 deadline-expired 0 shard-retries 0 outbox-peak <t> outbox-blocked 0 outbox-dropped 0 plan-hits 0 plan-misses 3 plan-entries 3 queries 1 query-records 25 follows 1 stale-cursors 0
 # HELP ao_campaigns_total Campaigns completed since daemon start.
 # TYPE ao_campaigns_total counter
 ao_campaigns_total 2
@@ -1561,7 +1561,7 @@ ao_campaigns_deadline_expired_total 0
 ao_queue_rejected_total 0
 # HELP ao_jobs_executed_total Jobs executed by schedulers (local and worker-side).
 # TYPE ao_jobs_executed_total counter
-ao_jobs_executed_total 24
+ao_jobs_executed_total 22
 # HELP ao_cache_hits_total Jobs served from the warm result cache.
 # TYPE ao_cache_hits_total counter
 ao_cache_hits_total 0
