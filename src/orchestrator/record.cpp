@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
 
 #include "util/error.hpp"
 #include "util/hex.hpp"
@@ -15,56 +14,54 @@ namespace {
 // writer and reader below are the only code that knows this encoding — the
 // entry framing (header, digest) lives in result_cache.cpp.
 
-void put_u64(std::ostringstream& out, std::uint64_t value) {
-  out << ' ' << util::to_hex_u64(value);
+void put_u64(std::string& out, std::uint64_t value) {
+  out += ' ';
+  util::append_hex_u64(out, value);
 }
 
-void put_double(std::ostringstream& out, double value) {
+void put_double(std::string& out, double value) {
   put_u64(out, std::bit_cast<std::uint64_t>(value));
 }
 
-void put_float(std::ostringstream& out, float value) {
+void put_float(std::string& out, float value) {
   put_u64(out, std::bit_cast<std::uint32_t>(value));
 }
 
-void put_string(std::ostringstream& out, const std::string& value) {
+void put_string(std::string& out, const std::string& value) {
   if (value.empty()) {
-    out << " -";
+    out += " -";
     return;
   }
-  out << ' ';
+  out += ' ';
   for (const char c : value) {
     constexpr char kHex[] = "0123456789abcdef";
-    out << kHex[(static_cast<unsigned char>(c) >> 4) & 0xf]
-        << kHex[static_cast<unsigned char>(c) & 0xf];
+    out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xf];
+    out += kHex[static_cast<unsigned char>(c) & 0xf];
   }
 }
 
 /// Pull-parser over the token stream; any failure latches `ok = false` and
-/// every subsequent read returns a zero value.
+/// every subsequent read returns a zero value. Tokens are views into the
+/// caller's buffer (util::next_token), so a record parses without a copy.
 class TokenReader {
  public:
-  explicit TokenReader(const std::string& tokens) : in_(tokens) {}
+  explicit TokenReader(std::string_view tokens) : rest_(tokens) {}
 
   bool ok() const { return ok_; }
 
   /// True when the stream was fully consumed without errors.
-  bool exhausted() {
-    std::string extra;
-    return ok_ && !(in_ >> extra);
-  }
+  bool exhausted() { return ok_ && next().empty(); }
 
-  std::string raw() {
-    std::string token;
-    if (!(in_ >> token)) {
+  std::string_view raw() {
+    const std::string_view token = next();
+    if (token.empty()) {
       ok_ = false;
-      return {};
     }
     return token;
   }
 
   std::uint64_t u64() {
-    const std::string token = raw();
+    const std::string_view token = raw();
     std::uint64_t value = 0;
     if (!ok_ || !util::parse_hex_u64(token, value)) {
       ok_ = false;
@@ -92,7 +89,7 @@ class TokenReader {
   }
 
   std::string str() {
-    const std::string token = raw();
+    const std::string_view token = raw();
     if (!ok_) {
       return {};
     }
@@ -123,7 +120,9 @@ class TokenReader {
   }
 
  private:
-  std::istringstream in_;
+  std::string_view next() { return util::next_token(rest_); }
+
+  std::string_view rest_;
   bool ok_ = true;
 };
 
@@ -145,7 +144,7 @@ constexpr std::size_t kMaxRows = 1u << 10;
 
 // ------------------------------------------------------------- writers -----
 
-void write_gemm(std::ostringstream& out, const harness::GemmMeasurement& m) {
+void write_gemm(std::string& out, const harness::GemmMeasurement& m) {
   put_u64(out, static_cast<std::uint64_t>(m.chip));
   put_u64(out, static_cast<std::uint64_t>(m.impl));
   put_u64(out, m.n);
@@ -164,7 +163,7 @@ void write_gemm(std::ostringstream& out, const harness::GemmMeasurement& m) {
   put_float(out, m.max_error);
 }
 
-void write_stream(std::ostringstream& out, const StreamRecord& r) {
+void write_stream(std::string& out, const StreamRecord& r) {
   put_u64(out, static_cast<std::uint64_t>(r.chip));
   put_u64(out, r.gpu ? 1 : 0);
   put_u64(out, static_cast<std::uint64_t>(r.run.threads));
@@ -177,7 +176,7 @@ void write_stream(std::ostringstream& out, const StreamRecord& r) {
   }
 }
 
-void write_precision(std::ostringstream& out, const PrecisionRecord& r) {
+void write_precision(std::string& out, const PrecisionRecord& r) {
   put_u64(out, static_cast<std::uint64_t>(r.chip));
   put_u64(out, r.n);
   put_u64(out, r.seed);
@@ -193,7 +192,7 @@ void write_precision(std::ostringstream& out, const PrecisionRecord& r) {
   }
 }
 
-void write_ane(std::ostringstream& out, const AneRecord& r) {
+void write_ane(std::string& out, const AneRecord& r) {
   put_u64(out, static_cast<std::uint64_t>(r.chip));
   put_u64(out, r.m);
   put_u64(out, r.n);
@@ -205,7 +204,7 @@ void write_ane(std::ostringstream& out, const AneRecord& r) {
   put_double(out, r.mean_output);
 }
 
-void write_power(std::ostringstream& out, const PowerRecord& r) {
+void write_power(std::string& out, const PowerRecord& r) {
   put_u64(out, static_cast<std::uint64_t>(r.chip));
   put_double(out, r.sample.window_seconds);
   put_double(out, r.sample.cpu_mw);
@@ -215,7 +214,7 @@ void write_power(std::ostringstream& out, const PowerRecord& r) {
   put_double(out, r.sample.combined_mw);
 }
 
-void write_fp64emu(std::ostringstream& out, const Fp64EmuRecord& r) {
+void write_fp64emu(std::string& out, const Fp64EmuRecord& r) {
   put_u64(out, static_cast<std::uint64_t>(r.chip));
   put_u64(out, r.n);
   put_u64(out, r.seed);
@@ -225,7 +224,7 @@ void write_fp64emu(std::ostringstream& out, const Fp64EmuRecord& r) {
   put_double(out, r.fp32_gflops);
 }
 
-void write_sme(std::ostringstream& out, const SmeRecord& r) {
+void write_sme(std::string& out, const SmeRecord& r) {
   put_u64(out, static_cast<std::uint64_t>(r.chip));
   put_u64(out, r.n);
   put_u64(out, r.seed);
@@ -396,9 +395,9 @@ std::string to_string(RecordKind kind) {
   throw util::InvalidArgument("unknown RecordKind");
 }
 
-std::string serialize_record(const MeasurementRecord& record) {
-  std::ostringstream out;
-  out << to_string(record_kind(record));
+void append_serialized_record(std::string& out,
+                              const MeasurementRecord& record) {
+  out += to_string(record_kind(record));
   std::visit(
       [&out](const auto& value) {
         using T = std::decay_t<decltype(value)>;
@@ -419,7 +418,13 @@ std::string serialize_record(const MeasurementRecord& record) {
         }
       },
       record);
-  return out.str();
+}
+
+std::string serialize_record(const MeasurementRecord& record) {
+  std::string out;
+  out.reserve(serialized_record_size_bound(record));
+  append_serialized_record(out, record);
+  return out;
 }
 
 std::size_t serialized_record_size_bound(const MeasurementRecord& record) {
@@ -459,9 +464,9 @@ std::size_t serialized_record_size_bound(const MeasurementRecord& record) {
   return to_string(record_kind(record)).size() + tokens * kNumericToken;
 }
 
-std::optional<MeasurementRecord> deserialize_record(const std::string& tokens) {
+std::optional<MeasurementRecord> deserialize_record(std::string_view tokens) {
   TokenReader in(tokens);
-  const std::string tag = in.raw();
+  const std::string_view tag = in.raw();
   if (!in.ok()) {
     return std::nullopt;
   }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -119,10 +120,14 @@ std::string to_string(RecordKind kind);
 /// round-trip exactly.
 std::string serialize_record(const MeasurementRecord& record);
 
+/// serialize_record() appended to `out` — the store entry writer builds a
+/// whole line in one string this way.
+void append_serialized_record(std::string& out, const MeasurementRecord& record);
+
 /// Parses a token stream produced by serialize_record(). Returns nullopt on
 /// any malformed input (wrong tag, missing or trailing tokens) — the cache
 /// loader treats that as a corrupt entry and skips it.
-std::optional<MeasurementRecord> deserialize_record(const std::string& tokens);
+std::optional<MeasurementRecord> deserialize_record(std::string_view tokens);
 
 /// Upper bound on serialize_record(record).size(), computed without
 /// formatting anything: token counts mirror the writers above (every

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "orchestrator/store_index.hpp"
@@ -62,47 +63,51 @@ RecordKind expected_record_kind(JobKind kind) {
   throw util::InvalidArgument("unknown JobKind");
 }
 
-std::string format_entry(const std::pair<CacheKey, MeasurementRecord>& entry) {
-  const CacheKey& key = entry.first;
-  std::string line = kStoreEntryPrefix;
-  line += util::to_hex_u64(static_cast<std::uint64_t>(key.kind));
-  line += ' ';
-  line += util::to_hex_u64(static_cast<std::uint64_t>(key.chip));
-  line += ' ';
-  line += util::to_hex_u64(static_cast<std::uint64_t>(key.impl));
-  line += ' ';
-  line += util::to_hex_u64(key.n);
-  line += ' ';
-  line += util::to_hex_u64(key.payload_fingerprint);
-  line += ' ';
-  line += util::to_hex_u64(key.options_fingerprint);
-  line += ' ';
-  line += serialize_record(entry.second);
-  line += kStoreDigestSeparator;
-  const std::size_t payload_length =
-      line.size() - std::strlen(kStoreDigestSeparator);
-  line += util::to_hex_u64(store_digest(line.data(), payload_length));
-  return line;
-}
-
-/// Upper bound on format_entry(entry).size(), mirroring it piece for piece:
-/// the "entry " prefix, six key tokens (each at most 16 hex digits plus its
-/// separator space), the record tokens, the digest separator and the
-/// 16-digit digest.
-std::size_t entry_size_bound(
-    const std::pair<CacheKey, MeasurementRecord>& entry) {
+/// Upper bound on format_entry(key, record).size(), mirroring it piece for
+/// piece: the "entry " prefix, six key tokens (each at most 16 hex digits
+/// plus its separator space), the record tokens, the digest separator and
+/// the 16-digit digest.
+std::size_t entry_size_bound(const MeasurementRecord& record) {
   return std::strlen(kStoreEntryPrefix) + 6 * 17 +
-         serialized_record_size_bound(entry.second) +
+         serialized_record_size_bound(record) +
          std::strlen(kStoreDigestSeparator) + 16;
 }
 
+/// Appends the entry line for (key, record) to `line` — no newline.
+void append_entry(std::string& line, const CacheKey& key,
+                  const MeasurementRecord& record) {
+  const std::size_t start = line.size();
+  line += kStoreEntryPrefix;
+  for (const std::uint64_t field :
+       {static_cast<std::uint64_t>(key.kind),
+        static_cast<std::uint64_t>(key.chip),
+        static_cast<std::uint64_t>(key.impl),
+        static_cast<std::uint64_t>(key.n), key.payload_fingerprint,
+        key.options_fingerprint}) {
+    util::append_hex_u64(line, field);
+    line += ' ';
+  }
+  append_serialized_record(line, record);
+  const std::size_t payload_length = line.size() - start;
+  line += kStoreDigestSeparator;
+  util::append_hex_u64(line,
+                       store_digest(line.data() + start, payload_length));
+}
+
+std::string format_entry(const CacheKey& key, const MeasurementRecord& record) {
+  std::string line;
+  line.reserve(entry_size_bound(record));
+  append_entry(line, key, record);
+  return line;
+}
+
 std::optional<std::pair<CacheKey, MeasurementRecord>> parse_entry(
-    const std::string& line) {
-  if (line.rfind(kStoreEntryPrefix, 0) != 0) {
+    std::string_view line) {
+  if (!line.starts_with(kStoreEntryPrefix)) {
     return std::nullopt;
   }
   const std::size_t digest_at = line.rfind(kStoreDigestSeparator);
-  if (digest_at == std::string::npos) {
+  if (digest_at == std::string_view::npos) {
     return std::nullopt;
   }
   std::uint64_t digest = 0;
@@ -113,17 +118,16 @@ std::optional<std::pair<CacheKey, MeasurementRecord>> parse_entry(
     return std::nullopt;
   }
 
-  std::istringstream in(line.substr(
-      std::strlen(kStoreEntryPrefix), digest_at - std::strlen(kStoreEntryPrefix)));
+  std::string_view rest = line.substr(
+      std::strlen(kStoreEntryPrefix), digest_at - std::strlen(kStoreEntryPrefix));
   std::uint64_t kind = 0;
   std::uint64_t chip = 0;
   std::uint64_t impl = 0;
   std::uint64_t n = 0;
   std::uint64_t payload_fp = 0;
   std::uint64_t options_fp = 0;
-  std::string token;
   for (std::uint64_t* field : {&kind, &chip, &impl, &n, &payload_fp, &options_fp}) {
-    if (!(in >> token) || !util::parse_hex_u64(token, *field)) {
+    if (!util::parse_hex_u64(util::next_token(rest), *field)) {
       return std::nullopt;
     }
   }
@@ -141,14 +145,35 @@ std::optional<std::pair<CacheKey, MeasurementRecord>> parse_entry(
   key.payload_fingerprint = payload_fp;
   key.options_fingerprint = options_fp;
 
-  std::string record_tokens;
-  std::getline(in, record_tokens);
-  auto record = deserialize_record(record_tokens);
+  // The record tokens end at the first newline, as a getline of the
+  // remainder would end them.
+  auto record = deserialize_record(rest.substr(0, rest.find('\n')));
   if (!record.has_value() ||
       record_kind(*record) != expected_record_kind(key.kind)) {
     return std::nullopt;
   }
   return std::pair{key, std::move(*record)};
+}
+
+/// Writes `path` through a sibling temp file renamed into place, so a reader
+/// (or a crash) never observes a half-written store.
+template <typename WriteFn>
+void write_replacing(const std::string& path, WriteFn&& write) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      throw util::Error("cannot write result-cache store: " + tmp);
+    }
+    write(out);
+    if (!out.flush()) {
+      throw util::Error("short write to result-cache store: " + tmp);
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw util::Error("cannot move result-cache store into place: " + path);
+  }
 }
 
 }  // namespace
@@ -159,11 +184,11 @@ std::uint64_t store_digest(const void* data, std::size_t size) {
 
 std::string format_store_entry(const CacheKey& key,
                                const MeasurementRecord& record) {
-  return format_entry({key, record});
+  return format_entry(key, record);
 }
 
 std::optional<std::pair<CacheKey, MeasurementRecord>> parse_store_entry(
-    const std::string& line) {
+    std::string_view line) {
   return parse_entry(line);
 }
 
@@ -267,101 +292,117 @@ ResultCache::ResultCache(std::size_t capacity)
 ResultCache::~ResultCache() = default;
 
 std::optional<MeasurementRecord> ResultCache::lookup(const CacheKey& key) {
+  {
+    std::lock_guard lock(mutex_);
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+      ++stats_.hits;
+      lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
+      return it->second->second;
+    }
+  }
+  // LRU miss: the store is the second level. The read runs with no cache
+  // lock held; a concurrent lookup of the same key may read it too, and
+  // both promote the same bits.
+  std::optional<Entry> stored = read_through(key, nullptr);
   std::lock_guard lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
+  if (!stored.has_value()) {
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  return it->second->second;
+  retain_locked(key, stored->second);
+  return std::move(stored->second);
 }
 
-void ResultCache::insert_locked(const CacheKey& key,
-                                const MeasurementRecord& record,
-                                bool write_through, std::string* line_out,
-                                bool* compact_out) {
+std::optional<ResultCache::Entry> ResultCache::read_through(
+    const CacheKey& key, std::string* line_out) const {
+  const auto located = store_index_->locate(key);
+  if (!located.has_value()) {
+    return std::nullopt;
+  }
+  // The ref and the file come from one revision, so a compaction racing
+  // this read cannot move the bytes under it: what fails here is corrupt.
+  std::string line;
+  if (located->file->read(located->ref, line)) {
+    auto entry = parse_entry(line);
+    if (entry.has_value() && entry->first == key) {
+      if (line_out != nullptr) {
+        *line_out = std::move(line);
+      }
+      return entry;
+    }
+  }
+  // Forget the line, so the re-measured record is appended and indexed in
+  // its place. Counted once, by whichever reader removed it.
+  if (store_index_->erase(located->ref, located->generation)) {
+    count_rejected(1);
+  }
+  return std::nullopt;
+}
+
+void ResultCache::count_rejected(std::size_t lines) const {
+  std::lock_guard lock(mutex_);
+  stats_.load_rejected += lines;
+}
+
+void ResultCache::retain_locked(const CacheKey& key, MeasurementRecord record) {
   const auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->second = record;
+    it->second->second = std::move(record);
     lru_.splice(lru_.begin(), lru_, it->second);
-  } else {
-    if (lru_.size() == capacity_) {
-      index_.erase(lru_.back().first);
-      lru_.pop_back();
-      ++stats_.evictions;
-      // The evicted entry may now live only in a store; an automatic
-      // rewrite would delete it.
-      store_covered_ = false;
-      fully_loaded_path_.clear();
-    }
-    lru_.emplace_front(key, record);
-    index_[key] = lru_.begin();
-    ++stats_.insertions;
-  }
-  if (write_through && !persist_path_.empty()) {
-    // The line is formatted (and counted) here, under mutex_, but written
-    // by the caller under io_mutex_ only — concurrent lookups proceed while
-    // the disk append runs.
-    *line_out = format_entry(*lru_.begin());
-    ++store_entries_;
-    // Auto-compaction: duplicate keys accumulate in the append log until
-    // the live/stored ratio crosses the policy line — but only while the
-    // retained set covers the store, so the rewrite cannot lose an entry
-    // that exists only on disk.
-    if (store_covered_ && compact_min_live_ratio_ > 0.0 &&
-        store_entries_ >= compact_min_entries_ &&
-        static_cast<double>(lru_.size()) <
-            compact_min_live_ratio_ * static_cast<double>(store_entries_)) {
-      *compact_out = true;
-    }
-  }
-}
-
-void ResultCache::append_line(const std::string& line, const CacheKey& key) {
-  if (line.empty()) {
     return;
   }
-  std::lock_guard io(io_mutex_);
-  if (persist_out_.is_open()) {
-    // store_bytes_ tracks the file size exactly (every write goes through
-    // this path or through a rebuild that resets it), so the new line's
-    // offset is known without asking the stream.
-    const std::uint64_t offset = store_bytes_;
-    persist_out_ << line << '\n';
-    persist_out_.flush();
-    store_bytes_ += line.size() + 1;
-    store_index_->add(key, offset, line.size());
+  if (lru_.size() == capacity_) {
+    index_.erase(lru_.back().first);
+    lru_.pop_back();
+    ++stats_.evictions;
   }
-  // A detach can race the append decision; the entry stays in memory and
-  // store_entries_ is reset by persist_to(), so nothing drifts.
+  lru_.emplace_front(key, std::move(record));
+  index_[key] = lru_.begin();
+  ++stats_.insertions;
 }
 
-void ResultCache::compact_if_attached() {
-  std::lock_guard lock(mutex_);
-  if (persist_path_.empty()) {
-    return;  // detached between the decision and this call
+void ResultCache::append_if_absent(const CacheKey& key,
+                                   const MeasurementRecord& record) {
+  if (store_index_->generation() == 0 || store_index_->find(key)) {
+    return;  // detached, or the store already holds this key
   }
-  save_locked(persist_path_);
-  ++stats_.compactions;
+  // Formatted before io_mutex_ is taken, so concurrent inserts format in
+  // parallel and only the write itself is serialized.
+  std::string line = format_entry(key, record);
+  line += '\n';
+  std::lock_guard io(io_mutex_);
+  // Re-checked under the write lock: a concurrent insert of the same key
+  // may have appended it meanwhile.
+  if (!persist_out_.is_open() || store_index_->find(key)) {
+    return;
+  }
+  // store_bytes_ tracks the file size exactly (every write goes through
+  // this path or through a rewrite that resets it), so the new line's
+  // offset is known without asking the stream.
+  const std::uint64_t offset = store_bytes_;
+  persist_out_.write(line.data(), static_cast<std::streamsize>(line.size()));
+  persist_out_.flush();
+  store_bytes_ += line.size();
+  ++store_entries_;
+  store_index_->add(key, offset, line.size() - 1);
+  if (compact_min_live_ratio_ > 0.0 &&
+      store_entries_ >= compact_min_entries_ &&
+      static_cast<double>(store_index_->size()) <
+          compact_min_live_ratio_ * static_cast<double>(store_entries_)) {
+    compact_locked();
+  }
 }
 
 void ResultCache::insert(const CacheKey& key, const MeasurementRecord& record) {
-  std::string line;
-  bool compact_now = false;
   {
     std::lock_guard lock(mutex_);
-    insert_locked(key, record, /*write_through=*/true, &line, &compact_now);
+    retain_locked(key, record);
   }
   // insert() returns only after the entry is flushed — the service tails
-  // shard stores live, so a published record must be durable on return. A
-  // concurrent compaction between the two locks at worst duplicates this
-  // line in the store; duplicate keys are benign (last one wins on load).
-  append_line(line, key);
-  if (compact_now) {
-    compact_if_attached();
-  }
+  // shard stores live, so a published record must be durable on return.
+  append_if_absent(key, record);
 }
 
 bool ResultCache::contains(const CacheKey& key) const {
@@ -378,9 +419,6 @@ void ResultCache::clear() {
   std::lock_guard lock(mutex_);
   lru_.clear();
   index_.clear();
-  // The store (if any) now holds entries memory does not.
-  store_covered_ = false;
-  fully_loaded_path_.clear();
 }
 
 std::vector<ResultCache::Entry> ResultCache::entries() const {
@@ -397,80 +435,98 @@ std::size_t ResultCache::save(const std::string& path) {
   obs::TimelineProfiler::Scope span(profiler_, obs::Phase::kSerialize,
                                     obs::TimelineProfiler::kInheritParent,
                                     "save");
-  std::lock_guard lock(mutex_);
-  return save_locked(path);
-}
-
-std::size_t ResultCache::save_locked(const std::string& path) {
-  const bool active = !persist_path_.empty() && path == persist_path_;
-  std::vector<StoreRef> refs;
-  std::uint64_t total_bytes = 0;
-  // Snapshot into a sibling temp file, then rename over the target, so a
-  // reader (or a crash) never observes a half-written store.
-  const std::string tmp = path + ".tmp";
   {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      throw util::Error("cannot write result-cache store: " + tmp);
-    }
-    write_store_locked(out, active ? &refs : nullptr, &total_bytes);
-    if (!out) {
-      throw util::Error("short write to result-cache store: " + tmp);
+    std::lock_guard io(io_mutex_);
+    if (!persist_path_.empty() && path == persist_path_) {
+      return compact_locked();
     }
   }
-  // The rename and the stream reattach must exclude concurrent appends
-  // (io_mutex_); an append that slipped onto the old inode just before is
-  // harmless — its entry is retained in memory and in the rewritten store.
-  std::lock_guard io(io_mutex_);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw util::Error("cannot move result-cache store into place: " + path);
+  std::string body;
+  std::size_t written = 0;
+  {
+    std::lock_guard lock(mutex_);
+    body = serialize_locked();
+    written = lru_.size();
   }
-  if (persist_out_.is_open() && path == persist_path_) {
-    // The rename unlinked the inode the write-through stream was appending
-    // to; reattach it to the fresh (compacted) store so later insertions
-    // keep landing on disk.
-    persist_out_.close();
-    persist_out_.open(path, std::ios::app);
-    if (!persist_out_) {
-      throw util::Error("cannot reopen result-cache store: " + path);
-    }
-    store_entries_ = lru_.size();
-    store_covered_ = true;  // the store is now exactly the retained set
-    store_bytes_ = total_bytes;
-    // Every offset the old index held points into the unlinked inode; the
-    // generation bump turns in-flight cursors into structured stale-cursor
-    // errors instead of reads of reclaimed bytes.
-    store_index_->rebuild(std::move(refs), ++next_generation_);
-  }
-  return lru_.size();
+  write_replacing(path, [&](std::ostream& out) {
+    out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  });
+  return written;
 }
 
-void ResultCache::write_store_locked(std::ostream& out,
-                                     std::vector<StoreRef>* refs,
-                                     std::uint64_t* total_bytes) const {
-  const std::string header = header_line();
-  out << header << '\n';
-  std::uint64_t offset = header.size() + 1;
+std::size_t ResultCache::compact_locked() {
+  const std::string& path = persist_path_;
+  // Every indexed line, in store order: a reload replays them oldest
+  // first, as it would have replayed the uncompacted file.
+  StoreIndex::Selection all = store_index_->collect(
+      {}, std::nullopt, std::numeric_limits<std::size_t>::max());
+  std::sort(all.refs.begin(), all.refs.end(),
+            [](const StoreRef& a, const StoreRef& b) {
+              return a.offset < b.offset;
+            });
+  std::vector<StoreRef> kept;
+  kept.reserve(all.refs.size());
+  std::size_t rejected = 0;
+  std::uint64_t offset = 0;
+  write_replacing(path, [&](std::ostream& out) {
+    const std::string header = header_line();
+    out << header << '\n';
+    offset = header.size() + 1;
+    std::string line;
+    for (const StoreRef& ref : all.refs) {
+      // Copied verbatim, after the same check a read-through makes: a line
+      // corrupted on disk since it was indexed is dropped, not carried on.
+      const auto entry =
+          all.file->read(ref, line) ? parse_entry(line) : std::nullopt;
+      if (!entry.has_value() || !(entry->first == ref.key)) {
+        ++rejected;
+        continue;
+      }
+      out << line << '\n';
+      kept.push_back({ref.key, offset, ref.length});
+      offset += line.size() + 1;
+    }
+  });
+  // The rename unlinked the inode the append stream was writing to;
+  // reattach it to the rewritten store so later insertions keep landing on
+  // disk. Readers holding the old revision's StoreFile finish on the old
+  // inode; new ones get the rewritten file with its fresh offsets.
+  persist_out_.close();
+  persist_out_.open(path, std::ios::app | std::ios::binary);
+  if (!persist_out_) {
+    throw util::Error("cannot reopen result-cache store: " + path);
+  }
+  const std::size_t written = kept.size();
+  store_entries_ = written;
+  store_bytes_ = offset;
+  store_index_->rebuild(std::move(kept), ++next_generation_,
+                        std::make_shared<StoreFile>(path));
+  std::lock_guard lock(mutex_);
+  ++stats_.compactions;
+  stats_.load_rejected += rejected;
+  return written;
+}
+
+std::string ResultCache::serialize_locked() const {
+  std::string out;
+  // One reserve up front (the hint bounds the final size), then append —
+  // the repeated-append growth path never fires and the whole snapshot is
+  // a single allocation.
+  out.reserve(serialize_size_hint_locked());
+  out += header_line();
+  out += '\n';
   // Least recent first: reloading replays insertions in recency order.
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    const std::string line = format_entry(*it);
-    out << line << '\n';
-    if (refs != nullptr) {
-      refs->push_back(
-          {it->first, offset, static_cast<std::uint32_t>(line.size())});
-    }
-    offset += line.size() + 1;
+    append_entry(out, it->first, it->second);
+    out += '\n';
   }
-  if (total_bytes != nullptr) {
-    *total_bytes = offset;
-  }
+  return out;
 }
 
 std::size_t ResultCache::serialize_size_hint_locked() const {
   std::size_t bound = header_line().size() + 1;
   for (const Entry& entry : lru_) {
-    bound += entry_size_bound(entry) + 1;
+    bound += entry_size_bound(entry.second) + 1;
   }
   return bound;
 }
@@ -484,42 +540,28 @@ std::string ResultCache::serialize_store() const {
   obs::TimelineProfiler::Scope span(profiler_, obs::Phase::kSerialize,
                                     obs::TimelineProfiler::kInheritParent,
                                     "wire");
-  std::string out;
   std::lock_guard lock(mutex_);
-  // One reserve up front (the hint bounds the final size), then append —
-  // the repeated-append growth path never fires and the whole snapshot is
-  // a single allocation.
-  out.reserve(serialize_size_hint_locked());
-  out += header_line();
-  out += '\n';
-  // Least recent first: reloading replays insertions in recency order.
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    out += format_entry(*it);
-    out += '\n';
-  }
-  return out;
+  return serialize_locked();
 }
 
 std::size_t ResultCache::compact() {
-  std::lock_guard lock(mutex_);
+  std::lock_guard io(io_mutex_);
   AO_REQUIRE(!persist_path_.empty(),
              "compact() needs an attached write-through store");
-  const std::size_t written = save_locked(persist_path_);
-  ++stats_.compactions;
-  return written;
+  return compact_locked();
 }
 
 void ResultCache::set_compaction_policy(double min_live_ratio,
                                         std::size_t min_entries) {
   AO_REQUIRE(min_live_ratio >= 0.0 && min_live_ratio <= 1.0,
              "compaction ratio must be in [0, 1]");
-  std::lock_guard lock(mutex_);
+  std::lock_guard io(io_mutex_);
   compact_min_live_ratio_ = min_live_ratio;
   compact_min_entries_ = std::max<std::size_t>(1, min_entries);
 }
 
 std::size_t ResultCache::store_entries() const {
-  std::lock_guard lock(mutex_);
+  std::lock_guard io(io_mutex_);
   return persist_path_.empty() ? 0 : store_entries_;
 }
 
@@ -539,9 +581,7 @@ std::size_t ResultCache::merge_buffer(const std::string& buffer) {
                                     obs::TimelineProfiler::kInheritParent,
                                     "wire");
   std::istringstream in(buffer);
-  // No source path: a buffer never arms the fully-loaded-path bookkeeping
-  // (there is no file a later persist_to() could be pointed at).
-  return load_stream(in, /*write_through=*/true, /*source_path=*/{});
+  return load_stream(in, /*write_through=*/true);
 }
 
 std::size_t ResultCache::load_impl(const std::string& path,
@@ -550,11 +590,10 @@ std::size_t ResultCache::load_impl(const std::string& path,
   if (!in) {
     return 0;  // nothing persisted yet — a cold start, not an error
   }
-  return load_stream(in, write_through, path);
+  return load_stream(in, write_through);
 }
 
-std::size_t ResultCache::load_stream(std::istream& in, bool write_through,
-                                     const std::string& source_path) {
+std::size_t ResultCache::load_stream(std::istream& in, bool write_through) {
   std::string line;
   if (!std::getline(in, line) || line != header_line()) {
     // A different format version (or not a cache store at all): refuse the
@@ -564,21 +603,17 @@ std::size_t ResultCache::load_stream(std::istream& in, bool write_through,
     return 0;
   }
   std::size_t loaded = 0;
-  std::vector<std::pair<CacheKey, std::string>> to_append;
-  bool compact_after = false;
+  std::vector<Entry> to_append;
   {
     std::lock_guard lock(mutex_);
-    const std::size_t evictions_before = stats_.evictions;
     while (std::getline(in, line)) {
       if (line.empty()) {
         continue;
       }
       if (auto entry = parse_entry(line)) {
-        std::string formatted;
-        insert_locked(entry->first, entry->second, write_through, &formatted,
-                      &compact_after);
-        if (!formatted.empty()) {
-          to_append.emplace_back(entry->first, std::move(formatted));
+        retain_locked(entry->first, entry->second);
+        if (write_through) {
+          to_append.push_back(std::move(*entry));
         }
         ++loaded;
       } else {
@@ -586,26 +621,17 @@ std::size_t ResultCache::load_stream(std::istream& in, bool write_through,
       }
     }
     stats_.loaded += loaded;
-    if (!source_path.empty() && stats_.evictions == evictions_before) {
-      // Everything this file holds is now retained: persist_to(path) may
-      // auto-compact it losslessly (rejected lines were corrupt anyway).
-      fully_loaded_path_ = source_path;
-    }
   }
-  // merge_store propagation: the batch lands on disk in one io pass, and a
-  // triggered auto-compaction runs once at the end instead of mid-merge.
-  for (const auto& [key, formatted] : to_append) {
-    append_line(formatted, key);
-  }
-  if (compact_after) {
-    compact_if_attached();
+  // merge_store propagation: appended after the LRU lock is released, each
+  // entry only if the store lacks its key.
+  for (const Entry& entry : to_append) {
+    append_if_absent(entry.first, entry.second);
   }
   return loaded;
 }
 
 void ResultCache::persist_to(const std::string& path) {
-  std::lock_guard lock(mutex_);
-  std::lock_guard io(io_mutex_);  // lock order: mutex_ then io_mutex_
+  std::lock_guard io(io_mutex_);
   persist_out_.close();
   persist_path_.clear();
   store_entries_ = 0;
@@ -632,8 +658,9 @@ void ResultCache::persist_to(const std::string& path) {
       // Cold index scan: count the pre-existing entry lines (the
       // auto-compaction ratio sees the whole store, not just this
       // process's appends) and record every valid line's byte offset —
-      // queries start indexed without a store rewrite. Corrupt lines are
-      // skipped here exactly as load() would skip them.
+      // lookups and queries read through it, nothing is loaded. Corrupt
+      // lines are skipped here exactly as load() would skip them, so a
+      // torn tail is never indexed.
       tail_unterminated = existing.eof();
       scanned_bytes = first_line.size() + (tail_unterminated ? 0 : 1);
       std::string line;
@@ -651,7 +678,7 @@ void ResultCache::persist_to(const std::string& path) {
       }
     }
   }
-  persist_out_.open(path, std::ios::app);
+  persist_out_.open(path, std::ios::app | std::ios::binary);
   if (!persist_out_) {
     throw util::Error("cannot open result-cache store: " + path);
   }
@@ -665,12 +692,9 @@ void ResultCache::persist_to(const std::string& path) {
     ++scanned_bytes;
   }
   store_bytes_ = scanned_bytes;
-  store_index_->rebuild(std::move(refs), ++next_generation_);
+  store_index_->rebuild(std::move(refs), ++next_generation_,
+                        std::make_shared<StoreFile>(path));
   persist_path_ = path;
-  // Covered (auto-compaction armed) only when a rewrite could not lose
-  // anything: the store is fresh, or this cache fully loaded it and has
-  // evicted nothing since.
-  store_covered_ = store_entries_ == 0 || path == fully_loaded_path_;
 }
 
 std::uint64_t ResultCache::store_generation() const {
@@ -686,12 +710,7 @@ std::optional<ResultCache::QueryPage> ResultCache::query(
     }
     return std::optional<QueryPage>{};
   };
-  std::string path;
-  {
-    std::lock_guard lock(mutex_);
-    path = persist_path_;
-  }
-  if (path.empty()) {
+  if (store_generation() == 0) {
     return fail("no-store");
   }
   std::optional<CacheKey> after;
@@ -707,68 +726,53 @@ std::optional<ResultCache::QueryPage> ResultCache::query(
     required_generation = cursor->generation;
     after = cursor->last;
   }
-  // Snapshot isolation: neither cache lock is held while the page's lines
-  // are read back (writers never stall behind a scrape) — instead the store
-  // generation is captured with the refs and re-checked after the reads. A
-  // compaction in between moved the bytes, so the page is discarded: a
-  // first page transparently retries against the new revision, a cursor
-  // resume surfaces `stale-cursor`.
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    const std::uint64_t generation = store_index_->generation();
-    if (generation == 0) {
-      return fail("no-store");
-    }
-    if (required_generation.has_value() && generation != *required_generation) {
-      return fail("stale-cursor");
-    }
+  // Snapshot isolation without holding a cache lock: the refs, their
+  // generation and that revision's file are taken in one step, so every
+  // line read below is the line the index described, even if a compaction
+  // renames a rewritten store into place meanwhile.
+  for (;;) {
     const StoreIndex::Selection selection =
         store_index_->collect(filter, after, limit);
+    if (selection.generation == 0) {
+      return fail("no-store");
+    }
+    if (required_generation.has_value() &&
+        selection.generation != *required_generation) {
+      return fail("stale-cursor");
+    }
     QueryPage page;
-    page.generation = generation;
+    page.generation = selection.generation;
     page.matched = selection.matched;
     page.exhausted = selection.exhausted;
-    bool torn = false;
-    {
-      std::ifstream in(path, std::ios::binary);
-      if (!in) {
-        torn = true;
+    bool corrupt = false;
+    std::string line;
+    for (const StoreRef& ref : selection.refs) {
+      ++page.entries_read;
+      const auto parsed =
+          selection.file->read(ref, line) ? parse_entry(line) : std::nullopt;
+      if (!parsed.has_value() || !(parsed->first == ref.key)) {
+        // Corrupt on disk since it was indexed: drop it as lookup() would,
+        // and cut the page again without it.
+        if (store_index_->erase(ref, selection.generation)) {
+          count_rejected(1);
+        }
+        corrupt = true;
+        break;
       }
-      std::string line;
-      for (const StoreRef& ref : selection.refs) {
-        if (torn) {
-          break;
-        }
-        line.resize(ref.length);
-        in.seekg(static_cast<std::streamoff>(ref.offset));
-        if (!in.read(line.data(), static_cast<std::streamsize>(ref.length))) {
-          torn = true;
-          break;
-        }
-        ++page.entries_read;
-        const auto parsed = parse_store_entry(line);
-        if (!parsed.has_value() || !(parsed->first == ref.key)) {
-          torn = true;  // the bytes under this offset were reclaimed
-          break;
-        }
-        page.lines.push_back(line);
-      }
+      page.lines.push_back(line);
     }
-    if (torn || store_index_->generation() != generation) {
-      if (required_generation.has_value()) {
-        return fail("stale-cursor");
-      }
+    if (corrupt) {
       continue;
     }
     if (!page.exhausted && !selection.refs.empty()) {
-      page.cursor = encode_query_cursor(generation, selection.refs.back().key);
+      page.cursor =
+          encode_query_cursor(selection.generation, selection.refs.back().key);
     }
     return page;
   }
-  return fail("stale-cursor");
 }
 
 std::optional<std::string> ResultCache::fetch_entry(const CacheKey& key) const {
-  std::string path;
   {
     std::lock_guard lock(mutex_);
     const auto it = index_.find(key);
@@ -776,35 +780,14 @@ std::optional<std::string> ResultCache::fetch_entry(const CacheKey& key) const {
       // Serve from memory without touching recency: format_entry is a pure
       // function of (key, record), so this is bit-identical to the line the
       // store holds for the same entry.
-      return format_entry(*it->second);
+      return format_entry(key, it->second->second);
     }
-    path = persist_path_;
   }
-  if (path.empty()) {
+  std::string line;
+  if (!read_through(key, &line).has_value()) {
     return std::nullopt;
   }
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    const auto ref = store_index_->find(key);
-    if (!ref.has_value()) {
-      return std::nullopt;
-    }
-    const std::uint64_t generation = store_index_->generation();
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      std::string line(ref->length, '\0');
-      in.seekg(static_cast<std::streamoff>(ref->offset));
-      if (in.read(line.data(), static_cast<std::streamsize>(ref->length))) {
-        const auto parsed = parse_store_entry(line);
-        if (parsed.has_value() && parsed->first == key) {
-          return line;
-        }
-      }
-    }
-    if (store_index_->generation() == generation) {
-      return std::nullopt;  // genuinely gone or corrupt, not a racing rewrite
-    }
-  }
-  return std::nullopt;
+  return line;
 }
 
 }  // namespace ao::orchestrator

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -103,7 +104,7 @@ std::string format_store_entry(const CacheKey& key,
 /// corruption: bad digest, missing tokens, out-of-range enumerators, or a
 /// record shape that disagrees with the key's kind.
 std::optional<std::pair<CacheKey, MeasurementRecord>> parse_store_entry(
-    const std::string& line);
+    std::string_view line);
 
 /// The store's "ao-result-cache v<N>" first line.
 std::string store_header_line();
@@ -117,19 +118,22 @@ std::string store_header_line();
 /// public method may be called concurrently from any number of threads —
 /// the campaign service shares one instance between concurrently executing
 /// scheduler instances. Internally two locks split the work: `mutex_`
-/// guards the LRU state and is never held across disk I/O on the hot path,
-/// while `io_mutex_` serializes the write-through stream — so a slow
-/// write-through append never stalls another campaign's lookup()/insert().
-/// insert() still returns only after its entry is flushed to the attached
-/// store (the service's shard tailing depends on that), and two inserts of
-/// the same key are benign: keys are content addresses, so equal keys carry
-/// bit-identical records.
+/// guards the LRU state and is never held across disk I/O, while
+/// `io_mutex_` serializes everything that writes the store file (appends,
+/// rewrites, attach) — so a slow write-through append never stalls another
+/// campaign's lookup(). insert() still returns only after its entry is
+/// flushed to the attached store (the service's shard tailing depends on
+/// that). Keys are content addresses: equal keys carry bit-identical
+/// records.
 ///
 /// The cache can be backed by a versioned on-disk store (the format is
-/// specified in docs/orchestrator.md): load() warms it from a previous
-/// process's file, save() snapshots it, and persist_to() switches it to
-/// write-through mode where every insertion is appended immediately — so a
-/// campaign that dies mid-run still leaves its finished points behind.
+/// specified in docs/orchestrator.md). persist_to() attaches one: its lines
+/// are indexed (StoreIndex), not loaded, and every later insertion of a key
+/// the store lacks is appended immediately — so a campaign that dies
+/// mid-run still leaves its finished points behind. The store is the
+/// cache's second level: lookup() reads an LRU miss through the index, so a
+/// point that left the LRU is never measured (or appended) again. load()
+/// warms memory from a store file; save() snapshots memory.
 class ResultCache {
  public:
   /// Bumped whenever the entry layout changes; load() rejects files written
@@ -142,14 +146,21 @@ class ResultCache {
   explicit ResultCache(std::size_t capacity = 4096);
   ~ResultCache();
 
-  /// Returns the cached record and refreshes its recency, or nullopt.
+  /// Returns the cached record and refreshes its recency, or nullopt. On an
+  /// LRU miss with a store attached, the key's newest indexed line is read
+  /// back (one pread), its digest, key and record shape checked exactly as
+  /// parse_store_entry() checks them, and the record promoted into the LRU:
+  /// a hit, with nothing appended. A corrupt line counts in
+  /// stats().load_rejected, leaves the index (so the re-measured record's
+  /// insert() appends a replacement) and is a miss.
   std::optional<MeasurementRecord> lookup(const CacheKey& key);
 
   /// Inserts (or refreshes) a record, evicting the least recently used
   /// entry when full. In write-through mode the entry is also appended to
-  /// the backing file.
+  /// the backing file — unless the store already holds the key.
   void insert(const CacheKey& key, const MeasurementRecord& record);
 
+  /// True when the key is retained in memory (the store is not consulted).
   bool contains(const CacheKey& key) const;
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
@@ -166,11 +177,10 @@ class ResultCache {
 
   /// Writes a snapshot of the IN-MEMORY entries to `path` (least recent
   /// first, so a reload reconstructs the recency order). Returns entries
-  /// written. Saving onto the active write-through path compacts the store
-  /// down to the retained set (the append stream is reattached to the new
-  /// file) — a write-through log can hold more than `capacity` entries, so
-  /// load() the store first if evicted points must survive the compaction.
-  /// Throws util::Error when the file cannot be created.
+  /// written. Saving onto the attached write-through store compacts it
+  /// instead (see compact()): the store holds every entry memory holds and
+  /// more, so nothing is lost. Throws util::Error when the file cannot be
+  /// created.
   std::size_t save(const std::string& path);
 
   /// Merges the entries of a store written by save() or write-through into
@@ -180,10 +190,10 @@ class ResultCache {
   /// header rejects the whole file. Returns entries loaded.
   std::size_t load(const std::string& path);
 
-  /// Like load(), but every merged entry also propagates to the attached
-  /// write-through store — ingesting a foreign store (a shard worker's, a
-  /// peer machine's) into a persistent cache. load() stays append-free so
-  /// warming from one's own store never duplicates it.
+  /// Like load(), but every merged entry the attached write-through store
+  /// lacks is also appended to it — ingesting a foreign store (a shard
+  /// worker's, a peer machine's) into a persistent cache. load() stays
+  /// append-free.
   std::size_t merge_store(const std::string& path);
 
   /// The store exactly as save() would write it (version header + retained
@@ -208,40 +218,32 @@ class ResultCache {
   /// rejects the whole buffer.
   std::size_t merge_buffer(const std::string& buffer);
 
-  /// Write-through mode: appends every future insertion to `path`,
-  /// creating the file (with its version header) if absent. Existing
-  /// contents are NOT loaded — call load() first to warm up. Pass "" to
-  /// detach. Throws util::Error when the file cannot be opened.
+  /// Write-through mode: indexes `path` (one scan, nothing loaded into
+  /// memory) and appends every future insertion the store lacks, creating
+  /// the file (with its version header) if absent. Pass "" to detach.
+  /// Throws util::Error when the file cannot be opened.
   void persist_to(const std::string& path);
 
   /// Path of the write-through backing file ("" when detached).
   const std::string& persist_path() const { return persist_path_; }
 
-  /// Rewrites the write-through store down to the retained in-memory set
-  /// (same caveat as save(): evicted or never-loaded on-disk entries do not
-  /// survive — load() first when they must). Requires write-through mode;
+  /// Rewrites the write-through store as the index's newest line per key,
+  /// copied verbatim in store order: duplicate and corrupt lines go, every
+  /// indexed entry stays, in memory or not. Requires write-through mode;
   /// returns entries written.
   std::size_t compact();
 
   /// Auto-compaction policy for write-through mode: after an append, when
   /// the store holds at least `min_entries` lines and the live/stored ratio
-  /// (retained entries / store lines) drops below `min_live_ratio`, the
-  /// store is compacted in place. Duplicate keys are what push the ratio
-  /// down — every re-measurement appends a line while the retained set
-  /// keeps one. Ratio 0 disables.
-  ///
-  /// Automatic rewrites only happen while the retained set *covers* the
-  /// store (attached to a fresh/empty store, or to one the cache fully
-  /// loaded, with no eviction since), so they can only ever drop duplicate
-  /// or corrupt lines — never a measurement that lives only on disk. An LRU
-  /// eviction, a `clear()`, or attaching to a store that was never loaded
-  /// all suspend auto-compaction; explicit `compact()` still obeys the
-  /// caller (with its documented data-loss caveat).
+  /// (indexed keys / store lines) drops below `min_live_ratio`, the store
+  /// is compacted in place. Duplicate and corrupt lines are what push the
+  /// ratio down: a store written by an earlier version, or one whose
+  /// corrupt lines were re-measured. Ratio 0 disables.
   void set_compaction_policy(double min_live_ratio,
                              std::size_t min_entries = 256);
 
-  /// Entry lines the active write-through store currently holds (retained +
-  /// duplicates + evicted); 0 when detached.
+  /// Entry lines the active write-through store currently holds (indexed +
+  /// duplicates + corrupt); 0 when detached.
   std::size_t store_entries() const;
 
   // ------------------------------------------------------ query engine ----
@@ -260,10 +262,11 @@ class ResultCache {
 
   /// Serves one page of matching store entries through the secondary index —
   /// at most `limit` seeks into the store file instead of a full replay.
-  /// Snapshot isolation: the page is cut against one store generation; if a
-  /// compaction rewrites the store mid-read, a first page transparently
-  /// retries while a cursor resume fails with "stale-cursor" (the caller
-  /// restarts its traversal). `cursor` is the token of a previous page (""
+  /// Snapshot isolation: the page is cut and read against one store
+  /// revision; a cursor minted before a compaction rewrote the store fails
+  /// with "stale-cursor" (the caller restarts its traversal). A corrupt line
+  /// is dropped from the index like lookup() drops it, and the page is cut
+  /// again without it. `cursor` is the token of a previous page (""
   /// for the first). On failure returns nullopt with *error_code set to
   /// "no-store", "bad-cursor" or "stale-cursor".
   std::optional<QueryPage> query(const QueryFilter& filter, std::size_t limit,
@@ -271,9 +274,9 @@ class ResultCache {
                                  std::string* error_code) const;
 
   /// The newest store entry line for `key`: formatted from memory when the
-  /// key is retained (without perturbing recency), else seeked out of the
-  /// indexed store. nullopt when the key is gone from both. The `follow`
-  /// replay path reads through this.
+  /// key is retained (without perturbing recency), else read out of the
+  /// indexed store (checked like lookup(), not promoted). nullopt when
+  /// neither holds it. The `follow` replay path reads through this.
   std::optional<std::string> fetch_entry(const CacheKey& key) const;
 
   /// Store revision counter: stamped on attach, bumped by every rewrite of
@@ -292,63 +295,50 @@ class ResultCache {
   void set_profiler(obs::TimelineProfiler* profiler) { profiler_ = profiler; }
 
  private:
-  /// LRU bookkeeping under mutex_. When write_through and a store is
-  /// attached, the formatted entry line is returned through `line_out`
-  /// (appended by the caller under io_mutex_, after mutex_ is released) and
-  /// `compact_out` reports whether the auto-compaction policy fired.
-  void insert_locked(const CacheKey& key, const MeasurementRecord& record,
-                     bool write_through, std::string* line_out,
-                     bool* compact_out);
-  /// Appends one formatted entry line for `key` to the write-through stream
-  /// and indexes its offset (no-op when `line` is empty or the store is
-  /// detached). Takes io_mutex_ only.
-  void append_line(const std::string& line, const CacheKey& key);
-  /// Compacts the attached store if still attached — the deferred half of
-  /// an auto-compaction decision made under mutex_.
-  void compact_if_attached();
-  std::size_t save_locked(const std::string& path);
-  /// Writes the header + retained entries (least recent first) to `out` —
-  /// the one body behind save_locked() and serialize_store(). When `refs`
-  /// is non-null it receives each entry's (key, offset, length) and
-  /// `*total_bytes` the full store size — the compaction path rebuilds the
-  /// index from them.
-  void write_store_locked(std::ostream& out, std::vector<StoreRef>* refs,
-                          std::uint64_t* total_bytes) const;
+  /// LRU bookkeeping under mutex_: inserts or refreshes `key`, evicting the
+  /// least recently used entry when full.
+  void retain_locked(const CacheKey& key, MeasurementRecord record);
+  /// Write-through half of insert(): appends (key, record) to the attached
+  /// store unless the index already holds the key. Takes io_mutex_ only.
+  void append_if_absent(const CacheKey& key, const MeasurementRecord& record);
+  /// Reads `key`'s indexed line back and parses it; a corrupt line is
+  /// dropped from the index and counted. `line_out` receives the verbatim
+  /// line. No lock held across the read.
+  std::optional<Entry> read_through(const CacheKey& key,
+                                    std::string* line_out) const;
+  /// Counts lines found corrupt after they were indexed.
+  void count_rejected(std::size_t lines) const;
+  /// compact() under io_mutex_.
+  std::size_t compact_locked();
+  /// Header + retained entries (least recent first) under mutex_.
+  std::string serialize_locked() const;
   std::size_t serialize_size_hint_locked() const;
   std::size_t load_impl(const std::string& path, bool write_through);
   /// The shared merge loop behind load()/merge_store()/merge_buffer().
-  /// `source_path` is non-empty only for file sources (it feeds the
-  /// fully-loaded-path bookkeeping that arms auto-compaction).
-  std::size_t load_stream(std::istream& in, bool write_through,
-                          const std::string& source_path);
+  std::size_t load_stream(std::istream& in, bool write_through);
 
-  /// Lock order: mutex_ before io_mutex_; io_mutex_ is also taken alone
-  /// (insert's append path), never the other way around.
-  mutable std::mutex mutex_;     ///< LRU list, index, stats, store metadata
-  mutable std::mutex io_mutex_;  ///< persist_out_ stream and store files
+  /// Lock order: io_mutex_ before mutex_ (a rewrite counts itself under
+  /// mutex_); mutex_ is never held while taking io_mutex_.
+  mutable std::mutex mutex_;     ///< LRU list, index, stats
+  mutable std::mutex io_mutex_;  ///< the store file and its metadata below
   std::size_t capacity_;
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash> index_;
-  CacheStats stats_;
-  std::ofstream persist_out_;  ///< guarded by io_mutex_
-  std::string persist_path_;   ///< guarded by mutex_ ("" = detached)
+  /// Mutable: the const readers (fetch_entry(), query()) count the corrupt
+  /// lines they find.
+  mutable CacheStats stats_;
+  std::ofstream persist_out_;  ///< append stream; guarded by io_mutex_
+  std::string persist_path_;   ///< guarded by io_mutex_ ("" = detached)
   std::size_t store_entries_ = 0;  ///< entry lines in the active store
-  std::uint64_t store_bytes_ = 0;  ///< store file size; guarded by io_mutex_
-  /// Monotonic store-revision source (guarded by mutex_, which every writer
-  /// of the store file holds); the current revision lives in store_index_.
+  std::uint64_t store_bytes_ = 0;  ///< store file size
+  /// Monotonic store-revision source; the current revision lives in
+  /// store_index_.
   std::uint64_t next_generation_ = 0;
   /// Secondary index over the active store (internally locked; its mutex is
   /// a leaf — taken under mutex_/io_mutex_, never the reverse).
   std::unique_ptr<StoreIndex> store_index_;
   double compact_min_live_ratio_ = 0.5;
   std::size_t compact_min_entries_ = 256;
-  /// True while every valid entry line of the active store has its key
-  /// retained in memory — the precondition for a lossless automatic
-  /// rewrite. Cleared by evictions and clear().
-  bool store_covered_ = false;
-  /// Path of the last load() whose entries are all still retained (no
-  /// eviction since); persist_to() of the same path starts covered.
-  std::string fully_loaded_path_;
   obs::TimelineProfiler* profiler_ = nullptr;  ///< set before sharing
 };
 

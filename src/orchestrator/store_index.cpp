@@ -1,8 +1,13 @@
 #include "orchestrator/store_index.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <tuple>
 
+#include "util/error.hpp"
 #include "util/hex.hpp"
 
 namespace ao::orchestrator {
@@ -35,6 +40,33 @@ CacheKey kind_floor(JobKind kind) {
 
 }  // namespace
 
+StoreFile::StoreFile(const std::string& path)
+    : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+  if (fd_ < 0) {
+    throw util::Error("cannot read result-cache store: " + path);
+  }
+}
+
+StoreFile::~StoreFile() { ::close(fd_); }
+
+bool StoreFile::read(const StoreRef& ref, std::string& line) const {
+  line.resize(ref.length);
+  std::size_t done = 0;
+  while (done < line.size()) {
+    const ssize_t got =
+        ::pread(fd_, line.data() + done, line.size() - done,
+                static_cast<off_t>(ref.offset + done));
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
+    if (got <= 0) {
+      return false;
+    }
+    done += static_cast<std::size_t>(got);
+  }
+  return true;
+}
+
 bool cache_key_less(const CacheKey& a, const CacheKey& b) {
   return key_tuple(a) < key_tuple(b);
 }
@@ -59,19 +91,20 @@ bool QueryFilter::matches(const CacheKey& key) const {
 }
 
 void StoreIndex::reset(std::uint64_t generation) {
-  std::lock_guard lock(mutex_);
-  refs_.clear();
-  generation_ = generation;
+  rebuild({}, generation, nullptr);
 }
 
-void StoreIndex::rebuild(std::vector<Ref> refs, std::uint64_t generation) {
-  std::lock_guard lock(mutex_);
-  refs_.clear();
-  for (Ref& ref : refs) {
-    const CacheKey key = ref.key;
-    refs_.insert_or_assign(key, std::move(ref));
+void StoreIndex::rebuild(std::vector<Ref> refs, std::uint64_t generation,
+                         std::shared_ptr<const StoreFile> file) {
+  std::map<CacheKey, Ref, KeyLess> fresh;
+  for (const Ref& ref : refs) {
+    fresh.insert_or_assign(ref.key, ref);
   }
+  std::lock_guard lock(mutex_);
+  refs_.swap(fresh);
   generation_ = generation;
+  file_ = std::move(file);
+  // `fresh` (the old map) is freed after the lock is released.
 }
 
 void StoreIndex::add(const CacheKey& key, std::uint64_t offset,
@@ -96,6 +129,8 @@ StoreIndex::Selection StoreIndex::collect(
     std::size_t limit) const {
   std::lock_guard lock(mutex_);
   Selection out;
+  out.generation = generation_;
+  out.file = file_;
   auto it = after.has_value() ? refs_.upper_bound(*after) : refs_.begin();
   if (filter.kind.has_value()) {
     // Kind is the major sort field, so a kind filter is one contiguous map
@@ -133,6 +168,26 @@ std::optional<StoreIndex::Ref> StoreIndex::find(const CacheKey& key) const {
     return std::nullopt;
   }
   return it->second;
+}
+
+std::optional<StoreIndex::Located> StoreIndex::locate(
+    const CacheKey& key) const {
+  std::lock_guard lock(mutex_);
+  const auto it = refs_.find(key);
+  if (it == refs_.end() || file_ == nullptr) {
+    return std::nullopt;
+  }
+  return Located{it->second, generation_, file_};
+}
+
+bool StoreIndex::erase(const Ref& ref, std::uint64_t generation) {
+  std::lock_guard lock(mutex_);
+  const auto it = refs_.find(ref.key);
+  if (generation != generation_ || it == refs_.end() || !(it->second == ref)) {
+    return false;
+  }
+  refs_.erase(it);
+  return true;
 }
 
 std::vector<StoreIndex::Ref> StoreIndex::snapshot() const {

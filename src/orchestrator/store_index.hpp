@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -30,6 +31,27 @@ struct QueryFilter {
   bool matches(const CacheKey& key) const;
 };
 
+/// A read-only descriptor on one revision of the store file, shared by every
+/// reader of that revision. A compaction renames a rewritten file into
+/// place; a reader still holding the previous revision's handle keeps
+/// reading the old inode, so a ref and the file it was taken with always
+/// agree. Closed when the last holder lets go.
+class StoreFile {
+ public:
+  /// Throws util::Error when `path` cannot be opened for reading.
+  explicit StoreFile(const std::string& path);
+  ~StoreFile();
+  StoreFile(const StoreFile&) = delete;
+  StoreFile& operator=(const StoreFile&) = delete;
+
+  /// Reads the line `ref` points at into `line` with one pread; false on a
+  /// short read or an I/O error.
+  bool read(const StoreRef& ref, std::string& line) const;
+
+ private:
+  int fd_ = -1;
+};
+
 /// In-memory secondary index over the write-through result store: CacheKey
 /// -> byte offset of that key's newest entry line. The owning ResultCache
 /// keeps it current on every append, rebuilds it (with fresh offsets) on
@@ -37,10 +59,12 @@ struct QueryFilter {
 /// seek straight to their matching lines instead of replaying the file.
 ///
 /// Snapshot isolation contract: the index carries the store `generation`,
-/// bumped on every rewrite of the backing file. A reader captures the
-/// generation with its refs; if the generation moved before its reads
-/// finished, the offsets may point at reclaimed bytes and the reader must
-/// restart (or surface `stale-cursor` when resuming from a client token).
+/// bumped on every rewrite of the backing file, and the StoreFile of that
+/// revision. A reader takes its refs, the generation and the file in one
+/// locked step (locate(), collect()), so every read it makes lands on the
+/// bytes those refs describe, however many rewrites happen meanwhile. Only
+/// a client token carried across a rewrite goes stale: its generation no
+/// longer matches (`stale-cursor`).
 ///
 /// Thread-safe; one internal mutex, never held by callers.
 class StoreIndex {
@@ -54,15 +78,25 @@ class StoreIndex {
     std::vector<Ref> refs;
     std::size_t matched = 0;  ///< total keys matching the filter
     bool exhausted = false;   ///< no match remains beyond refs.back()
+    std::uint64_t generation = 0;  ///< revision the refs belong to
+    std::shared_ptr<const StoreFile> file;  ///< that revision's bytes
   };
 
-  /// Drops every ref and stamps the next store revision. Generation 0 means
-  /// "no store attached".
+  /// One key's newest line, with the revision it belongs to.
+  struct Located {
+    Ref ref;
+    std::uint64_t generation = 0;
+    std::shared_ptr<const StoreFile> file;
+  };
+
+  /// Drops every ref and the file, and stamps the next store revision.
+  /// Generation 0 means "no store attached".
   void reset(std::uint64_t generation);
 
-  /// Wholesale replacement — the compaction path: the store was rewritten,
-  /// every offset is fresh.
-  void rebuild(std::vector<Ref> refs, std::uint64_t generation);
+  /// Wholesale replacement — attach and compaction: `file` holds the bytes
+  /// every ref points into.
+  void rebuild(std::vector<Ref> refs, std::uint64_t generation,
+               std::shared_ptr<const StoreFile> file);
 
   /// Records (or refreshes) the newest line for `key`. Later offsets win:
   /// a duplicate append shadows the older line, exactly like load() replay.
@@ -81,6 +115,15 @@ class StoreIndex {
 
   std::optional<Ref> find(const CacheKey& key) const;
 
+  /// find() plus the generation and file to read the ref from; nullopt when
+  /// the key is not indexed (or no store is attached).
+  std::optional<Located> locate(const CacheKey& key) const;
+
+  /// Forgets a line found corrupt — only while the index still holds
+  /// exactly `ref` at `generation`, so a racing rewrite or re-append is
+  /// never undone. True when this call removed it.
+  bool erase(const Ref& ref, std::uint64_t generation);
+
   /// Every ref in cache_key_less order — the rebuild-equivalence tests
   /// compare incremental and cold-scanned indexes through this.
   std::vector<Ref> snapshot() const;
@@ -95,6 +138,7 @@ class StoreIndex {
   mutable std::mutex mutex_;
   std::map<CacheKey, Ref, KeyLess> refs_;
   std::uint64_t generation_ = 0;
+  std::shared_ptr<const StoreFile> file_;
 };
 
 /// Resume token of a paged query: `aoq1.<generation>.<six key fields>.<digest>`,

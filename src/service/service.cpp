@@ -155,7 +155,9 @@ CampaignService::CampaignService(Config config)
       queue_(config_.limits),
       profiler_(config_.profile_clock) {
   if (!config_.store_path.empty()) {
-    cache_.load(config_.store_path);
+    // Attach by indexing only: the store is the cache's second level, so a
+    // point is read back on its first lookup instead of being parsed into
+    // an LRU that would evict most of a large store again.
     cache_.persist_to(config_.store_path);
   }
   // The warm cache records its own serialize/merge spans — the service never
@@ -1571,8 +1573,8 @@ void CampaignService::reply_follow(const std::vector<std::string>& words,
       count({{Metric::kStaleCursorsTotal, 1}});
       reply_error(out, "stale-cursor",
                   "record " + std::to_string(i) +
-                      " left the store (evicted, then compacted away); "
-                      "restart the follow",
+                      " is no longer retained (a store-less daemon evicted "
+                      "it, or its store line is corrupt); restart the follow",
                   line);
       return;
     }

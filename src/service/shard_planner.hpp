@@ -24,10 +24,14 @@ struct ShardPlan {
 double estimated_group_cost(const orchestrator::Campaign::JobGroup& group);
 
 /// Partitions `groups` into `shard_count` shards by longest-processing-time
-/// greedy assignment: groups sorted by descending cost, each placed on the
-/// least-loaded shard. Deterministic — ties break on group index and shard
-/// index — so a plan computed by the service addresses the same groups a
-/// worker process expands from the same request.
+/// greedy assignment over bundles: the groups whose numeric result a
+/// scheduler computes once and shares between chips — every chip of one
+/// GEMM (impl, n), every chip of one precision / FP64-emulation / SME study
+/// at (n, seed) — form one bundle, placed whole, and charged the shared
+/// computation once. Bundles are sorted by descending cost, each placed on
+/// the least-loaded shard. Deterministic — ties break on group index and
+/// shard index — so a plan computed by the service addresses the same
+/// groups a worker process expands from the same request.
 ShardPlan plan_shards(const std::vector<orchestrator::Campaign::JobGroup>& groups,
                       std::size_t shard_count);
 

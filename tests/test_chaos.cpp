@@ -946,12 +946,34 @@ std::vector<std::string> query_records(CampaignService& service) {
   return records;
 }
 
+/// `record` payloads of a campaign reply, sorted, plus its `done` line.
+std::pair<std::vector<std::string>, std::string> campaign_records(
+    const std::vector<std::string>& lines) {
+  std::vector<std::string> records;
+  for (const auto& line : lines) {
+    if (starts_with(line, "record ")) {
+      records.push_back(line.substr(7));
+    }
+  }
+  std::sort(records.begin(), records.end());
+  return {records, lines.empty() ? std::string() : lines.back()};
+}
+
+constexpr char kReplayedCampaign[] =
+    "begin replayed\n"
+    "chips m1,m2\n"
+    "impls cpu-single,gpu-mps\n"
+    "sizes 24,32\n"
+    "repetitions 1\n"
+    "run\n";
+
 TEST(Chaos, SigkilledWriterColdRebuildsAndServesIdenticalQueries) {
   const auto dir = temp_dir("sigkill_query");
   const std::string killed = (dir / "killed.store").string();
   const std::string pristine = (dir / "pristine.store").string();
 
-  // The undisturbed twin: the same 14 points, written and closed cleanly.
+  // The undisturbed twin: the same 14 points, written and closed cleanly,
+  // then one campaign run by a daemon on the same store.
   {
     orchestrator::ResultCache cache;
     cache.persist_to(pristine);
@@ -959,10 +981,26 @@ TEST(Chaos, SigkilledWriterColdRebuildsAndServesIdenticalQueries) {
       cache.insert(recovery_key(i), recovery_record(i));
     }
   }
+  std::vector<std::string> campaign;
+  {
+    CampaignService::Config config;
+    config.store_path = pristine;
+    CampaignService first_run(config);
+    const auto [records, done] =
+        campaign_records(serve_lines(first_run, kReplayedCampaign));
+    ASSERT_EQ(done.rfind("done campaign ", 0), 0u) << done;
+    campaign = records;
+  }
+  ASSERT_FALSE(campaign.empty());
 
-  // The victim: a child process writes the same points, then dies by
-  // SIGKILL with a torn, newline-less entry fragment at the store's tail —
-  // the exact on-disk state an append cut mid-write leaves behind.
+  // The victim: a child process writes the same points and the campaign's
+  // entry lines, then dies by SIGKILL with a torn, newline-less entry
+  // fragment at the store's tail — the exact on-disk state an append cut
+  // mid-write leaves behind. The fragment is the first half of one of the
+  // campaign's own lines: a key the store holds, under bytes that must
+  // never be served.
+  const std::string torn_fragment =
+      campaign.front().substr(0, campaign.front().size() / 2);
   const pid_t child = fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
@@ -971,8 +1009,15 @@ TEST(Chaos, SigkilledWriterColdRebuildsAndServesIdenticalQueries) {
     for (std::size_t i = 0; i < 14; ++i) {
       cache.insert(recovery_key(i), recovery_record(i));
     }
+    for (const auto& line : campaign) {
+      const auto entry = orchestrator::parse_store_entry(line);
+      if (!entry.has_value()) {
+        _exit(43);
+      }
+      cache.insert(entry->first, entry->second);
+    }
     std::ofstream torn(killed, std::ios::app);
-    torn << "entry 0 1 0 40 1b63 b torn-mid-write";  // no newline, no digest
+    torn << torn_fragment;  // no newline, no digest
     torn.flush();
     raise(SIGKILL);
     _exit(42);  // unreachable
@@ -992,8 +1037,24 @@ TEST(Chaos, SigkilledWriterColdRebuildsAndServesIdenticalQueries) {
   CampaignService recovered(recovered_config);
 
   const auto expected = query_records(undisturbed);
-  ASSERT_EQ(expected.size(), 14u);
+  ASSERT_EQ(expected.size(), 14u + campaign.size());
   EXPECT_EQ(query_records(recovered), expected);
+
+  // Replaying the campaign reads every point through the index: nothing
+  // executes, every record is a complete line the store holds, and the
+  // torn tail is never among them.
+  const auto replay = serve_lines(recovered, kReplayedCampaign);
+  const auto [replayed, done] = campaign_records(replay);
+  ASSERT_EQ(done.rfind("done campaign ", 0), 0u) << done;
+  EXPECT_NE(done.find(" executed 0 hits " + std::to_string(campaign.size())),
+            std::string::npos)
+      << done;
+  EXPECT_EQ(replayed, campaign);
+  for (const auto& record : replayed) {
+    EXPECT_NE(record, torn_fragment);
+    EXPECT_TRUE(orchestrator::parse_store_entry(record).has_value())
+        << record;
+  }
 
   // The recovered daemon keeps appending correctly: new campaign records
   // land after the (terminated) torn tail and stay queryable.
@@ -1001,7 +1062,7 @@ TEST(Chaos, SigkilledWriterColdRebuildsAndServesIdenticalQueries) {
                                  "begin aftermath\n"
                                  "chips m1\n"
                                  "impls cpu-single\n"
-                                 "sizes 24\n"
+                                 "sizes 40\n"
                                  "repetitions 1\n"
                                  "run\n");
   ASSERT_FALSE(lines.empty());

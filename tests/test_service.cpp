@@ -11,11 +11,13 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <set>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <thread>
 #include <vector>
 
@@ -435,6 +437,86 @@ TEST(ShardPlanner, MoreShardsThanGroupsLeavesTrailingShardsEmpty) {
     populated += shard.empty() ? 0 : 1;
   }
   EXPECT_EQ(populated, 1u);
+}
+
+// Every chip of one functional (impl, n) shares one product, so the planner
+// keeps them together: with the paper's four chips and sizes 32-1024, the
+// LPT order over single groups used to split all 30 such points across
+// shards under `shards 4`, and each shard computed the product again.
+TEST(ShardPlanner, FourShardsKeepEveryImplAndSizeOnOneShard) {
+  orchestrator::Campaign campaign;
+  campaign
+      .chips({soc::ChipModel::kM1, soc::ChipModel::kM2, soc::ChipModel::kM3,
+              soc::ChipModel::kM4})
+      .sizes({32, 64, 128, 256, 512, 1024})
+      .precision_study({64})
+      .sme_gemm({64});
+  const auto groups = campaign.groups();
+  const ShardPlan plan = plan_shards(groups, 4);
+  std::map<std::tuple<orchestrator::JobKind, soc::GemmImpl, std::size_t>,
+           std::set<std::size_t>>
+      shards_of;
+  std::size_t placed = 0;
+  for (std::size_t shard = 0; shard < plan.shard_count(); ++shard) {
+    EXPECT_FALSE(plan.shard_groups[shard].empty()) << "shard " << shard;
+    EXPECT_TRUE(std::is_sorted(plan.shard_groups[shard].begin(),
+                               plan.shard_groups[shard].end()));
+    for (const std::size_t index : plan.shard_groups[shard]) {
+      const orchestrator::ExperimentJob& root = groups[index].jobs.front();
+      shards_of[{root.kind, root.impl, root.n}].insert(shard);
+      ++placed;
+    }
+  }
+  EXPECT_EQ(placed, groups.size());
+  EXPECT_EQ(shards_of.size(), 6u * 6u + 2u);
+  for (const auto& [point, shards] : shards_of) {
+    EXPECT_EQ(shards.size(), 1u)
+        << orchestrator::to_string(std::get<0>(point)) << " "
+        << soc::to_string(std::get<1>(point)) << " n=" << std::get<2>(point);
+  }
+  // Each shared product is charged once, not once per chip.
+  double per_chip_total = 0.0;
+  for (const auto& group : groups) {
+    per_chip_total += estimated_group_cost(group);
+  }
+  double planned_total = 0.0;
+  for (const double cost : plan.shard_costs) {
+    planned_total += cost;
+  }
+  EXPECT_LT(planned_total, 0.5 * per_chip_total);
+}
+
+TEST(CampaignService, FourShardStoreEqualsTheSingleShardStore) {
+  const auto dir = temp_dir("four_shards");
+  const auto run = [&](std::size_t shards) {
+    CampaignService::Config config;
+    config.store_path =
+        (dir / ("shards" + std::to_string(shards) + ".aocache")).string();
+    config.shard_dir = dir.string();
+    CampaignService service(config);
+    const auto lines = serve_lines(
+        service, "begin grid\nchips m1,m2,m3,m4\nimpls cpu-single,gpu-mps\n"
+                 "sizes 32,48,64\nrepetitions 1\nworkers 1\nshards " +
+                     std::to_string(shards) + "\nrun\n");
+    EXPECT_TRUE(starts_with(lines.back(), "done campaign ")) << lines.back();
+    std::ifstream in(config.store_path);
+    std::vector<std::string> entries;
+    std::string line;
+    while (std::getline(in, line)) {
+      if (starts_with(line, "entry ")) {
+        entries.push_back(line);
+      }
+    }
+    std::sort(entries.begin(), entries.end());
+    return std::pair{entries, lines.back()};
+  };
+  const auto [single, single_done] = run(1);
+  const auto [sharded, sharded_done] = run(4);
+  EXPECT_NE(sharded_done.find(" shards 4"), std::string::npos)
+      << sharded_done;
+  ASSERT_EQ(single.size(), 4u * 2u * 3u);
+  EXPECT_EQ(sharded, single);
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------------- sharded run --

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "orchestrator/result_cache.hpp"
@@ -286,6 +289,225 @@ TEST(ResultCacheQuery, ColdAttachRebuildsTheIndexFromTheFile) {
   EXPECT_TRUE(page->exhausted);
   for (const auto& line : page->lines) {
     EXPECT_TRUE(parse_store_entry(line).has_value()) << line;
+  }
+  std::filesystem::remove(path);
+}
+
+// --------------------------------------------------------- read-through ----
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(ReadThrough, EvictedKeyIsServedFromTheStoreAndAppendsNothing) {
+  const std::string path = temp_store("read_through");
+  ResultCache cache(4);  // the store holds 16 keys; memory holds 4
+  cache.persist_to(path);
+  for (std::size_t i = 0; i < 16; ++i) {
+    cache.insert(key_at(i), record_for(key_at(i)));
+  }
+  ASSERT_FALSE(cache.contains(key_at(0)));
+  const std::string before = file_bytes(path);
+  const CacheStats stats_before = cache.stats();
+
+  for (std::size_t i = 0; i < 16; ++i) {
+    const auto hit = cache.lookup(key_at(i));
+    ASSERT_TRUE(hit.has_value()) << "key " << i;
+    EXPECT_TRUE(*hit == record_for(key_at(i))) << "key " << i;
+    // A served point re-inserted (what a scheduler does with a miss) is
+    // already stored: nothing is appended.
+    cache.insert(key_at(i), *hit);
+  }
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits - stats_before.hits, 16u);
+  EXPECT_EQ(stats.misses, stats_before.misses);
+  EXPECT_EQ(stats.load_rejected, 0u);
+  EXPECT_TRUE(cache.contains(key_at(15)));  // promoted into the LRU
+  EXPECT_EQ(cache.store_entries(), 16u);
+  EXPECT_EQ(file_bytes(path), before);
+
+  // A key the store never held is still a miss.
+  CacheKey missing = key_at(0);
+  missing.payload_fingerprint = 999999;
+  EXPECT_FALSE(cache.lookup(missing).has_value());
+  EXPECT_EQ(cache.stats().misses, stats_before.misses + 1);
+  std::filesystem::remove(path);
+}
+
+/// Flips one bit in the middle of the line `ref` points at — corruption
+/// that happens after the line was indexed.
+void flip_bit(const std::string& path, const StoreRef& ref) {
+  std::fstream io(path, std::ios::in | std::ios::out | std::ios::binary);
+  const auto at = static_cast<std::streamoff>(ref.offset + ref.length / 2);
+  io.seekg(at);
+  char byte = 0;
+  io.get(byte);
+  io.seekp(at);
+  io.put(static_cast<char>(byte ^ 0x1));
+}
+
+TEST(ReadThrough, BitFlippedLineIsAMissAndItsRemeasureReplacesIt) {
+  const std::string path = temp_store("bit_flip");
+  {
+    ResultCache writer;
+    writer.persist_to(path);
+    for (std::size_t i = 0; i < 6; ++i) {
+      writer.insert(key_at(i), record_for(key_at(i)));
+    }
+  }
+  ResultCache cache(2);
+  cache.persist_to(path);  // indexes all six lines, loads none
+  const auto ref = cache.store_index().find(key_at(3));
+  ASSERT_TRUE(ref.has_value());
+  flip_bit(path, *ref);
+
+  EXPECT_FALSE(cache.lookup(key_at(3)).has_value());
+  EXPECT_EQ(cache.stats().load_rejected, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_FALSE(cache.store_index().find(key_at(3)).has_value());
+  EXPECT_FALSE(cache.fetch_entry(key_at(3)).has_value());
+  EXPECT_EQ(cache.stats().load_rejected, 1u);  // counted once
+
+  // The re-measured record is appended and indexed in the corrupt line's
+  // place; once evicted again it is served from the new line.
+  cache.insert(key_at(3), record_for(key_at(3)));
+  EXPECT_EQ(cache.store_entries(), 7u);
+  const auto fresh = cache.store_index().find(key_at(3));
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_GT(fresh->offset, ref->offset);
+  cache.lookup(key_at(0));
+  cache.lookup(key_at(1));
+  ASSERT_FALSE(cache.contains(key_at(3)));
+  const auto served = cache.lookup(key_at(3));
+  ASSERT_TRUE(served.has_value());
+  EXPECT_TRUE(*served == record_for(key_at(3)));
+  EXPECT_EQ(cache.stats().load_rejected, 1u);
+
+  // A later attach indexes the new line and skips the corrupt one.
+  ResultCache restarted;
+  restarted.persist_to(path);
+  EXPECT_EQ(restarted.store_index().find(key_at(3)), fresh);
+  std::filesystem::remove(path);
+}
+
+// A page that meets a line corrupted after indexing drops it like lookup()
+// does and is cut again without it, instead of failing the query.
+TEST(ReadThrough, QueryDropsACorruptLineAndServesTheRest) {
+  const std::string path = temp_store("query_flip");
+  ResultCache cache(2);
+  cache.persist_to(path);
+  for (std::size_t i = 0; i < 6; ++i) {
+    cache.insert(key_at(i), record_for(key_at(i)));
+  }
+  const auto ref = cache.store_index().find(key_at(4));
+  ASSERT_TRUE(ref.has_value());
+  flip_bit(path, *ref);
+
+  std::string code;
+  const auto page = cache.query(QueryFilter{}, 100, "", &code);
+  ASSERT_TRUE(page.has_value()) << code;
+  EXPECT_EQ(page->lines.size(), 5u);
+  EXPECT_EQ(page->matched, 5u);
+  for (const auto& line : page->lines) {
+    const auto parsed = parse_store_entry(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    EXPECT_FALSE(parsed->first == key_at(4));
+  }
+  EXPECT_EQ(cache.stats().load_rejected, 1u);
+  EXPECT_FALSE(cache.store_index().find(key_at(4)).has_value());
+  std::filesystem::remove(path);
+}
+
+TEST(ReadThrough, CompactionAfterEvictionsKeepsEveryDiskOnlyKey) {
+  const std::string path = temp_store("compact_evicted");
+  ResultCache cache(3);
+  cache.persist_to(path);
+  for (std::size_t i = 0; i < 20; ++i) {
+    cache.insert(key_at(i), record_for(key_at(i)));
+  }
+  ASSERT_EQ(cache.size(), 3u);  // 17 keys live only on disk
+  EXPECT_EQ(cache.compact(), 20u);
+  EXPECT_EQ(cache.store_entries(), 20u);
+  EXPECT_EQ(cache.save(path), 20u);  // save() onto the store compacts too
+
+  ResultCache cold;
+  EXPECT_EQ(cold.load(path), 20u);
+  EXPECT_EQ(cold.stats().load_rejected, 0u);
+  for (std::size_t i = 0; i < 20; ++i) {
+    const auto hit = cache.lookup(key_at(i));  // read through the rewrite
+    ASSERT_TRUE(hit.has_value()) << "key " << i;
+    EXPECT_TRUE(*hit == record_for(key_at(i))) << "key " << i;
+    EXPECT_TRUE(cold.contains(key_at(i))) << "key " << i;
+  }
+  std::filesystem::remove(path);
+}
+
+// Lookups reading through a tiny LRU, inserts of new keys and explicit
+// compactions, all at once: every lookup of a stored key hits with its own
+// bits, and the final store holds every key exactly once. Part of the TSan
+// job's suite.
+TEST(ReadThrough, ConcurrentLookupInsertAndCompactLoseNothing) {
+  const std::string path = temp_store("stress");
+  constexpr std::size_t kStored = 64;
+  constexpr std::size_t kInserted = 64;
+  {
+    ResultCache writer;
+    writer.persist_to(path);
+    for (std::size_t i = 0; i < kStored; ++i) {
+      writer.insert(key_at(i), record_for(key_at(i)));
+    }
+  }
+  ResultCache cache(8);
+  cache.persist_to(path);
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t round = 0; round < 16; ++round) {
+        for (std::size_t i = t; i < kStored; i += 3) {
+          const auto hit = cache.lookup(key_at(i));
+          if (!hit.has_value() || !(*hit == record_for(key_at(i)))) {
+            ++wrong;
+          }
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (std::size_t i = kStored; i < kStored + kInserted; ++i) {
+      cache.insert(key_at(i), record_for(key_at(i)));
+      if (!cache.fetch_entry(key_at(i)).has_value()) {
+        ++wrong;
+      }
+    }
+    done = true;
+  });
+  threads.emplace_back([&] {
+    while (!done) {
+      cache.compact();
+      std::string code;
+      if (!cache.query(QueryFilter{}, 16, "", &code).has_value()) {
+        ++wrong;
+      }
+    }
+  });
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(cache.stats().load_rejected, 0u);
+  cache.compact();
+  EXPECT_EQ(cache.store_entries(), kStored + kInserted);
+  ResultCache cold(kStored + kInserted);
+  EXPECT_EQ(cold.load(path), kStored + kInserted);
+  for (std::size_t i = 0; i < kStored + kInserted; ++i) {
+    const auto hit = cold.lookup(key_at(i));
+    ASSERT_TRUE(hit.has_value()) << "key " << i;
+    EXPECT_TRUE(*hit == record_for(key_at(i))) << "key " << i;
   }
   std::filesystem::remove(path);
 }

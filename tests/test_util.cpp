@@ -2,14 +2,20 @@
 #include <sys/mman.h>
 
 #include <atomic>
+#include <cinttypes>
+#include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "util/aligned_buffer.hpp"
 #include "util/ascii_chart.hpp"
 #include "util/csv_writer.hpp"
 #include "util/error.hpp"
+#include "util/hex.hpp"
 #include "util/rng.hpp"
 #include "util/statistics.hpp"
 #include "util/table_printer.hpp"
@@ -20,6 +26,84 @@ namespace ao::util {
 namespace {
 
 // ---------------------------------------------------------------- units ----
+
+// ------------------------------------------------------------ hex tokens --
+
+TEST(HexTokens, AppendMatchesPrintfAndParseRoundTrips) {
+  Xoshiro256 rng(11);
+  std::vector<std::uint64_t> values{0, 1, 0xf, 0x10, ~0ull, 1ull << 63};
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(rng.next() >> rng.next_below(64));
+  }
+  for (const std::uint64_t value : values) {
+    char expected[32];
+    std::snprintf(expected, sizeof expected, "%" PRIx64, value);
+    std::string out = "x";
+    append_hex_u64(out, value);
+    EXPECT_EQ(out, std::string("x") + expected);
+    EXPECT_EQ(to_hex_u64(value), expected);
+    std::uint64_t parsed = 0;
+    ASSERT_TRUE(parse_hex_u64(out.substr(1), parsed));
+    EXPECT_EQ(parsed, value);
+  }
+  std::uint64_t ignored = 0;
+  EXPECT_TRUE(parse_hex_u64("0000000000000001", ignored));  // 16 digits
+  EXPECT_FALSE(parse_hex_u64("00000000000000001", ignored));  // 17 digits
+  EXPECT_FALSE(parse_hex_u64("", ignored));
+  EXPECT_FALSE(parse_hex_u64("A", ignored));  // lowercase only
+  EXPECT_FALSE(parse_hex_u64("1 ", ignored));
+  EXPECT_FALSE(parse_hex_u64(std::string("1\0", 2), ignored));
+}
+
+// next_token() replaced an istringstream: it must split every byte string
+// exactly as `operator>>` does, and leave the same remainder a getline
+// after any number of tokens would read.
+TEST(HexTokens, NextTokenSplitsExactlyLikeAnIstream) {
+  const std::string alphabet("ab0F- \t\n\v\f\r\xa0\x85\0#", 15);
+  Xoshiro256 rng(5);
+  std::vector<std::string> corpus{"", " ", "a", " a ", "a\tb", "\n\na  b\n",
+                                  "a\v\f\rb", "entry 0 1\t2  3\n4 rest"};
+  for (int i = 0; i < 3000; ++i) {
+    std::string text;
+    const std::size_t length = rng.next_below(24);
+    for (std::size_t j = 0; j < length; ++j) {
+      text += alphabet[rng.next_below(alphabet.size())];
+    }
+    corpus.push_back(text);
+  }
+  for (const std::string& text : corpus) {
+    std::vector<std::string> expected;
+    {
+      std::istringstream in(text);
+      std::string token;
+      while (in >> token) {
+        expected.push_back(token);
+      }
+    }
+    std::vector<std::string> actual;
+    std::string_view rest = text;
+    for (std::string_view token = next_token(rest); !token.empty();
+         token = next_token(rest)) {
+      actual.emplace_back(token);
+    }
+    ASSERT_EQ(actual, expected) << "text of " << text.size() << " bytes";
+    for (std::size_t taken = 0; taken <= expected.size(); ++taken) {
+      std::istringstream in(text);
+      std::string token;
+      for (std::size_t k = 0; k < taken; ++k) {
+        in >> token;
+      }
+      std::string line;
+      std::getline(in, line);
+      std::string_view view = text;
+      for (std::size_t k = 0; k < taken; ++k) {
+        next_token(view);
+      }
+      EXPECT_EQ(std::string(view.substr(0, view.find('\n'))), line)
+          << "after " << taken << " tokens";
+    }
+  }
+}
 
 TEST(Units, BandwidthConversion) {
   // 1e9 bytes in 1e9 ns (1 s) is 1 GB/s.
