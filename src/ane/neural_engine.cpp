@@ -1,5 +1,6 @@
 #include "ane/neural_engine.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "amx/float16.hpp"
@@ -26,14 +27,19 @@ void gemm_fp16_host(std::size_t m, std::size_t n, std::size_t k,
   for (std::size_t i = 0; i < k * n; ++i) {
     b16[i] = amx::round_to_half(b[i]);
   }
+  // i-k-j over a row of FP32 accumulators: each element still sums its
+  // products in k order from 0.0f (the bits of an i-j-k dot product), but B
+  // is streamed by rows.
   util::global_pool().parallel_for(m, [&](std::size_t i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      float acc = 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        acc += a16[i * k + kk] * b16[kk * n + j];
+    std::vector<float> acc(n, 0.0f);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float a_ik = a16[i * k + kk];
+      const float* b_row = b16.data() + kk * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        acc[j] += a_ik * b_row[j];
       }
-      c[i * n + j] = acc;
     }
+    std::copy(acc.begin(), acc.end(), c + i * n);
   });
 }
 

@@ -5,8 +5,10 @@
 namespace ao::gemm {
 
 /// GPU-Naive: the naive algorithm as a Metal shader, one thread per C
-/// element (Table 2 row 3). Loads the `gemm_naive` function from the shader
-/// library on construction, as the paper loads its .metallib on startup.
+/// element (Table 2 row 3); the host runs each threadgroup's threads in
+/// lockstep over k (see shaders/gemm_shaders.hpp). Loads the `gemm_naive`
+/// function from the shader library on construction, as the paper loads its
+/// .metallib on startup.
 class GpuNaiveGemm final : public IGemm {
  public:
   explicit GpuNaiveGemm(GemmContext& context);

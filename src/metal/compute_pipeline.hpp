@@ -17,7 +17,10 @@ class ComputePipelineState {
   Device& device() { return *device_; }
 
   /// Hardware limit on threads per threadgroup (1024 on Apple GPUs).
-  std::uint32_t max_total_threads_per_threadgroup() const { return 1024; }
+  static constexpr std::uint32_t kMaxTotalThreadsPerThreadgroup = 1024;
+  std::uint32_t max_total_threads_per_threadgroup() const {
+    return kMaxTotalThreadsPerThreadgroup;
+  }
 
   /// SIMD-group width (32 on Apple GPUs).
   std::uint32_t thread_execution_width() const { return 32; }

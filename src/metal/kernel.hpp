@@ -37,14 +37,15 @@ struct WorkEstimate {
   static WorkEstimate stream(soc::StreamKernel kernel, std::uint64_t bytes);
 };
 
-/// Per-thread kernel body (no threadgroup memory / barriers): STREAM kernels
-/// and the naive GEMM shader.
+/// Per-thread kernel body (no threadgroup memory / barriers), called once
+/// per thread: the STREAM kernels.
 using ThreadKernelFn =
     std::function<void(const ArgumentTable&, const ThreadContext&)>;
 
-/// Per-threadgroup kernel body (threadgroup memory + barrier phases): the
-/// Cutlass-style tiled GEMM shader. See GroupContext for the execution
-/// contract.
+/// Per-threadgroup kernel body, called once per threadgroup: the
+/// Cutlass-style tiled GEMM shader (threadgroup memory + barrier phases) and
+/// the naive GEMM shader (its threads run in lockstep over k). See
+/// GroupContext for the execution contract.
 using GroupKernelFn =
     std::function<void(const ArgumentTable&, const GroupContext&)>;
 

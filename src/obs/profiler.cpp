@@ -8,6 +8,14 @@
 #include <unordered_set>
 
 namespace ao::obs {
+
+struct TimelineProfiler::ThreadBuffer {
+  std::mutex mutex;
+  std::vector<Span> spans;
+  std::size_t dropped = 0;
+  bool retired = false;  ///< its thread has exited
+};
+
 namespace {
 
 // The phase glossary — index = static_cast<size_t>(Phase). These names are
@@ -36,10 +44,29 @@ struct OpenScopeEntry {
 };
 thread_local std::vector<OpenScopeEntry> t_open_scopes;
 
-/// This thread's registered buffer per profiler uid. Uids are never reused,
-/// so an entry for a destroyed profiler can only go stale, never alias a
-/// new one.
-thread_local std::unordered_map<std::uint64_t, void*> t_buffers;
+/// This thread's registered buffer per profiler uid. The profiler owns the
+/// buffer; when the thread exits, the map's destructor marks each buffer
+/// whose profiler still lives as retired, and that profiler's next drain()
+/// frees it. Uids are never reused, so an entry for a destroyed profiler can
+/// only go stale, never alias a new one; stale entries are pruned whenever
+/// the thread registers with another profiler.
+struct ThreadBufferMap {
+  struct Entry {
+    TimelineProfiler::ThreadBuffer* buffer;
+    std::weak_ptr<TimelineProfiler::ThreadBuffer> owner;
+  };
+  std::unordered_map<std::uint64_t, Entry> by_uid;
+
+  ~ThreadBufferMap() {
+    for (auto& [uid, entry] : by_uid) {
+      if (const auto buffer = entry.owner.lock()) {
+        std::lock_guard lock(buffer->mutex);
+        buffer->retired = true;
+      }
+    }
+  }
+};
+thread_local ThreadBufferMap t_buffers;
 
 std::atomic<std::uint64_t> g_next_profiler_uid{1};
 
@@ -85,14 +112,17 @@ std::uint64_t TimelineProfiler::now() const {
 }
 
 TimelineProfiler::ThreadBuffer& TimelineProfiler::local_buffer() {
-  void*& cached = t_buffers[uid_];
-  if (cached == nullptr) {
-    auto buffer = std::make_unique<ThreadBuffer>();
-    cached = buffer.get();
+  ThreadBufferMap::Entry& cached = t_buffers.by_uid[uid_];
+  if (cached.buffer == nullptr) {
+    std::erase_if(t_buffers.by_uid, [](const auto& entry) {
+      return entry.second.buffer != nullptr && entry.second.owner.expired();
+    });
+    auto buffer = std::make_shared<ThreadBuffer>();
+    cached = {buffer.get(), buffer};
     std::lock_guard lock(buffers_mutex_);
     buffers_.push_back(std::move(buffer));
   }
-  return *static_cast<ThreadBuffer*>(cached);
+  return *cached.buffer;
 }
 
 void TimelineProfiler::append(Span span) {
@@ -155,12 +185,16 @@ std::vector<Span> TimelineProfiler::snapshot() const {
 std::vector<Span> TimelineProfiler::drain() {
   std::vector<Span> out;
   std::lock_guard lock(buffers_mutex_);
-  for (const auto& buffer : buffers_) {
+  std::erase_if(buffers_, [&](const std::shared_ptr<ThreadBuffer>& buffer) {
     std::lock_guard buffer_lock(buffer->mutex);
     out.insert(out.end(), std::make_move_iterator(buffer->spans.begin()),
                std::make_move_iterator(buffer->spans.end()));
-    buffer->spans.clear();
-  }
+    std::vector<Span>().swap(buffer->spans);
+    if (buffer->retired) {
+      retired_dropped_ += buffer->dropped;
+    }
+    return buffer->retired;
+  });
   std::sort(out.begin(), out.end(),
             [](const Span& a, const Span& b) { return a.id < b.id; });
   return out;
@@ -177,13 +211,18 @@ std::size_t TimelineProfiler::span_count() const {
 }
 
 std::size_t TimelineProfiler::dropped() const {
-  std::size_t count = 0;
   std::lock_guard lock(buffers_mutex_);
+  std::size_t count = retired_dropped_;
   for (const auto& buffer : buffers_) {
     std::lock_guard buffer_lock(buffer->mutex);
     count += buffer->dropped;
   }
   return count;
+}
+
+std::size_t TimelineProfiler::live_buffers() const {
+  std::lock_guard lock(buffers_mutex_);
+  return buffers_.size();
 }
 
 // ------------------------------------------------------------------ Scope --

@@ -159,7 +159,9 @@ class TimelineProfiler {
 
   /// snapshot() + clear: hands the completed spans over exactly once — the
   /// service drains after each campaign so a long-running daemon's memory
-  /// stays bounded. Open scopes are unaffected (they record on close).
+  /// stays bounded. Each buffer's capacity is released, and the buffers of
+  /// exited threads are freed. Open scopes are unaffected (they record on
+  /// close).
   std::vector<Span> drain();
 
   /// Completed spans currently buffered.
@@ -168,13 +170,15 @@ class TimelineProfiler {
   /// Spans lost to per-thread buffer overflow since construction.
   std::size_t dropped() const;
 
- private:
-  struct ThreadBuffer {
-    mutable std::mutex mutex;
-    std::vector<Span> spans;
-    std::size_t dropped = 0;
-  };
+  /// Per-thread buffers currently held. A thread's buffer is retired when
+  /// the thread exits and freed by the next drain(), so a daemon that runs
+  /// each campaign on a fresh thread pool holds only its live threads'.
+  std::size_t live_buffers() const;
 
+  /// One thread's completed spans (defined in profiler.cpp).
+  struct ThreadBuffer;
+
+ private:
   ThreadBuffer& local_buffer();
   void append(Span span);
   std::uint64_t resolve_parent(std::uint64_t requested) const;
@@ -183,7 +187,8 @@ class TimelineProfiler {
   const std::uint64_t uid_;  ///< process-unique; keys the thread-local map
   std::atomic<std::uint64_t> next_id_{1};
   mutable std::mutex buffers_mutex_;  ///< registration + collection
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
+  std::size_t retired_dropped_ = 0;  ///< dropped() of freed buffers
 };
 
 /// Per-phase aggregates over `spans` (nearest-rank percentiles).

@@ -12,6 +12,10 @@ namespace ao::shaders {
 ///
 /// The naive shader assigns one thread per C element (row = global y,
 /// col = global x) and walks the full k dimension with no data staging.
+/// Written as a GroupKernel: the host runs a threadgroup's threads in
+/// lockstep over k, as a SIMD-group does, so each step reads a row of B.
+/// Every thread still adds its own products in k order from 0.0f, so C is
+/// bit-identical to one call per thread. Any threads_per_threadgroup works.
 metal::Kernel make_gemm_naive();
 
 /// The Cutlass-style tiled shader stages 32 x 32 tiles of A and B through
@@ -19,7 +23,8 @@ metal::Kernel make_gemm_naive();
 /// thread accumulating a 4 x 4 register micro-tile. Written as a GroupKernel:
 /// the explicit phase loops correspond to the MSL version's
 /// threadgroup_barrier(mem_flags::mem_threadgroup) between the load and
-/// multiply phases.
+/// multiply phases. In the multiply phase the threads run in lockstep over
+/// k, a full tile row at a time; each accumulator keeps its k order.
 metal::Kernel make_gemm_tiled();
 
 /// Tile geometry of the tiled shader (exported for dispatch-size math).

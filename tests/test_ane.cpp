@@ -1,13 +1,43 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "accelerate/reference_blas.hpp"
+#include "amx/float16.hpp"
 #include "ane/neural_engine.hpp"
 #include "util/rng.hpp"
 
 namespace ao::ane {
 namespace {
+
+/// The FP16-ingest / FP32-accumulate datapath as a plain i-j-k dot product:
+/// the loop the host GEMM ran before its i-k-j rewrite, kept as the
+/// bit-exact oracle for it.
+std::vector<float> fp16_gemm_ijk(std::size_t m, std::size_t n, std::size_t k,
+                                 const std::vector<float>& a,
+                                 const std::vector<float>& b) {
+  std::vector<float> c(m * n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        acc += amx::round_to_half(a[i * k + kk]) *
+               amx::round_to_half(b[kk * n + j]);
+      }
+      c[i * n + j] = acc;
+    }
+  }
+  return c;
+}
+
+struct GemmShape {
+  std::size_t m, n, k;
+};
+
+/// One shape whose every edge is a multiple of 16 (ANE-compatible) and one
+/// whose edges are not.
+constexpr GemmShape kBitExactShapes[] = {{48, 80, 32}, {33, 17, 100}};
 
 TEST(NeuralEngine, SixteenCoresEveryGeneration) {
   for (const auto chip : soc::kAllChipModels) {
@@ -56,6 +86,23 @@ TEST(NeuralEngine, GemmMatchesReferenceAtFp16Accuracy) {
                                                         c.data(), n, n, n);
   EXPECT_LT(err, 0.05f);
   EXPECT_GT(err, 0.0f);  // FP16 rounding must actually be visible
+}
+
+TEST(NeuralEngine, GemmIsBitIdenticalToAnIjkDotProduct) {
+  soc::Soc soc(soc::ChipModel::kM2);
+  NeuralEngine ane(soc);
+  for (const auto [m, n, k] : kBitExactShapes) {
+    std::vector<float> a(m * k);
+    std::vector<float> b(k * n);
+    std::vector<float> c(m * n, -1.0f);
+    util::fill_uniform(std::span<float>(a), 3);
+    util::fill_uniform(std::span<float>(b), 4);
+    ane.run_gemm_fp16(m, n, k, a.data(), b.data(), c.data());
+    const auto expected = fp16_gemm_ijk(m, n, k, a, b);
+    EXPECT_EQ(std::memcmp(c.data(), expected.data(), c.size() * sizeof(float)),
+              0)
+        << m << "x" << n << "x" << k;
+  }
 }
 
 TEST(NeuralEngine, ChargesAneTimeAndPower) {
@@ -112,6 +159,25 @@ TEST(CoreMLRuntime, PreferenceRestrictsPlacement) {
   EXPECT_EQ(cpu_ane.plan_gemm(256, 256, 256), DispatchTarget::kNeuralEngine);
   // ANE-preferring runtime still falls back to CPU for incompatible shapes.
   EXPECT_EQ(cpu_ane.plan_gemm(100, 100, 100), DispatchTarget::kCpu);
+}
+
+TEST(CoreMLRuntime, GpuFallbackIsBitIdenticalToAnIjkDotProduct) {
+  soc::Soc soc(soc::ChipModel::kM3);
+  CoreMLRuntime runtime(soc, ComputeUnits::kCpuAndGpu);
+  for (const auto [m, n, k] : kBitExactShapes) {
+    std::vector<float> a(m * k);
+    std::vector<float> b(k * n);
+    std::vector<float> c(m * n, -1.0f);
+    util::fill_uniform(std::span<float>(a), 5);
+    util::fill_uniform(std::span<float>(b), 6);
+    const Prediction p =
+        runtime.predict_gemm(m, n, k, a.data(), b.data(), c.data());
+    EXPECT_EQ(p.target, DispatchTarget::kGpu);
+    const auto expected = fp16_gemm_ijk(m, n, k, a, b);
+    EXPECT_EQ(std::memcmp(c.data(), expected.data(), c.size() * sizeof(float)),
+              0)
+        << m << "x" << n << "x" << k;
+  }
 }
 
 TEST(CoreMLRuntime, NamesMatchCoreML) {

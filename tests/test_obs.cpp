@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/span_codec.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ao::obs {
 namespace {
@@ -203,6 +205,47 @@ TEST(ObsProfiler, ThreadsRecordToTheirOwnBuffers) {
     EXPECT_LT(spans[i - 1].id, spans[i].id);
   }
   EXPECT_EQ(profiler.dropped(), 0u);
+}
+
+TEST(ObsProfiler, ExitedThreadsBuffersAreFreedByDrain) {
+  // A daemon runs each campaign on a fresh pool: the buffers of its exited
+  // threads must not pile up, and their spans and drop counts must survive.
+  TimelineProfiler profiler(counter_clock());
+  const std::size_t extra = 3;
+  std::thread overflowing([&profiler] {
+    for (std::size_t i = 0;
+         i < TimelineProfiler::kMaxSpansPerThread + extra; ++i) {
+      TimelineProfiler::Scope scope(&profiler, Phase::kFrame, 0);
+    }
+  });
+  overflowing.join();
+  EXPECT_EQ(profiler.live_buffers(), 1u);
+  EXPECT_EQ(profiler.drain().size(), TimelineProfiler::kMaxSpansPerThread);
+  EXPECT_EQ(profiler.live_buffers(), 0u);
+  EXPECT_EQ(profiler.dropped(), extra);
+
+  constexpr std::size_t kPools = 100;
+  constexpr std::size_t kTasks = 16;
+  std::set<std::uint64_t> ids;
+  for (std::size_t round = 0; round < kPools; ++round) {
+    {
+      util::ThreadPool pool(2);
+      pool.parallel_for(kTasks, [&profiler](std::size_t) {
+        TimelineProfiler::Scope scope(&profiler, Phase::kExecute, 0);
+      });
+    }
+    { TimelineProfiler::Scope scope(&profiler, Phase::kCampaign, 0); }
+    const auto spans = profiler.drain();
+    ASSERT_EQ(spans.size(), kTasks + 1) << "round " << round;
+    for (const Span& span : spans) {
+      EXPECT_TRUE(ids.insert(span.id).second) << "span " << span.id;
+    }
+    // Only this thread's buffer outlives the drain.
+    ASSERT_EQ(profiler.live_buffers(), 1u) << "round " << round;
+  }
+  EXPECT_EQ(ids.size(), kPools * (kTasks + 1));
+  EXPECT_TRUE(profiler.drain().empty());
+  EXPECT_EQ(profiler.dropped(), extra);
 }
 
 // ------------------------------------------------------------ aggregation --
