@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
       .concurrency(workers);
 
   if (!json) {
-    std::cout << "Campaign: " << campaign.job_count() << " jobs on "
+    std::cout << "Campaign: " << campaign.jobs().size() << " jobs on "
               << workers << " workers\n";
   }
   const auto first = campaign.run();
@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
   campaign.sizes({256, 512, 1024, 2048, 4096});
   const auto widened = campaign.run();
   if (json) {
-    print_json(std::cout, workers, campaign.job_count(), cache_path, warmed,
+    print_json(std::cout, workers, campaign.jobs().size(), cache_path, warmed,
                {{"first", &first}, {"second", &second}, {"widened", &widened}},
                profiler.snapshot());
   } else {

@@ -23,6 +23,11 @@ bool functional_at(const GemmExperiment::Options& options, soc::GemmImpl impl,
   return it != options.functional_n_max.end() && n <= it->second;
 }
 
+bool verified_at(const GemmExperiment::Options& options, soc::GemmImpl impl,
+                 std::size_t n) {
+  return functional_at(options, impl, n) && n <= options.verify_n_max;
+}
+
 void verify_measurement(GemmMeasurement& m, const MatrixView& matrices) {
   if (!m.functional) {
     return;  // nothing was computed; there is nothing to check
@@ -53,7 +58,7 @@ GemmMeasurement GemmExperiment::measure(gemm::IGemm& impl, MatrixSet& matrices) 
 GemmMeasurement GemmExperiment::measure(gemm::IGemm& impl,
                                         const MatrixView& matrices) {
   GemmMeasurement m = measure_timed(impl, matrices);
-  if (m.functional && m.n <= options_.verify_n_max) {
+  if (verified_at(options_, m.impl, m.n)) {
     verify_measurement(m, matrices);
   }
   return m;

@@ -78,9 +78,9 @@ class GemmExperiment {
   /// SGEMM (when functional and n <= verify_n_max).
   GemmMeasurement measure(gemm::IGemm& impl, const MatrixView& matrices);
 
-  /// Timing + power only, no verification — the orchestrator splits
-  /// verification into a dependent job so it can run off the measurement
-  /// critical path. With `compute == false` every repetition runs
+  /// Timing + power only, no verification — the orchestrator verifies after
+  /// releasing the simulated System, against a reference product it
+  /// computes once per size. With `compute == false` every repetition runs
   /// model-only, charging the same simulated time, while the record's
   /// `functional` still reports functional_at(): the orchestrator computes
   /// each (impl, n) product once per campaign and shares it across chips.
@@ -113,11 +113,15 @@ class GemmExperiment {
 bool functional_at(const GemmExperiment::Options& options, soc::GemmImpl impl,
                    std::size_t n);
 
+/// True when `impl` at size `n` is functional and its output is checked
+/// against the reference SGEMM (n <= verify_n_max).
+bool verified_at(const GemmExperiment::Options& options, soc::GemmImpl impl,
+                 std::size_t n);
+
 /// Checks a functional measurement's output against the double-accumulating
 /// reference SGEMM, filling `m.max_error` / `m.verified`. No-op for
 /// non-functional measurements (nothing was computed). Needs only host
-/// buffers, so the orchestrator can run it as a dependent job without
-/// leasing a simulated System.
+/// buffers, not a simulated System.
 void verify_measurement(GemmMeasurement& m, const MatrixView& matrices);
 
 /// verify_measurement() against a reference product the caller already

@@ -128,9 +128,9 @@ Campaign& Campaign::profiler(obs::TimelineProfiler* profiler) {
   return *this;
 }
 
-std::vector<Campaign::JobGroup> Campaign::groups() const {
+std::vector<ExperimentJob> Campaign::jobs() const {
   AO_REQUIRE(!chips_.empty(), "campaign needs at least one chip");
-  std::vector<JobGroup> out;
+  std::vector<ExperimentJob> out;
   for (const auto chip : chips_) {
     for (const std::size_t n : sizes_) {
       for (const auto impl : impls_) {
@@ -145,20 +145,7 @@ std::vector<Campaign::JobGroup> Campaign::groups() const {
         measure.chip = chip;
         measure.impl = impl;
         measure.n = n;
-        measure.expects_verify = harness::functional_at(options_, impl, n) &&
-                                 n <= options_.verify_n_max;
-        JobGroup group;
-        group.jobs.push_back(measure);
-        if (measure.expects_verify) {
-          ExperimentJob verify;
-          verify.kind = JobKind::kGemmVerify;
-          verify.priority = measure.priority;
-          verify.chip = chip;
-          verify.impl = impl;
-          verify.n = n;
-          group.jobs.push_back(verify);
-        }
-        out.push_back(std::move(group));
+        out.push_back(measure);
       }
     }
     for (const int threads : stream_thread_counts_) {
@@ -168,7 +155,7 @@ std::vector<Campaign::JobGroup> Campaign::groups() const {
       job.stream_threads = threads;
       job.stream_repetitions = stream_repetitions_;
       job.stream_elements = stream_elements_;
-      out.push_back({{job}});
+      out.push_back(job);
     }
     if (gpu_stream_) {
       ExperimentJob job;
@@ -176,7 +163,7 @@ std::vector<Campaign::JobGroup> Campaign::groups() const {
       job.chip = chip;
       job.stream_repetitions = gpu_stream_repetitions_;
       job.stream_elements = gpu_stream_elements_;
-      out.push_back({{job}});
+      out.push_back(job);
     }
     for (const std::size_t n : precision_sizes_) {
       ExperimentJob job;
@@ -184,7 +171,7 @@ std::vector<Campaign::JobGroup> Campaign::groups() const {
       job.chip = chip;
       job.n = n;
       job.study_seed = precision_seed_;
-      out.push_back({{job}});
+      out.push_back(job);
     }
     for (const std::size_t n : ane_sizes_) {
       ExperimentJob job;
@@ -192,7 +179,7 @@ std::vector<Campaign::JobGroup> Campaign::groups() const {
       job.chip = chip;
       job.n = n;
       job.ane_functional = ane_functional_;
-      out.push_back({{job}});
+      out.push_back(job);
     }
     for (const std::size_t n : fp64emu_sizes_) {
       ExperimentJob job;
@@ -200,7 +187,7 @@ std::vector<Campaign::JobGroup> Campaign::groups() const {
       job.chip = chip;
       job.n = n;
       job.study_seed = fp64emu_seed_;
-      out.push_back({{job}});
+      out.push_back(job);
     }
     for (const std::size_t n : sme_sizes_) {
       ExperimentJob job;
@@ -208,61 +195,38 @@ std::vector<Campaign::JobGroup> Campaign::groups() const {
       job.chip = chip;
       job.n = n;
       job.study_seed = sme_seed_;
-      out.push_back({{job}});
+      out.push_back(job);
     }
     if (power_idle_) {
       ExperimentJob job;
       job.kind = JobKind::kPowerIdle;
       job.chip = chip;
       job.power_window_seconds = power_window_seconds_;
-      out.push_back({{job}});
+      out.push_back(job);
     }
   }
   return out;
 }
 
-namespace {
-
-void push_group(JobQueue& queue, const Campaign::JobGroup& group) {
-  const JobId root = queue.push(group.jobs.front());
-  for (std::size_t i = 1; i < group.jobs.size(); ++i) {
-    ExperimentJob dependent = group.jobs[i];
-    dependent.parent = root;
-    queue.push(dependent, {root});
+void push_jobs(JobQueue& queue, const std::vector<ExperimentJob>& jobs) {
+  for (const ExperimentJob& job : jobs) {
+    queue.push(job);
   }
 }
 
-}  // namespace
-
-void push_groups(JobQueue& queue,
-                 const std::vector<Campaign::JobGroup>& groups) {
-  for (const Campaign::JobGroup& group : groups) {
-    push_group(queue, group);
+void push_job_subset(JobQueue& queue, const std::vector<ExperimentJob>& jobs,
+                     const std::vector<std::size_t>& job_indices) {
+  for (const std::size_t index : job_indices) {
+    AO_REQUIRE(index < jobs.size(), "shard job index out of range");
+    queue.push(jobs[index]);
   }
 }
 
-void push_group_subset(JobQueue& queue,
-                       const std::vector<Campaign::JobGroup>& groups,
-                       const std::vector<std::size_t>& group_indices) {
-  for (const std::size_t index : group_indices) {
-    AO_REQUIRE(index < groups.size(), "shard group index out of range");
-    push_group(queue, groups[index]);
-  }
-}
-
-void Campaign::expand(JobQueue& queue) const { push_groups(queue, groups()); }
+void Campaign::expand(JobQueue& queue) const { push_jobs(queue, jobs()); }
 
 void Campaign::expand_subset(
-    JobQueue& queue, const std::vector<std::size_t>& group_indices) const {
-  push_group_subset(queue, groups(), group_indices);
-}
-
-std::size_t Campaign::job_count() const {
-  std::size_t count = 0;
-  for (const JobGroup& group : groups()) {
-    count += group.jobs.size();
-  }
-  return count;
+    JobQueue& queue, const std::vector<std::size_t>& job_indices) const {
+  push_job_subset(queue, jobs(), job_indices);
 }
 
 CampaignResult Campaign::run() {

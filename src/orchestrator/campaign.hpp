@@ -33,9 +33,9 @@ struct CampaignResult {
 
 /// Builder-style front end of the orchestrator: describes a benchmark
 /// campaign as (chips x implementations x sizes) plus any mix of STREAM,
-/// precision, ANE and power work, expands it into a dependency-ordered
-/// JobQueue (verification jobs depend on their measurement jobs; the
-/// paper's skip rules are honored), and runs it on a CampaignScheduler.
+/// precision, ANE and power work, expands it into a JobQueue of independent
+/// jobs (one per point; the paper's skip rules are honored), and runs it on
+/// a CampaignScheduler.
 ///
 ///   orchestrator::ResultCache cache;
 ///   cache.load("results.aocache");       // warm from a previous process
@@ -91,31 +91,19 @@ class Campaign {
   /// spans through the scheduler. nullptr (the default) disables.
   Campaign& profiler(obs::TimelineProfiler* profiler);
 
-  /// One independently schedulable unit of the sweep: a measurement job
-  /// plus the jobs that depend on it (today: its verify job). Groups are the
-  /// granularity campaigns shard at — no dependency edge ever crosses a
-  /// group, so any subset of groups is a self-contained job graph.
-  struct JobGroup {
-    std::vector<ExperimentJob> jobs;  ///< jobs[0] is the root; the rest
-                                      ///< depend on it
-  };
-
-  /// The sweep as an ordered group list. The order (and so each group's
-  /// index) is deterministic for a given campaign description — shard plans
-  /// built by one process address the same groups in another.
-  std::vector<JobGroup> groups() const;
+  /// The sweep as an ordered job list, one job per record. The order (and so
+  /// each job's index) is deterministic for a given campaign description —
+  /// shard plans built by one process address the same jobs in another.
+  std::vector<ExperimentJob> jobs() const;
 
   /// Expands the sweep into `queue`. Exposed for tests and custom
   /// schedulers; run() does this internally.
   void expand(JobQueue& queue) const;
 
-  /// Expands only the named groups (indices into groups()) — the shard-
-  /// subset form the campaign service's workers run.
+  /// Expands only the named jobs (indices into jobs()) — the shard-subset
+  /// form the campaign service's workers run.
   void expand_subset(JobQueue& queue,
-                     const std::vector<std::size_t>& group_indices) const;
-
-  /// Number of jobs expand() would push.
-  std::size_t job_count() const;
+                     const std::vector<std::size_t>& job_indices) const;
 
   /// Expands and executes the campaign.
   CampaignResult run();
@@ -148,18 +136,15 @@ class Campaign {
   double power_window_seconds_ = 1.0;
 };
 
-/// Pushes every group into `queue` with the group-internal dependency edges
-/// (jobs[0] is the root; the rest depend on it) — expand() for a group list
-/// that is already materialized. The PlanCache's consumers rebuild queues
-/// from compiled expansions through these instead of re-running groups().
-void push_groups(JobQueue& queue,
-                 const std::vector<Campaign::JobGroup>& groups);
+/// Pushes every job into `queue` — expand() for a job list that is already
+/// materialized. The PlanCache's consumers rebuild queues from compiled
+/// expansions through these instead of re-running jobs().
+void push_jobs(JobQueue& queue, const std::vector<ExperimentJob>& jobs);
 
-/// Pushes only the named groups (indices into `groups`) — expand_subset()
-/// for a materialized group list. Throws util::InvalidArgument on an
-/// out-of-range index.
-void push_group_subset(JobQueue& queue,
-                       const std::vector<Campaign::JobGroup>& groups,
-                       const std::vector<std::size_t>& group_indices);
+/// Pushes only the named jobs (indices into `jobs`) — expand_subset() for a
+/// materialized job list. Throws util::InvalidArgument on an out-of-range
+/// index.
+void push_job_subset(JobQueue& queue, const std::vector<ExperimentJob>& jobs,
+                     const std::vector<std::size_t>& job_indices);
 
 }  // namespace ao::orchestrator

@@ -8,8 +8,6 @@ std::string to_string(JobKind kind) {
   switch (kind) {
     case JobKind::kGemmMeasure:
       return "gemm-measure";
-    case JobKind::kGemmVerify:
-      return "gemm-verify";
     case JobKind::kStream:
       return "stream";
     case JobKind::kPowerIdle:
@@ -28,66 +26,33 @@ std::string to_string(JobKind kind) {
   throw util::InvalidArgument("unknown JobKind");
 }
 
-bool is_cacheable(JobKind kind) {
-  return kind != JobKind::kGemmVerify;
+std::optional<JobKind> job_kind_from_code(std::uint64_t code) {
+  for (const JobKind kind : kAllJobKinds) {
+    if (static_cast<std::uint64_t>(kind) == code) {
+      return kind;
+    }
+  }
+  return std::nullopt;
 }
 
-JobId JobQueue::push(ExperimentJob job, const std::vector<JobId>& deps) {
+JobId JobQueue::push(ExperimentJob job) {
   std::lock_guard lock(mutex_);
   const JobId id = next_id_++;
   job.id = id;
-
-  Node node;
-  node.job = std::move(job);
-  for (const JobId dep : deps) {
-    const auto it = nodes_.find(dep);
-    AO_REQUIRE(it != nodes_.end(), "job depends on an unknown job");
-    if (!it->second.done) {
-      it->second.dependents.push_back(id);
-      ++node.unmet_deps;
-    }
-  }
-  const bool ready = node.unmet_deps == 0;
-  const int priority = node.job.priority;
-  nodes_.emplace(id, std::move(node));
-  if (ready) {
-    ready_.insert({-priority, id});
-    ready_cv_.notify_one();
-  }
+  ready_.insert({-job.priority, id});
+  nodes_.emplace(id, Node{std::move(job)});
   return id;
 }
 
-std::optional<ExperimentJob> JobQueue::take_ready_locked() {
+std::optional<ExperimentJob> JobQueue::pop_ready() {
+  std::lock_guard lock(mutex_);
   if (ready_.empty()) {
     return std::nullopt;
   }
   const auto it = ready_.begin();
   const JobId id = it->second;
   ready_.erase(it);
-  Node& node = nodes_.at(id);
-  node.popped = true;
-  return node.job;
-}
-
-std::optional<ExperimentJob> JobQueue::pop_ready() {
-  std::unique_lock lock(mutex_);
-  for (;;) {
-    if (auto job = take_ready_locked()) {
-      return job;
-    }
-    if (done_count_ == nodes_.size()) {
-      return std::nullopt;  // drained
-    }
-    // Jobs remain but none is ready: their deps are running on other
-    // workers. Wait for a mark_done() (which may ready a dependent or
-    // finish the queue).
-    ready_cv_.wait(lock);
-  }
-}
-
-std::optional<ExperimentJob> JobQueue::try_pop_ready() {
-  std::lock_guard lock(mutex_);
-  return take_ready_locked();
+  return nodes_.at(id).job;
 }
 
 void JobQueue::mark_done(JobId id) {
@@ -98,15 +63,6 @@ void JobQueue::mark_done(JobId id) {
   AO_REQUIRE(!node.done, "job marked done twice");
   node.done = true;
   ++done_count_;
-  for (const JobId dependent : node.dependents) {
-    Node& d = nodes_.at(dependent);
-    AO_REQUIRE(d.unmet_deps > 0, "dependency bookkeeping underflow");
-    if (--d.unmet_deps == 0 && !d.popped) {
-      ready_.insert({-d.job.priority, dependent});
-    }
-  }
-  // Wake everyone: dependents may now be ready, or the queue may be done.
-  ready_cv_.notify_all();
   if (done_count_ == nodes_.size()) {
     done_cv_.notify_all();
   }

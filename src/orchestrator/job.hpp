@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -18,32 +19,45 @@ namespace ao::orchestrator {
 using JobId = std::uint64_t;
 inline constexpr JobId kInvalidJob = 0;
 
-/// The measurement families a campaign schedules. Verification is its own
-/// kind so it can be expressed as a dependent job and run off the
-/// measurement critical path (it needs host buffers, not a simulated
-/// System).
+/// The measurement families a campaign schedules. Each code is part of the
+/// on-disk store format (entry keys, key hashes, query cursors), so codes
+/// are fixed: code 1 is retired (it named a separate GEMM verification job)
+/// and is never reused.
 enum class JobKind {
-  kGemmMeasure,     ///< one (chip, impl, n) timing + power point
-  kGemmVerify,      ///< checks a measurement's output against the reference
-  kStream,          ///< one CPU STREAM run at a fixed thread count
-  kPowerIdle,       ///< one powermetrics idle-floor sample
-  kGpuStream,       ///< one GPU STREAM run (Figure 1's MSL port)
-  kPrecisionStudy,  ///< one mixed-precision GEMM accuracy study at size n
-  kAneInference,    ///< one Core ML FP16 GEMM dispatch (ANE or fallback)
-  kFp64Emulation,   ///< one double-single FP64 GEMM study on the GPU at size n
-  kSmeGemm,         ///< one SME FMOPA GEMM vs the AMX reference at size n
+  kGemmMeasure = 0,     ///< one (chip, impl, n) timing + power point
+  kStream = 2,          ///< one CPU STREAM run at a fixed thread count
+  kPowerIdle = 3,       ///< one powermetrics idle-floor sample
+  kGpuStream = 4,       ///< one GPU STREAM run (Figure 1's MSL port)
+  kPrecisionStudy = 5,  ///< one mixed-precision GEMM accuracy study at size n
+  kAneInference = 6,    ///< one Core ML FP16 GEMM dispatch (ANE or fallback)
+  kFp64Emulation = 7,   ///< one double-single FP64 GEMM study on the GPU
+  kSmeGemm = 8,         ///< one SME FMOPA GEMM vs the AMX reference at size n
 };
 
-/// Number of JobKind enumerators (the enum is dense from 0).
-inline constexpr std::size_t kJobKindCount =
-    static_cast<std::size_t>(JobKind::kSmeGemm) + 1;
+// Pinned: store entries, key hashes, query cursors and perfbench's JOB_KINDS
+// table all carry these codes.
+static_assert(static_cast<int>(JobKind::kGemmMeasure) == 0);
+static_assert(static_cast<int>(JobKind::kStream) == 2);
+static_assert(static_cast<int>(JobKind::kPowerIdle) == 3);
+static_assert(static_cast<int>(JobKind::kGpuStream) == 4);
+static_assert(static_cast<int>(JobKind::kPrecisionStudy) == 5);
+static_assert(static_cast<int>(JobKind::kAneInference) == 6);
+static_assert(static_cast<int>(JobKind::kFp64Emulation) == 7);
+static_assert(static_cast<int>(JobKind::kSmeGemm) == 8);
+
+/// Every JobKind, in code order.
+inline constexpr std::array<JobKind, 8> kAllJobKinds = {
+    JobKind::kGemmMeasure,   JobKind::kStream,
+    JobKind::kPowerIdle,     JobKind::kGpuStream,
+    JobKind::kPrecisionStudy, JobKind::kAneInference,
+    JobKind::kFp64Emulation, JobKind::kSmeGemm,
+};
 
 std::string to_string(JobKind kind);
 
-/// True for kinds whose result is a pure function of the job description —
-/// those the ResultCache retains and the disk store persists. Verification
-/// is transient: it needs the measurement's live host buffers.
-bool is_cacheable(JobKind kind);
+/// The JobKind whose on-disk code is `code`; nullopt for a code that names
+/// none (out of range, or the retired code 1).
+std::optional<JobKind> job_kind_from_code(std::uint64_t code);
 
 /// One schedulable unit of campaign work. A job is a *description* — the
 /// CampaignScheduler interprets it against a leased simulated System. Only
@@ -51,22 +65,17 @@ bool is_cacheable(JobKind kind);
 struct ExperimentJob {
   JobId id = kInvalidJob;  ///< assigned by JobQueue::push
   JobKind kind = JobKind::kGemmMeasure;
-  /// Higher-priority jobs are popped first among the ready set (ties break
-  /// on id, so equal-priority work keeps submission order). Campaigns use
-  /// the matrix size, starting the heavyweight points early.
+  /// Higher-priority jobs are popped first (ties break on id, so
+  /// equal-priority work keeps submission order). Campaigns use the matrix
+  /// size, starting the heavyweight points early.
   int priority = 0;
 
   soc::ChipModel chip = soc::ChipModel::kM1;
 
-  /// GEMM payload (kGemmMeasure / kGemmVerify). `n` doubles as the matrix
-  /// size of kPrecisionStudy and kAneInference jobs.
+  /// GEMM payload (kGemmMeasure). `n` doubles as the matrix size of
+  /// kPrecisionStudy and kAneInference jobs.
   soc::GemmImpl impl = soc::GemmImpl::kCpuSingle;
   std::size_t n = 0;
-  /// For kGemmVerify: the measurement job whose output is checked.
-  JobId parent = kInvalidJob;
-  /// For kGemmMeasure: a verify job depends on this one, so the scheduler
-  /// must hold the output buffer until that job has consumed it.
-  bool expects_verify = false;
 
   /// STREAM payload (kStream / kGpuStream). `stream_threads` is CPU-only;
   /// `stream_elements` 0 means the module's paper-default array size.
@@ -89,25 +98,19 @@ struct ExperimentJob {
   bool ane_functional = true;
 };
 
-/// Thread-safe, priority-ordered queue of experiment jobs with dependency
-/// edges. Dependencies must already be in the queue when a job is pushed,
-/// which makes the graph a DAG by construction. Workers drain it with
-/// pop_ready()/mark_done(); pop_ready() blocks while jobs are in flight and
-/// returns nullopt once every job has been marked done.
+/// Thread-safe, priority-ordered queue of independent experiment jobs.
+/// Workers drain it with pop_ready()/mark_done(); wait_all_done() blocks
+/// until every popped job has been marked done.
 class JobQueue {
  public:
-  /// Adds a job; `deps` must name existing jobs (done deps are allowed and
-  /// count as satisfied). Returns the assigned id.
-  JobId push(ExperimentJob job, const std::vector<JobId>& deps = {});
+  /// Adds a job. Returns the assigned id.
+  JobId push(ExperimentJob job);
 
-  /// Blocks until some job is ready (all deps done), then returns the
-  /// highest-priority one. Returns nullopt when every pushed job is done.
+  /// The highest-priority job not yet popped; nullopt once every pushed job
+  /// has been popped.
   std::optional<ExperimentJob> pop_ready();
 
-  /// Non-blocking pop_ready(): nullopt when nothing is ready *right now*.
-  std::optional<ExperimentJob> try_pop_ready();
-
-  /// Marks a popped job complete, unblocking its dependents.
+  /// Marks a popped job complete.
   void mark_done(JobId id);
 
   /// Blocks until every pushed job has been marked done.
@@ -124,9 +127,6 @@ class JobQueue {
  private:
   struct Node {
     ExperimentJob job;
-    std::size_t unmet_deps = 0;
-    std::vector<JobId> dependents;
-    bool popped = false;
     bool done = false;
   };
 
@@ -134,10 +134,7 @@ class JobQueue {
   // highest-priority, earliest-submitted job.
   using ReadyKey = std::pair<int, JobId>;
 
-  std::optional<ExperimentJob> take_ready_locked();
-
   mutable std::mutex mutex_;
-  std::condition_variable ready_cv_;
   std::condition_variable done_cv_;
   std::map<JobId, Node> nodes_;
   std::set<ReadyKey> ready_;

@@ -7,20 +7,12 @@
 
 namespace ao::orchestrator {
 
-CompiledCampaign compile_campaign(const Campaign& campaign) {
-  CompiledCampaign compiled;
-  compiled.groups = campaign.groups();
-  for (const Campaign::JobGroup& group : compiled.groups) {
-    compiled.job_count += group.jobs.size();
-  }
-  return compiled;
-}
-
 PlanCache::PlanCache(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {}
 
-std::shared_ptr<const CompiledCampaign> PlanCache::checkout(
-    const std::string& key, const std::function<CompiledCampaign()>& compile) {
+std::shared_ptr<const std::vector<ExperimentJob>> PlanCache::checkout(
+    const std::string& key,
+    const std::function<std::vector<ExperimentJob>()>& compile) {
   AO_REQUIRE(!key.empty(), "plan-cache key must not be empty");
   {
     std::lock_guard lock(mutex_);
@@ -35,7 +27,7 @@ std::shared_ptr<const CompiledCampaign> PlanCache::checkout(
   // Compile outside the lock: expansion walks the whole sweep. A concurrent
   // miss on the same key compiles redundantly but deterministically; the
   // loser's insert below is dropped in favor of the resident entry.
-  auto compiled = std::make_shared<const CompiledCampaign>(compile());
+  auto compiled = std::make_shared<const std::vector<ExperimentJob>>(compile());
   std::lock_guard lock(mutex_);
   const auto found = index_.find(key);
   if (found != index_.end()) {

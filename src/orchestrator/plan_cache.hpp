@@ -14,35 +14,22 @@
 
 namespace ao::orchestrator {
 
-/// One compiled campaign expansion: the deterministic output of
-/// Campaign::groups() plus the counts the service derives from it. Immutable
-/// once published by the PlanCache — consumers rebuild JobQueues from it with
-/// push_groups()/push_group_subset() instead of re-expanding the request.
-struct CompiledCampaign {
-  std::vector<Campaign::JobGroup> groups;
-  std::size_t job_count = 0;  ///< sum of group.jobs.size()
-};
-
-/// Builds a CompiledCampaign from a campaign description (groups() once,
-/// count the jobs).
-CompiledCampaign compile_campaign(const Campaign& campaign);
-
-/// Content-keyed LRU cache of compiled campaign expansions — the
-/// orchestration twin of the ResultCache: repeated campaigns skip the
-/// (chips × impls × sizes) expansion walk the same way repeated measurements
-/// skip the simulator.
+/// Content-keyed LRU cache of compiled campaign expansions (the job list
+/// Campaign::jobs() returns) — the orchestration twin of the ResultCache:
+/// repeated campaigns skip the (chips × impls × sizes) expansion walk the
+/// same way repeated measurements skip the simulator.
 ///
 /// Keys are the FULL canonical text of every request field that can change
 /// the expansion (service::plan_key()); the map compares them by string
 /// equality, so two distinct option sets can never collide — there is no
 /// hash to collide on. Requests that differ only in identity or scheduling
 /// fields (client, priority, worker/shard counts, deadline) intentionally
-/// share a compilation: those fields cannot change groups().
+/// share a compilation: those fields cannot change jobs().
 ///
 /// Each entry also memoizes full-set LPT shard partitions per shard count
-/// (shard_partition()): group-index lists over the WHOLE group list, valid
-/// only when every group is pending — the caller must fall back to planning
-/// when a warm result cache already settled some groups.
+/// (shard_partition()): job-index lists over the WHOLE job list, valid only
+/// when every job is pending — the caller must fall back to planning when a
+/// warm result cache already settled some jobs.
 ///
 /// Thread-safe; compile callbacks run OUTSIDE the lock (expansion can be
 /// slow), so two concurrent misses on one key may both compile — benign,
@@ -63,13 +50,15 @@ class PlanCache {
   /// compiles via `compile` on a miss (outside the lock) and retains the
   /// result, evicting the least recently used entry when full. The returned
   /// pointer stays valid past an eviction — holders share the immutable
-  /// compilation.
-  std::shared_ptr<const CompiledCampaign> checkout(
-      const std::string& key, const std::function<CompiledCampaign()>& compile);
+  /// compilation and rebuild JobQueues from it with
+  /// push_jobs()/push_job_subset() instead of re-expanding the request.
+  std::shared_ptr<const std::vector<ExperimentJob>> checkout(
+      const std::string& key,
+      const std::function<std::vector<ExperimentJob>()>& compile);
 
   /// The memoized full-set shard partition for (key, shard_count): per-shard
-  /// sorted group-index lists over compiled.groups. Computes via `plan` on
-  /// the first request (outside the lock) and remembers it on the entry.
+  /// sorted job-index lists over the compiled job list. Computes via `plan`
+  /// on the first request (outside the lock) and remembers it on the entry.
   /// Returns nullptr when `key` is not resident (checkout() first) — the
   /// partition memo never resurrects an evicted compilation.
   std::shared_ptr<const std::vector<std::vector<std::size_t>>> shard_partition(
@@ -84,8 +73,8 @@ class PlanCache {
  private:
   struct Entry {
     std::string key;
-    std::shared_ptr<const CompiledCampaign> compiled;
-    /// shard_count → full-set partition (group indices per shard).
+    std::shared_ptr<const std::vector<ExperimentJob>> compiled;
+    /// shard_count → full-set partition (job indices per shard).
     std::map<std::size_t,
              std::shared_ptr<const std::vector<std::vector<std::size_t>>>>
         partitions;

@@ -92,9 +92,9 @@ struct SmeRecord {
   bool operator==(const SmeRecord&) const = default;
 };
 
-/// The result payload of any cacheable job kind. The ResultCache stores
-/// these, the scheduler produces them, and the on-disk store serializes
-/// them — one variant instead of a GEMM-only payload.
+/// The result payload of any job kind. The ResultCache stores these, the
+/// scheduler produces them, and the on-disk store serializes them — one
+/// variant instead of a GEMM-only payload.
 using MeasurementRecord =
     std::variant<harness::GemmMeasurement, StreamRecord, PrecisionRecord,
                  AneRecord, PowerRecord, Fp64EmuRecord, SmeRecord>;

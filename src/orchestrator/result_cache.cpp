@@ -39,12 +39,11 @@ std::uint64_t mix_double(std::uint64_t h, double value) {
   return util::fnv1a_mix(h, bits);
 }
 
-/// The record alternative each cacheable JobKind produces — an entry whose
+/// The record alternative each JobKind produces — an entry whose
 /// record shape disagrees with its key is corrupt.
 RecordKind expected_record_kind(JobKind kind) {
   switch (kind) {
     case JobKind::kGemmMeasure:
-    case JobKind::kGemmVerify:
       return RecordKind::kGemm;
     case JobKind::kStream:
     case JobKind::kGpuStream:
@@ -131,14 +130,15 @@ std::optional<std::pair<CacheKey, MeasurementRecord>> parse_entry(
       return std::nullopt;
     }
   }
-  if (kind > static_cast<std::uint64_t>(JobKind::kSmeGemm) ||
+  const std::optional<JobKind> job_kind = job_kind_from_code(kind);
+  if (!job_kind.has_value() ||
       chip > static_cast<std::uint64_t>(soc::ChipModel::kM4) ||
       impl > static_cast<std::uint64_t>(soc::GemmImpl::kGpuMps)) {
     return std::nullopt;
   }
 
   CacheKey key;
-  key.kind = static_cast<JobKind>(kind);
+  key.kind = *job_kind;
   key.chip = static_cast<soc::ChipModel>(chip);
   key.impl = static_cast<soc::GemmImpl>(impl);
   key.n = static_cast<std::size_t>(n);
@@ -216,7 +216,6 @@ CacheKey key_for_job(const ExperimentJob& job, std::uint64_t options_fp) {
   std::uint64_t h = util::kFnv1aOffset;
   switch (job.kind) {
     case JobKind::kGemmMeasure:
-    case JobKind::kGemmVerify:
       key.impl = job.impl;
       key.n = job.n;
       // Only the GEMM family depends on the experiment options; leaving the

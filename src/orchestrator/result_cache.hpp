@@ -19,7 +19,7 @@
 
 namespace ao::orchestrator {
 
-/// Content identity of one measurement point, for any cacheable JobKind.
+/// Content identity of one measurement point, for any JobKind.
 /// Two campaigns that agree on every field would measure bit-identical
 /// results (the simulator is a pure function of the job description and the
 /// experiment options), so the cached record can stand in for a re-run.

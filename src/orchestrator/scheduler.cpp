@@ -188,14 +188,6 @@ std::optional<MatrixBatch::Parked> MatrixBatch::copy_verdict_or_park(
 
 // ------------------------------------------------------ CampaignScheduler --
 
-struct CampaignScheduler::MeasureState {
-  harness::GemmMeasurement measurement;
-  std::shared_ptr<MatrixBatch> batch;
-  /// Held only by the job that computed the product (its claimant); the
-  /// other chips' measurements have nothing to check.
-  std::unique_ptr<MatrixBatch::OutLease> out;
-};
-
 namespace {
 
 /// The chip-free fields of an FP64-emulation record: the accuracy of the
@@ -345,7 +337,6 @@ CampaignOutputs CampaignScheduler::run(JobQueue& queue,
   CampaignOutputs outputs;
   stats_ = {};
   batches_.clear();
-  pending_verify_.clear();
   memos_ = std::make_unique<StudyMemos>();
   on_record_ = std::move(on_record);
   // The callback's captures live on the caller's stack; never let a failed
@@ -361,13 +352,12 @@ CampaignOutputs CampaignScheduler::run(JobQueue& queue,
   const auto jobs = queue.jobs();
   stats_.jobs_total = jobs.size();
   for (const auto& job : jobs) {
-    if (job.kind != JobKind::kGemmMeasure && job.kind != JobKind::kGemmVerify) {
+    if (job.kind != JobKind::kGemmMeasure) {
       continue;
     }
     BatchState& bs = batches_[job.n];
     ++bs.jobs_remaining;
-    if (job.kind == JobKind::kGemmMeasure &&
-        harness::functional_at(experiment_options_, job.impl, job.n)) {
+    if (harness::functional_at(experiment_options_, job.impl, job.n)) {
       bs.fill = true;
     }
   }
@@ -489,9 +479,6 @@ void CampaignScheduler::execute(const ExperimentJob& job,
     case JobKind::kGemmMeasure:
       run_gemm_measure(job, outputs);
       return;
-    case JobKind::kGemmVerify:
-      run_gemm_verify(job, outputs);
-      return;
     case JobKind::kStream:
     case JobKind::kGpuStream:
       run_stream(job, outputs);
@@ -542,7 +529,7 @@ void CampaignScheduler::append_record(const MeasurementRecord& record,
 
 bool CampaignScheduler::serve_from_cache(const ExperimentJob& job,
                                          CampaignOutputs& outputs) {
-  if (cache_ == nullptr || !is_cacheable(job.kind)) {
+  if (cache_ == nullptr) {
     return false;
   }
   // The cache lookup runs outside state_mutex_ (ResultCache locks itself);
@@ -569,7 +556,7 @@ bool CampaignScheduler::serve_from_cache(const ExperimentJob& job,
 void CampaignScheduler::publish_record(const ExperimentJob& job,
                                        const MeasurementRecord& record,
                                        CampaignOutputs& outputs) {
-  if (cache_ != nullptr && is_cacheable(job.kind)) {
+  if (cache_ != nullptr) {
     cache_->insert(key_for_job(job, fingerprint_), record);
   }
   append_record(record, outputs);
@@ -602,28 +589,8 @@ void CampaignScheduler::batch_job_finished(std::size_t n) {
     if (bs.batch != nullptr) {
       stats_.out_buffers_allocated += bs.batch->out_buffers_built();
     }
-    // Last job of this size: drop the scheduler's reference. Outstanding
-    // MeasureStates (if any) keep the allocation alive until consumed.
+    // Last job of this size: drop the scheduler's reference.
     batches_.erase(it);
-  }
-}
-
-void CampaignScheduler::publish(const ExperimentJob& job,
-                                const harness::GemmMeasurement& m,
-                                CampaignOutputs& outputs) {
-  // `job` may be the verify job; the cache entry (and the streamed record)
-  // always carries the measurement's identity so later measure jobs find it.
-  ExperimentJob measure = job;
-  measure.kind = JobKind::kGemmMeasure;
-  if (cache_ != nullptr) {
-    cache_->insert(key_for_job(measure, fingerprint_), m);
-  }
-  {
-    std::lock_guard lock(state_mutex_);
-    outputs.gemm.push_back(m);
-  }
-  if (on_record_) {
-    on_record_(measure, MeasurementRecord{m}, /*from_cache=*/false);
   }
 }
 
@@ -638,118 +605,61 @@ void CampaignScheduler::run_gemm_measure(const ExperimentJob& job,
     ~BatchFinisher() { scheduler.batch_job_finished(n); }
   } finisher{*this, job.n};
 
-  if (cache_ != nullptr) {
-    const auto cached = cache_->lookup(key_for_job(job, fingerprint_));
-    if (cached.has_value()) {
-      const auto* m = std::get_if<harness::GemmMeasurement>(&*cached);
-      AO_REQUIRE(m != nullptr, "gemm cache entry holds a foreign record");
-      {
-        std::lock_guard lock(state_mutex_);
-        ++stats_.cache_hits;
-        outputs.gemm.push_back(*m);
-      }
-      if (on_record_) {
-        on_record_(job, *cached, /*from_cache=*/true);
-      }
-      // No MeasureState is stored: the dependent verify job (if any) sees
-      // the missing entry and treats the point as settled.
-      return;
-    }
-    std::lock_guard lock(state_mutex_);
-    ++stats_.cache_misses;
+  if (serve_from_cache(job, outputs)) {
+    return;
   }
 
   auto batch = batch_for(job.n);
   // One functional run per (impl, n): the first chip to miss the cache
-  // computes the product; the others charge the same simulated time
-  // model-only and take the verdict from the claimant's verify job.
+  // computes the product and its verdict; the others charge the same
+  // simulated time model-only and take that verdict.
   const bool compute =
       harness::functional_at(experiment_options_, job.impl, job.n) &&
       batch->claim(job.impl);
   auto out = batch->acquire_out();
-  const harness::MatrixView view = out->view();
-
-  auto lease = systems_.acquire(job.chip);
-  gemm::GemmContext& ctx = lease.system().gemm_context();
-  harness::GemmExperiment experiment(ctx, experiment_options_);
-  auto impl = gemm::create_gemm(job.impl, ctx);
-
+  harness::GemmMeasurement m;
   {
-    std::lock_guard lock(state_mutex_);
-    ++stats_.jobs_executed;
-  }
-  const harness::GemmMeasurement m =
-      experiment.measure_timed(*impl, view, compute);
-  if (job.expects_verify) {
-    auto state = std::make_shared<MeasureState>();
-    state->measurement = m;
-    state->batch = std::move(batch);
-    if (compute) {
-      state->out = std::move(out);
-    }
+    auto lease = systems_.acquire(job.chip);
+    gemm::GemmContext& ctx = lease.system().gemm_context();
+    harness::GemmExperiment experiment(ctx, experiment_options_);
+    auto impl = gemm::create_gemm(job.impl, ctx);
     {
       std::lock_guard lock(state_mutex_);
-      pending_verify_[job.id] = std::move(state);
+      ++stats_.jobs_executed;
     }
-    // Publication and cache insertion wait for the verify job, so the
-    // cached value always carries its verification verdict.
-  } else {
-    publish(job, m, outputs);
-  }
-  // Per-job clock isolation: the lease's boot epoch must still be current —
-  // a bump here would mean another job interleaved on this System's clock.
-  AO_REQUIRE(lease.system().soc().clock().epoch() == lease.boot_epoch(),
-             "clock epoch changed under a running job");
-}
+    m = experiment.measure_timed(*impl, out->view(), compute);
+    // Per-job clock isolation: the lease's boot epoch must still be
+    // current — a bump here would mean another job interleaved on this
+    // System's clock.
+    AO_REQUIRE(lease.system().soc().clock().epoch() == lease.boot_epoch(),
+               "clock epoch changed under a running job");
+  }  // verification needs host buffers only: the System goes back first
 
-void CampaignScheduler::run_gemm_verify(const ExperimentJob& job,
-                                        CampaignOutputs& outputs) {
-  struct BatchFinisher {
-    CampaignScheduler& scheduler;
-    std::size_t n;
-    ~BatchFinisher() { scheduler.batch_job_finished(n); }
-  } finisher{*this, job.n};
-
-  std::shared_ptr<MeasureState> state;
-  {
-    std::lock_guard lock(state_mutex_);
-    const auto it = pending_verify_.find(job.parent);
-    if (it != pending_verify_.end()) {
-      state = std::move(it->second);
-      pending_verify_.erase(it);
-    }
-  }
-  if (state == nullptr) {
-    // The measurement was serviced from cache (verdict included) or failed;
-    // nothing to check.
+  if (!harness::verified_at(experiment_options_, job.impl, job.n)) {
+    publish_record(job, m, outputs);
     return;
   }
-  harness::GemmMeasurement& m = state->measurement;
-  if (state->out == nullptr) {
-    // Another chip's job computed this (impl, n): copy its verdict, or park
-    // until its verify job settles the verdict and publishes this record.
-    if (!m.functional) {
-      publish(job, m, outputs);  // nothing was computed anywhere
-      return;
-    }
-    auto ready = state->batch->copy_verdict_or_park(job.impl, {job, m});
+  if (!compute) {
+    // Another chip's job computes this (impl, n): copy its verdict, or park
+    // until that job settles the verdict and publishes this record.
+    auto ready = batch->copy_verdict_or_park(job.impl, {job, m});
     if (ready.has_value()) {
-      publish(ready->job, ready->measurement, outputs);
+      publish_record(ready->job, ready->measurement, outputs);
     }
     return;
   }
-  harness::verify_measurement(m, state->out->view(), state->batch->expected());
-  state->out.reset();  // recycle the output buffer
-  const auto parked =
-      state->batch->settle(job.impl, {m.max_error, m.verified});
+  // The cached value always carries its verdict: verify, then publish this
+  // record and every record parked waiting for the verdict.
+  harness::verify_measurement(m, out->view(), batch->expected());
+  out.reset();  // recycle the output buffer
+  const auto parked = batch->settle(job.impl, {m.max_error, m.verified});
   {
     std::lock_guard lock(state_mutex_);
     ++stats_.verifications;
-    ++stats_.jobs_executed;
   }
-  publish(job, m, outputs);
+  publish_record(job, m, outputs);
   for (const MatrixBatch::Parked& p : parked) {
-    publish(p.job, p.measurement, outputs);
+    publish_record(p.job, p.measurement, outputs);
   }
 }
 

@@ -172,12 +172,11 @@ class MatrixBatch {
 /// Aggregate counters for one scheduler run.
 struct CampaignStats {
   std::size_t jobs_total = 0;
-  /// Jobs that did work: ran a measurement, a study or a verification. A
-  /// verify job that copies its (impl, n) verdict from another chip's job
-  /// does none and is not counted.
+  /// Jobs that did work: ran a measurement or a study (every job the cache
+  /// did not serve).
   std::size_t jobs_executed = 0;
   std::size_t cache_hits = 0;       ///< jobs serviced from the ResultCache
-  std::size_t cache_misses = 0;     ///< cacheable jobs the cache lacked
+  std::size_t cache_misses = 0;     ///< jobs the cache lacked
   std::size_t verifications = 0;    ///< verdicts computed: one per (impl, n)
   std::size_t batches_allocated = 0;
   std::size_t out_buffers_allocated = 0;
@@ -198,10 +197,9 @@ struct CampaignOutputs {
 };
 
 /// Streaming hook: invoked once per settled record — after a measurement
-/// publishes (GEMM points with a dependent verify job wait for the verdict)
-/// or a cache hit is served. `job` is the measurement job the record answers
-/// (verify jobs are reported as their kGemmMeasure identity, so
-/// key_for_job(job, fp) addresses the cache entry). Called from worker
+/// publishes (a verified GEMM point waits for its (impl, n) verdict) or a
+/// cache hit is served. `job` is the job the record answers, so
+/// key_for_job(job, fp) addresses the cache entry. Called from worker
 /// threads with no lock held; the callee synchronizes its own sinks.
 using RecordCallback = std::function<void(
     const ExperimentJob& job, const MeasurementRecord& record, bool from_cache)>;
@@ -215,21 +213,21 @@ using StopFn = std::function<std::string()>;
 
 /// Runs a JobQueue to completion on a private util::ThreadPool.
 ///
-/// Workers pop ready jobs, lease a System for the job's chip, execute, and
-/// mark the job done — unblocking dependents. Every cacheable job consults
-/// the ResultCache (when attached) before executing and publishes its
-/// record into it afterwards (GEMM measurements wait for their verification
-/// to settle first); batched operands are allocated lazily on the first
-/// non-cached job of a size and released when the last job of that size
-/// completes.
+/// Workers pop jobs, lease a System for the job's chip, execute, and mark
+/// the job done. Every job consults the ResultCache (when attached) before
+/// executing and publishes its record into it afterwards (a verified GEMM
+/// measurement once its verdict is settled); batched operands are allocated
+/// lazily on the first non-cached job of a size and released when the last
+/// job of that size completes.
 ///
 /// Numeric results are computed once per run and shared by every chip,
 /// since only timing and power depend on the chip: the first GEMM measure
 /// job of an (impl, n) to miss the cache runs the functional repetition
-/// (MatrixBatch::claim) and its verify job computes the verdict; the other
-/// chips' jobs run model-only and copy that verdict, parking their
-/// measurement until it exists. Precision, FP64-emulation and SME jobs
-/// share their chip-free accuracy results per (n, seed) the same way.
+/// (MatrixBatch::claim) and, when n <= verify_n_max, verifies it once its
+/// System lease is released; the other chips' jobs run model-only and copy
+/// that verdict, parking their measurement until it exists. Precision,
+/// FP64-emulation and SME jobs share their chip-free accuracy results per
+/// (n, seed) the same way.
 class CampaignScheduler {
  public:
   struct Options {
@@ -264,18 +262,16 @@ class CampaignScheduler {
                         std::uint64_t parent_span = 0);
 
  private:
-  struct MeasureState;  // per measure-job handoff to its verify job
-  struct StudyMemos;    // chip-free study results of one run, per (n, seed)
+  struct StudyMemos;  // chip-free study results of one run, per (n, seed)
 
   struct BatchState {
     std::shared_ptr<MatrixBatch> batch;  ///< allocated lazily on first miss
     bool fill = false;
-    std::size_t jobs_remaining = 0;  ///< gemm jobs (measure + verify) of this n
+    std::size_t jobs_remaining = 0;  ///< gemm jobs of this n
   };
 
   void execute(const ExperimentJob& job, CampaignOutputs& outputs);
   void run_gemm_measure(const ExperimentJob& job, CampaignOutputs& outputs);
-  void run_gemm_verify(const ExperimentJob& job, CampaignOutputs& outputs);
   void run_stream(const ExperimentJob& job, CampaignOutputs& outputs);
   void run_power_idle(const ExperimentJob& job, CampaignOutputs& outputs);
   void run_precision_study(const ExperimentJob& job, CampaignOutputs& outputs);
@@ -285,17 +281,15 @@ class CampaignScheduler {
 
   std::shared_ptr<MatrixBatch> batch_for(std::size_t n);
   void batch_job_finished(std::size_t n);
-  void publish(const ExperimentJob& job, const harness::GemmMeasurement& m,
-               CampaignOutputs& outputs);
 
   /// Appends `record` to its typed output vector (caller must NOT hold
   /// state_mutex_).
   void append_record(const MeasurementRecord& record, CampaignOutputs& outputs);
-  /// Serves a cacheable job from the attached cache; true on a hit (the
-  /// cached record was appended to `outputs` and the job is finished).
+  /// Serves a job from the attached cache; true on a hit (the cached record
+  /// was appended to `outputs` and the job is finished).
   bool serve_from_cache(const ExperimentJob& job, CampaignOutputs& outputs);
-  /// Publishes a non-GEMM record: inserts it into the cache and appends it
-  /// to `outputs`.
+  /// Publishes a record: inserts it into the cache, appends it to `outputs`
+  /// and streams it.
   void publish_record(const ExperimentJob& job, const MeasurementRecord& record,
                       CampaignOutputs& outputs);
 
@@ -309,14 +303,13 @@ class CampaignScheduler {
   obs::TimelineProfiler* profiler_ = nullptr;
   std::uint64_t profile_parent_ = 0;
 
-  /// Lock contract: state_mutex_ guards outputs, batches_, pending_verify_
-  /// and stats_, and is only ever held for in-memory bookkeeping — never
-  /// across a measurement, a cache_ call (ResultCache locks itself; nesting
-  /// the two would couple every scheduler sharing the service's cache), or
-  /// the on_record_ callback (the callee synchronizes its own sinks).
+  /// Lock contract: state_mutex_ guards outputs, batches_ and stats_, and
+  /// is only ever held for in-memory bookkeeping — never across a
+  /// measurement, a cache_ call (ResultCache locks itself; nesting the two
+  /// would couple every scheduler sharing the service's cache), or the
+  /// on_record_ callback (the callee synchronizes its own sinks).
   std::mutex state_mutex_;
   std::map<std::size_t, BatchState> batches_;
-  std::map<JobId, std::shared_ptr<MeasureState>> pending_verify_;
   CampaignStats stats_;
   std::unique_ptr<StudyMemos> memos_;  ///< replaced at the start of run()
 };

@@ -243,14 +243,15 @@ std::optional<QueryCursor> decode_query_cursor(const std::string& token) {
       return std::nullopt;
     }
   }
-  if (values[1] > static_cast<std::uint64_t>(JobKind::kSmeGemm) ||
+  const std::optional<JobKind> kind = job_kind_from_code(values[1]);
+  if (!kind.has_value() ||
       values[2] > static_cast<std::uint64_t>(soc::ChipModel::kM4) ||
       values[3] > static_cast<std::uint64_t>(soc::GemmImpl::kGpuMps)) {
     return std::nullopt;
   }
   QueryCursor cursor;
   cursor.generation = values[0];
-  cursor.last.kind = static_cast<JobKind>(values[1]);
+  cursor.last.kind = *kind;
   cursor.last.chip = static_cast<soc::ChipModel>(values[2]);
   cursor.last.impl = static_cast<soc::GemmImpl>(values[3]);
   cursor.last.n = static_cast<std::size_t>(values[4]);

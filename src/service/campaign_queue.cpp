@@ -11,7 +11,6 @@ ResourceMask resources_for(orchestrator::JobKind kind, soc::GemmImpl impl) {
   using orchestrator::JobKind;
   switch (kind) {
     case JobKind::kGemmMeasure:
-    case JobKind::kGemmVerify:
       return soc::is_gpu_impl(impl) ? kResourceGpu : kResourceCpu;
     case JobKind::kStream:
       return kResourceCpu;

@@ -16,7 +16,7 @@ namespace ao::service {
 /// JobKind the orchestrator schedules: the GEMM grid (when both `impls` and
 /// `sizes` are set), CPU/GPU STREAM, precision, ANE, FP64 emulation, SME and
 /// idle power. `workers` is the per-campaign scheduler concurrency;
-/// `shards` > 1 splits the job graph across worker processes.
+/// `shards` > 1 splits the campaign's jobs across worker processes.
 struct CampaignRequest {
   std::string name = "campaign";
   /// Submitting client identity ("client <id>" line) — the unit the
@@ -162,7 +162,7 @@ std::optional<CampaignRequest> parse_request_lines(
 /// cannot change the expansion stripped (identity — begin/client/priority —
 /// and scheduling — workers/shards/deadline/retries — plus the "run"
 /// terminator), joined by newlines. Two requests share a key exactly when
-/// Campaign::groups() would return the same group list; the PlanCache
+/// Campaign::jobs() would return the same job list; the PlanCache
 /// compares keys by string equality, so distinct option sets can never
 /// collide.
 std::string plan_key(const CampaignRequest& request);

@@ -50,22 +50,6 @@ void reply_error(std::ostream& out, const std::string& code,
   out << '\n';
 }
 
-/// Records a campaign will stream: one per job that produces a cacheable
-/// record (every kind except the verify jobs, whose verdict rides on the
-/// measurement's record).
-std::size_t expected_record_count(
-    const std::vector<orchestrator::Campaign::JobGroup>& groups) {
-  std::size_t count = 0;
-  for (const auto& group : groups) {
-    for (const auto& job : group.jobs) {
-      if (orchestrator::is_cacheable(job.kind)) {
-        ++count;
-      }
-    }
-  }
-  return count;
-}
-
 /// Incremental reader over one shard's write-through store: consumes the
 /// complete lines appended since the last poll (a half-flushed tail line is
 /// left for the next round), skipping the version header.
@@ -584,12 +568,10 @@ void CampaignService::run_campaign(const CampaignRequest& request,
 
   const std::uint64_t id = next_campaign_id_.fetch_add(1);
   cancel->id = id;
-  std::size_t jobs = 0;
-  std::size_t expected_records = 0;
+  std::size_t expected_records = 0;  // one per job
   std::size_t shard_count = 0;
-  std::size_t group_count = 0;
   const std::string plan_cache_key = plan_key(request);
-  std::shared_ptr<const orchestrator::CompiledCampaign> compiled;
+  std::shared_ptr<const std::vector<ExperimentJob>> compiled;
   {
     // Request expansion and shard sizing — the first `schedule` span; the
     // sharded path records another around its plan proper. Nested inside it,
@@ -602,21 +584,18 @@ void CampaignService::run_campaign(const CampaignRequest& request,
     bool compiled_here = false;
     compiled = plan_cache_.checkout(plan_cache_key, [&] {
       compiled_here = true;
-      return orchestrator::compile_campaign(request.to_campaign());
+      return request.to_campaign().jobs();
     });
     profiler_.record(obs::Phase::kPlan, plan_start, profiler_.now(),
                      schedule.id(), compiled_here ? "miss" : "hit");
-    group_count = compiled->groups.size();
-    jobs = compiled->job_count;
-    expected_records = expected_record_count(compiled->groups);
-    // Never more shards than groups; a surplus would only spawn idle
-    // workers.
-    shard_count = std::min(request.shards, group_count);
+    expected_records = compiled->size();
+    // Never more shards than jobs; a surplus would only spawn idle workers.
+    shard_count = std::min(request.shards, expected_records);
   }
 
   // The header goes out before admission completes, so a queued client
   // knows its campaign id (and resource claim) while it waits.
-  out << "ok campaign " << id << " jobs " << jobs << " records "
+  out << "ok campaign " << id << " jobs " << expected_records << " records "
       << expected_records << " shards "
       << std::max<std::size_t>(1, shard_count) << " resources "
       << resources_to_string(resources) << " priority " << request.priority
@@ -679,11 +658,11 @@ void CampaignService::run_campaign(const CampaignRequest& request,
   };
 
   // remote_only means sharded requests NEVER execute on this host — even
-  // when the group count collapses the effective shard count to 1, the
+  // when the job count collapses the effective shard count to 1, the
   // single shard still goes to a remote worker (an operator running a
   // fleet daemon relies on that isolation; docs/operations.md).
   if (shard_count > 1 ||
-      (config_.remote_only && request.shards > 1 && group_count != 0)) {
+      (config_.remote_only && request.shards > 1 && expected_records != 0)) {
     run_sharded(request, compiled, plan_cache_key, id,
                 std::max<std::size_t>(1, shard_count), expected_records,
                 root.id(), should_stop, journal.get(), out);
@@ -708,12 +687,12 @@ void CampaignService::run_campaign(const CampaignRequest& request,
 
 void CampaignService::run_in_process(
     const CampaignRequest& request,
-    const std::shared_ptr<const orchestrator::CompiledCampaign>& compiled,
+    const std::shared_ptr<const std::vector<ExperimentJob>>& compiled,
     std::uint64_t id, std::size_t expected_records, std::uint64_t root_span,
     const orchestrator::StopFn& should_stop, CampaignJournal* journal,
     std::ostream& out) {
   JobQueue queue;
-  orchestrator::push_groups(queue, compiled->groups);
+  orchestrator::push_jobs(queue, *compiled);
 
   const std::uint64_t options_fp =
       orchestrator::options_fingerprint(request.options());
@@ -740,10 +719,13 @@ void CampaignService::run_in_process(
               obs::TimelineProfiler::kInheritParent, "record");
           const orchestrator::CacheKey key =
               orchestrator::key_for_job(job, options_fp);
-          journal_append(journal, key);
+          const std::string entry =
+              orchestrator::format_store_entry(key, record);
+          // Journaled under the stream's lock, so a `follow` replays the
+          // records in the order this stream wrote them.
           std::lock_guard lock(out_mutex);
-          out << "record " << orchestrator::format_store_entry(key, record)
-              << '\n';
+          journal_append(journal, key);
+          out << "record " << entry << '\n';
           ++streamed;
           out << "progress " << streamed << "/" << expected_records << '\n';
           out.flush();
@@ -779,13 +761,12 @@ void CampaignService::run_in_process(
 
 void CampaignService::run_sharded(
     const CampaignRequest& request,
-    const std::shared_ptr<const orchestrator::CompiledCampaign>& compiled,
+    const std::shared_ptr<const std::vector<ExperimentJob>>& compiled,
     const std::string& plan_cache_key, std::uint64_t id,
     std::size_t shard_count, std::size_t expected_records,
     std::uint64_t root_span, const orchestrator::StopFn& should_stop,
     CampaignJournal* journal, std::ostream& out) {
-  const std::vector<orchestrator::Campaign::JobGroup>& groups =
-      compiled->groups;
+  const std::vector<ExperimentJob>& jobs = *compiled;
   const std::uint64_t options_fp =
       orchestrator::options_fingerprint(request.options());
 
@@ -795,10 +776,9 @@ void CampaignService::run_sharded(
                                         obs::TimelineProfiler::kInheritParent,
                                         "plan-shards");
 
-  // Serve every group the warm cache already holds before planning shards:
-  // a sharded rerun streams its repeated points instantly and only the
-  // missing groups cost a worker. Each group has exactly one cacheable job
-  // — its root — so a root hit settles the whole group.
+  // Serve every job the warm cache already holds before planning shards: a
+  // sharded rerun streams its repeated points instantly and only the
+  // missing jobs cost a worker.
   std::size_t streamed = 0;
   std::size_t warm_hits = 0;
   // Every entry line this campaign has streamed. A shard retried after its
@@ -807,16 +787,12 @@ void CampaignService::run_sharded(
   // exactly-once (identical keys carry bit-identical records, so the line
   // itself is the dedupe key).
   std::unordered_set<std::string> seen;
-  std::vector<std::size_t> pending;  // group indices the workers must run
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    const ExperimentJob& root = groups[i].jobs.front();
-    std::optional<MeasurementRecord> hit;
-    if (orchestrator::is_cacheable(root.kind)) {
-      hit = cache_.lookup(orchestrator::key_for_job(root, options_fp));
-    }
+  std::vector<std::size_t> pending;  // job indices the workers must run
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const orchestrator::CacheKey key =
+        orchestrator::key_for_job(jobs[i], options_fp);
+    const std::optional<MeasurementRecord> hit = cache_.lookup(key);
     if (hit.has_value()) {
-      const orchestrator::CacheKey key =
-          orchestrator::key_for_job(root, options_fp);
       const std::string entry = orchestrator::format_store_entry(key, *hit);
       seen.insert(entry);
       journal_append(journal, key);
@@ -830,24 +806,25 @@ void CampaignService::run_sharded(
   }
   out.flush();
 
-  // Plan only the pending groups; plan indices are positions in `pending`,
-  // mapped back to campaign group indices for the workers.
+  // Plan only the pending jobs; plan indices are positions in `pending`,
+  // mapped back to campaign job indices for the workers.
   const std::size_t effective_shards =
       std::max<std::size_t>(1, std::min(shard_count, pending.size()));
   const auto plan_pending = [&] {
-    std::vector<orchestrator::Campaign::JobGroup> pending_groups;
-    pending_groups.reserve(pending.size());
+    std::vector<ExperimentJob> pending_jobs;
+    pending_jobs.reserve(pending.size());
     for (const std::size_t index : pending) {
-      pending_groups.push_back(groups[index]);
+      pending_jobs.push_back(jobs[index]);
     }
-    return plan_shards(pending_groups, effective_shards).shard_groups;
+    return plan_shards(pending_jobs, request.options(), effective_shards)
+        .shard_groups;
   };
   // When the warm cache served nothing, `pending` is the full ascending
-  // group list — exactly the partition the PlanCache memoizes per shard
+  // job list — exactly the partition the PlanCache memoizes per shard
   // count. Any warm hit shrinks the pending set, and the memo no longer
   // applies; plan fresh.
   std::shared_ptr<const std::vector<std::vector<std::size_t>>> memoized;
-  if (pending.size() == groups.size()) {
+  if (pending.size() == jobs.size()) {
     memoized =
         plan_cache_.shard_partition(plan_cache_key, effective_shards,
                                     plan_pending);
@@ -858,7 +835,7 @@ void CampaignService::run_sharded(
   const std::vector<std::vector<std::size_t>>& shard_groups =
       memoized == nullptr ? planned : *memoized;
 
-  // Shard work lists: campaign group indices per non-empty shard. Which
+  // Shard work lists: campaign job indices per non-empty shard. Which
   // transport runs them — remote workers over frames, or local workers
   // over tailed disk stores — is decided below; the plan is the same.
   std::vector<WorkerPool::ShardTask> tasks;
@@ -974,7 +951,7 @@ void CampaignService::run_sharded(
 
     // Merge every produced store into the warm cache (merge_store
     // propagates the entries to the service's own persistent store) —
-    // conflict-free by CacheKey (two shards never run the same group, and
+    // conflict-free by CacheKey (two shards never run the same job, and
     // identical keys carry bit-identical records). A failed shard's partial
     // store still merges: its finished points are real measurements.
     for (const auto& task : local_tasks) {
@@ -1353,8 +1330,7 @@ bool parse_decimal_u64(const std::string& text, std::uint64_t* value) {
 /// Reverse of orchestrator::to_string(JobKind) — the `kind` filter values
 /// are the documented job-kind names ("gemm-measure", "sme-gemm", ...).
 std::optional<JobKind> job_kind_from_name(const std::string& name) {
-  for (std::size_t i = 0; i < orchestrator::kJobKindCount; ++i) {
-    const auto kind = static_cast<JobKind>(i);
+  for (const JobKind kind : orchestrator::kAllJobKinds) {
     if (orchestrator::to_string(kind) == name) {
       return kind;
     }

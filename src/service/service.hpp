@@ -105,7 +105,7 @@ class CampaignService {
     /// SessionOutbox). Protocol events and replies are exempt.
     std::size_t outbox_capacity = 1024;
     /// Retained compiled campaign expansions (orchestrator::PlanCache):
-    /// repeated campaigns skip the groups() walk at checkout. At least 1.
+    /// repeated campaigns skip the jobs() walk at checkout. At least 1.
     std::size_t plan_cache_capacity = 64;
   };
 
@@ -183,13 +183,15 @@ class CampaignService {
   /// `journal` (may be null) records every streamed CacheKey for `follow`.
   void run_in_process(
       const CampaignRequest& request,
-      const std::shared_ptr<const orchestrator::CompiledCampaign>& compiled,
+      const std::shared_ptr<const std::vector<orchestrator::ExperimentJob>>&
+          compiled,
       std::uint64_t id, std::size_t expected_records, std::uint64_t root_span,
       const orchestrator::StopFn& should_stop, CampaignJournal* journal,
       std::ostream& out);
   void run_sharded(
       const CampaignRequest& request,
-      const std::shared_ptr<const orchestrator::CompiledCampaign>& compiled,
+      const std::shared_ptr<const std::vector<orchestrator::ExperimentJob>>&
+          compiled,
       const std::string& plan_cache_key, std::uint64_t id,
       std::size_t shard_count, std::size_t expected_records,
       std::uint64_t root_span, const orchestrator::StopFn& should_stop,

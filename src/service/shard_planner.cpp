@@ -18,20 +18,23 @@ using orchestrator::JobKind;
 
 /// `computes` is false for a chip whose numeric result another chip of the
 /// same bundle computes (see bundle_of): it is charged its per-chip model
-/// work, n^2, instead of the n^3 product.
-double estimated_job_cost(const ExperimentJob& job, bool computes) {
+/// work, n^2, instead of the n^3 product. A verified GEMM job is charged
+/// n^2 more, for its verdict (computed, or copied from the claimant).
+double job_cost(const ExperimentJob& job,
+                const harness::GemmExperiment::Options& options,
+                bool computes) {
   const auto n = static_cast<double>(job.n);
-  if (!computes && (job.kind == JobKind::kGemmMeasure ||
-                    job.kind == JobKind::kPrecisionStudy ||
+  if (!computes && (job.kind == JobKind::kPrecisionStudy ||
                     job.kind == JobKind::kFp64Emulation ||
                     job.kind == JobKind::kSmeGemm)) {
     return n * n;
   }
   switch (job.kind) {
-    case JobKind::kGemmMeasure:
-      return n * n * n;
-    case JobKind::kGemmVerify:
-      return n * n;
+    case JobKind::kGemmMeasure: {
+      const double verify =
+          harness::verified_at(options, job.impl, job.n) ? n * n : 0.0;
+      return (computes ? n * n * n : n * n) + verify;
+    }
     case JobKind::kStream: {
       const auto elements =
           job.stream_elements != 0
@@ -64,28 +67,19 @@ double estimated_job_cost(const ExperimentJob& job, bool computes) {
   throw util::InvalidArgument("unknown JobKind");
 }
 
-double group_cost(const orchestrator::Campaign::JobGroup& group,
-                  bool computes) {
-  double cost = 0.0;
-  for (const ExperimentJob& job : group.jobs) {
-    cost += estimated_job_cost(job, computes);
-  }
-  return cost;
-}
-
-/// The groups whose numeric result one scheduler computes once and shares
+/// The jobs whose numeric result one scheduler computes once and shares
 /// between chips (a functional GEMM per (impl, n); the precision,
 /// FP64-emulation and SME accuracy passes per (n, seed)) form one bundle,
-/// keyed here; every other group is a bundle of its own (nullopt).
+/// keyed here; every other job is a bundle of its own (nullopt).
 using BundleKey = std::tuple<JobKind, soc::GemmImpl, std::size_t, std::uint64_t>;
-std::optional<BundleKey> bundle_of(const ExperimentJob& root) {
-  switch (root.kind) {
+std::optional<BundleKey> bundle_of(const ExperimentJob& job) {
+  switch (job.kind) {
     case JobKind::kGemmMeasure:
-      return BundleKey{root.kind, root.impl, root.n, 0};
+      return BundleKey{job.kind, job.impl, job.n, 0};
     case JobKind::kPrecisionStudy:
     case JobKind::kFp64Emulation:
     case JobKind::kSmeGemm:
-      return BundleKey{root.kind, soc::GemmImpl{}, root.n, root.study_seed};
+      return BundleKey{job.kind, soc::GemmImpl{}, job.n, job.study_seed};
     default:
       return std::nullopt;
   }
@@ -93,26 +87,27 @@ std::optional<BundleKey> bundle_of(const ExperimentJob& root) {
 
 }  // namespace
 
-double estimated_group_cost(const orchestrator::Campaign::JobGroup& group) {
-  return group_cost(group, /*computes=*/true);
+double estimated_job_cost(const ExperimentJob& job,
+                          const harness::GemmExperiment::Options& options) {
+  return job_cost(job, options, /*computes=*/true);
 }
 
-ShardPlan plan_shards(
-    const std::vector<orchestrator::Campaign::JobGroup>& groups,
-    std::size_t shard_count) {
+ShardPlan plan_shards(const std::vector<ExperimentJob>& jobs,
+                      const harness::GemmExperiment::Options& options,
+                      std::size_t shard_count) {
   AO_REQUIRE(shard_count >= 1, "need at least one shard");
   ShardPlan plan;
   plan.shard_groups.resize(shard_count);
   plan.shard_costs.assign(shard_count, 0.0);
 
-  // Bundle the groups that share a numeric result, so all of them land on
-  // one shard and its scheduler computes the result once; the bundle is
-  // charged that computation once.
+  // Bundle the jobs that share a numeric result, so all of them land on one
+  // shard and its scheduler computes the result once; the bundle is charged
+  // that computation once.
   std::vector<std::vector<std::size_t>> bundles;
   std::vector<double> costs;
   std::map<BundleKey, std::size_t> bundle_index;
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    const auto key = bundle_of(groups[i].jobs.front());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto key = bundle_of(jobs[i]);
     std::size_t bundle = bundles.size();
     bool first = true;
     if (key.has_value()) {
@@ -125,12 +120,12 @@ ShardPlan plan_shards(
       costs.push_back(0.0);
     }
     bundles[bundle].push_back(i);
-    costs[bundle] += group_cost(groups[i], /*computes=*/first);
+    costs[bundle] += job_cost(jobs[i], options, /*computes=*/first);
   }
 
   // LPT greedy: heaviest bundle first onto the least-loaded shard. Sorting
-  // is stable on (cost desc, first group index asc) so the plan is a pure
-  // function of the group list.
+  // is stable on (cost desc, first job index asc) so the plan is a pure
+  // function of the job list.
   std::vector<std::size_t> order(bundles.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {

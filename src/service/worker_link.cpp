@@ -120,9 +120,9 @@ void execute_task(const RemoteTask& task, std::ostream& out,
     const auto compiled =
         plans.checkout(plan_key(task.request), [&] {
           compiled_here = true;
-          return orchestrator::compile_campaign(task.request.to_campaign());
+          return task.request.to_campaign().jobs();
         });
-    orchestrator::push_group_subset(queue, compiled->groups, task.groups);
+    orchestrator::push_job_subset(queue, *compiled, task.groups);
     profiler.record(obs::Phase::kPlan, plan_start, profiler.now(), 0,
                     compiled_here ? "miss" : "hit");
   }

@@ -3,7 +3,7 @@
 //
 //   ao_worker --request <file> --groups <i,j,...> --store <file>
 //     Local batch mode, spawned by the service's WorkerPool on the same
-//     machine: expand exactly those job groups, run them, write-through
+//     machine: expand exactly those campaign jobs, run them, write-through
 //     every record into the named store (which the service tails and
 //     merges). stdout stays silent; errors go to stderr and the exit code.
 //

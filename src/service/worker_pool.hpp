@@ -9,7 +9,7 @@
 namespace ao::service {
 
 /// Executes one shard of a campaign in this process: expands the named
-/// groups (indices into `request.to_campaign().groups()`), runs them on a
+/// jobs (indices into `request.to_campaign().jobs()`), runs them on a
 /// private scheduler with `request.workers` threads, and write-throughs
 /// every record into a fresh store at `store_path`. Returns "" on success,
 /// the error message otherwise. This is the whole body of the `ao_worker`
@@ -24,7 +24,8 @@ std::string run_shard(const CampaignRequest& request,
 /// Two execution modes:
 ///  - process mode (a worker binary path is configured): each shard is a
 ///    spawned `ao_worker` process handed the request block as a file plus
-///    its group list; crash isolation and true multi-process parallelism.
+///    its job-index list (`--groups`); crash isolation and true
+///    multi-process parallelism.
 ///  - in-process mode (empty binary path): each shard runs run_shard() on a
 ///    std::thread — same store contract, no process boundary (tests and
 ///    environments without the binary).
@@ -35,7 +36,7 @@ class WorkerPool {
  public:
   struct ShardTask {
     std::size_t shard_index = 0;
-    std::vector<std::size_t> groups;  ///< campaign group indices
+    std::vector<std::size_t> groups;  ///< campaign job indices
     std::string store_path;           ///< fresh write-through store target
   };
 

@@ -108,7 +108,7 @@ bool any_line_contains(const std::vector<std::string>& lines,
   return false;
 }
 
-/// The mixed nine-kind campaign of the service tests: 20 records.
+/// The mixed every-kind campaign of the service tests: 20 records.
 std::string nine_kind_block(std::size_t workers, std::size_t shards) {
   std::ostringstream out;
   out << "begin ninekinds\n"

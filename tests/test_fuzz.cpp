@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "service/frame.hpp"
 #include "service/service.hpp"
 #include "util/csv_writer.hpp"
+#include "util/hex.hpp"
 #include "util/rng.hpp"
 
 namespace ao {
@@ -361,6 +364,61 @@ TEST(StoreMergeFuzz, CorruptedBuffersMergeOnlyIntactEntries) {
       EXPECT_TRUE(*original == record) << "round " << round;
     }
   }
+}
+
+/// `line` re-keyed with job-kind code `code`, its digest recomputed — a
+/// well-formed line whose only fault is the kind it names.
+std::string with_kind_code(const std::string& line, std::uint64_t code) {
+  const std::size_t kind_at = std::strlen(orchestrator::kStoreEntryPrefix);
+  const std::size_t kind_end = line.find(' ', kind_at);
+  const std::size_t digest_at = line.rfind(orchestrator::kStoreDigestSeparator);
+  std::string out = orchestrator::kStoreEntryPrefix + util::to_hex_u64(code) +
+                    line.substr(kind_end, digest_at - kind_end);
+  const std::uint64_t digest =
+      orchestrator::store_digest(out.data(), out.size());
+  out += orchestrator::kStoreDigestSeparator;
+  out += util::to_hex_u64(digest);
+  return out;
+}
+
+TEST(StoreEntryFuzz, KindCodesThatNameNoJobKindAreRejected) {
+  orchestrator::CacheKey key;
+  key.kind = orchestrator::JobKind::kGemmMeasure;
+  key.chip = soc::ChipModel::kM3;
+  key.impl = soc::GemmImpl::kGpuCutlass;
+  key.n = 128;
+  key.options_fingerprint = 7;
+  harness::GemmMeasurement m;
+  m.n = key.n;
+  m.functional = true;
+  m.verified = true;
+  m.time_ns.add(1.5e6);
+  const std::string line = orchestrator::format_store_entry(key, m);
+  ASSERT_EQ(with_kind_code(line, 0), line);  // the re-keying is exact
+  ASSERT_TRUE(orchestrator::parse_store_entry(line).has_value());
+
+  // Code 1 is retired (it named the separate verify job, whose lines carried
+  // a GEMM record); 9 and up were never assigned.
+  for (const std::uint64_t code : {1ull, 9ull, 0x10ull, 0xffffull}) {
+    EXPECT_FALSE(
+        orchestrator::parse_store_entry(with_kind_code(line, code)).has_value())
+        << "code " << code;
+  }
+
+  // load() skips such a line and counts it; the valid line still loads.
+  const auto path =
+      (std::filesystem::temp_directory_path() / "ao_retired_kind.aocache")
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << orchestrator::store_header_line() << '\n'
+        << line << '\n'
+        << with_kind_code(line, 1) << '\n';
+  }
+  orchestrator::ResultCache cache;
+  EXPECT_EQ(cache.load(path), 1u);
+  EXPECT_EQ(cache.stats().load_rejected, 1u);
+  std::filesystem::remove(path);
 }
 
 // ----------------------------------------------------- query/follow fuzz ---

@@ -41,64 +41,32 @@ ExperimentJob gemm_job(std::size_t n, int priority = 0) {
   return job;
 }
 
-TEST(JobQueue, DependentsWaitForTheirMeasurement) {
-  JobQueue queue;
-  const JobId a = queue.push(gemm_job(64));
-  ExperimentJob verify;
-  verify.kind = JobKind::kGemmVerify;
-  verify.n = 64;
-  verify.parent = a;
-  const JobId b = queue.push(verify, {a});
-
-  auto first = queue.try_pop_ready();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->id, a);
-  // The verify job is pushed but not ready until its measurement finishes.
-  EXPECT_FALSE(queue.try_pop_ready().has_value());
-  queue.mark_done(a);
-  auto second = queue.try_pop_ready();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->id, b);
-  queue.mark_done(b);
-  EXPECT_TRUE(queue.all_done());
-}
-
 TEST(JobQueue, PriorityOrdersReadyJobs) {
   JobQueue queue;
   const JobId small = queue.push(gemm_job(32, /*priority=*/32));
   const JobId large = queue.push(gemm_job(4096, /*priority=*/4096));
   const JobId mid = queue.push(gemm_job(256, /*priority=*/256));
 
-  EXPECT_EQ(queue.try_pop_ready()->id, large);
-  EXPECT_EQ(queue.try_pop_ready()->id, mid);
-  EXPECT_EQ(queue.try_pop_ready()->id, small);
+  EXPECT_EQ(queue.pop_ready()->id, large);
+  EXPECT_EQ(queue.pop_ready()->id, mid);
+  EXPECT_EQ(queue.pop_ready()->id, small);
   // Equal priority falls back to submission order.
   JobQueue tie;
   const JobId first = tie.push(gemm_job(64, 7));
   tie.push(gemm_job(64, 7));
-  EXPECT_EQ(tie.try_pop_ready()->id, first);
-}
-
-TEST(JobQueue, UnknownDependencyThrows) {
-  JobQueue queue;
-  EXPECT_THROW(queue.push(gemm_job(64), {JobId{999}}), util::InvalidArgument);
-}
-
-TEST(JobQueue, DoneDependencyCountsAsSatisfied) {
-  JobQueue queue;
-  const JobId a = queue.push(gemm_job(64));
-  queue.try_pop_ready();
-  queue.mark_done(a);
-  queue.push(gemm_job(128), {a});
-  EXPECT_TRUE(queue.try_pop_ready().has_value());
+  EXPECT_EQ(tie.pop_ready()->id, first);
 }
 
 TEST(JobQueue, PopReadyReturnsNulloptWhenDrained) {
   JobQueue queue;
   const JobId a = queue.push(gemm_job(64));
   EXPECT_EQ(queue.pop_ready()->id, a);
-  queue.mark_done(a);
+  // Drained once every job is popped, whether or not it is done yet.
   EXPECT_FALSE(queue.pop_ready().has_value());
+  EXPECT_FALSE(queue.all_done());
+  queue.mark_done(a);
+  EXPECT_TRUE(queue.all_done());
+  EXPECT_THROW(queue.mark_done(a), util::InvalidArgument);
   EXPECT_FALSE(JobQueue{}.pop_ready().has_value());
 }
 
@@ -719,7 +687,7 @@ TEST(MatrixBatch, NumericSlotsClaimOncePerImplAndReleaseParkedOnSettle) {
   EXPECT_EQ(released[0].measurement.max_error, 0.25f);
   EXPECT_TRUE(released[0].measurement.verified);
 
-  // After the verdict exists a late verify job copies it at once.
+  // After the verdict exists a late measure job copies it at once.
   const auto late = batch.copy_verdict_or_park(soc::GemmImpl::kGpuMps, waiting);
   ASSERT_TRUE(late.has_value());
   EXPECT_EQ(late->measurement.max_error, 0.5f);
@@ -788,7 +756,7 @@ std::vector<harness::GemmMeasurement> legacy_serial_sweep(
   return results;
 }
 
-TEST(Campaign, ExpansionBuildsVerifyEdgesAndHonorsSkips) {
+TEST(Campaign, ExpansionIsOneJobPerPointAndHonorsSkips) {
   harness::GemmExperiment::Options opts;  // defaults: functional small sizes
   Campaign campaign;
   campaign.chips({soc::ChipModel::kM1})
@@ -799,31 +767,14 @@ TEST(Campaign, ExpansionBuildsVerifyEdgesAndHonorsSkips) {
   JobQueue queue;
   campaign.expand(queue);
   const auto jobs = queue.jobs();
-  EXPECT_EQ(jobs.size(), campaign.job_count());
+  EXPECT_EQ(jobs.size(), campaign.jobs().size());
 
-  // CPU-Single skips 8192; n=64 is functional + verified for both impls.
-  std::size_t measures = 0;
-  std::size_t verifies = 0;
+  // CPU-Single skips 8192; n=64 is functional + verified for both impls,
+  // inside its measure job.
+  ASSERT_EQ(jobs.size(), 3u);
   for (const auto& job : jobs) {
-    if (job.kind == JobKind::kGemmMeasure) {
-      ++measures;
-      EXPECT_FALSE(job.impl == soc::GemmImpl::kCpuSingle && job.n == 8192);
-    } else if (job.kind == JobKind::kGemmVerify) {
-      ++verifies;
-      EXPECT_NE(job.parent, kInvalidJob);
-    }
-  }
-  EXPECT_EQ(measures, 3u);
-  EXPECT_EQ(verifies, 2u);
-
-  // No verify job becomes ready before its measurement completed.
-  std::vector<ExperimentJob> first_wave;
-  while (auto job = queue.try_pop_ready()) {
-    first_wave.push_back(*job);
-  }
-  EXPECT_EQ(first_wave.size(), measures);
-  for (const auto& job : first_wave) {
     EXPECT_EQ(job.kind, JobKind::kGemmMeasure);
+    EXPECT_FALSE(job.impl == soc::GemmImpl::kCpuSingle && job.n == 8192);
   }
 }
 
@@ -837,11 +788,11 @@ TEST(Campaign, BatchedOperandsAreAllocatedOncePerSize) {
       .concurrency(1);
   const auto result = campaign.run();
 
-  // All six implementations at n=64: 6 measure + 6 verify jobs, one shared
+  // All six implementations at n=64: 6 verified measure jobs, one shared
   // operand batch, and — serially — one recycled output buffer.
   EXPECT_EQ(result.gemm.size(), 6u);
-  EXPECT_EQ(result.stats.jobs_total, 12u);
-  EXPECT_EQ(result.stats.jobs_executed, 12u);
+  EXPECT_EQ(result.stats.jobs_total, 6u);
+  EXPECT_EQ(result.stats.jobs_executed, 6u);
   EXPECT_EQ(result.stats.verifications, 6u);
   EXPECT_EQ(result.stats.batches_allocated, 1u);
   EXPECT_EQ(result.stats.out_buffers_allocated, 1u);
@@ -949,11 +900,11 @@ TEST(Campaign, CacheKeyedOnOptionsNotJustThePoint) {
 
 // ------------------------------------------- multi-kind campaigns + disk ---
 
-/// A small campaign exercising every JobKind: GEMM measure + verify at a
-/// functional size, CPU STREAM at two thread counts, GPU STREAM, a
+/// A small campaign exercising every JobKind: verified GEMM measurements at
+/// a functional size, CPU STREAM at two thread counts, GPU STREAM, a
 /// precision study, an ANE dispatch, an FP64-emulation study, an SME GEMM,
 /// and an idle power sample.
-Campaign nine_kind_campaign() {
+Campaign every_kind_campaign() {
   harness::GemmExperiment::Options opts;
   opts.repetitions = 2;
   Campaign campaign;
@@ -973,17 +924,17 @@ Campaign nine_kind_campaign() {
 }
 
 TEST(Campaign, SchedulesEveryJobKindAndProducesTypedRecords) {
-  Campaign campaign = nine_kind_campaign();
+  Campaign campaign = every_kind_campaign();
 
-  // The expansion covers all nine kinds.
+  // The expansion covers every kind.
   JobQueue queue;
   campaign.expand(queue);
   std::map<JobKind, std::size_t> kinds;
   for (const auto& job : queue.jobs()) {
     ++kinds[job.kind];
   }
-  EXPECT_EQ(kinds.size(), kJobKindCount);
-  EXPECT_EQ(queue.jobs().size(), campaign.job_count());
+  EXPECT_EQ(kinds.size(), kAllJobKinds.size());
+  EXPECT_EQ(queue.jobs().size(), campaign.jobs().size());
 
   const auto result = campaign.run();
   EXPECT_EQ(result.gemm.size(), 4u);  // 2 chips x 2 impls
@@ -1053,13 +1004,13 @@ TEST(Campaign, AneIncompatibleShapeFallsBackToGpu) {
   EXPECT_NEAR(result.ane.front().mean_output, 10.0, 1.0);
 }
 
-// A campaign mixing all nine JobKinds runs twice in (simulated) separate
+// A campaign mixing every JobKind runs twice in (simulated) separate
 // processes — a cold in-memory cache warmed only from the disk store serves
 // every repeated point of the second run.
-TEST(Campaign, NineKindCampaignRepeatsAcrossProcessesViaDiskStore) {
-  const std::string path = temp_store("nine_kinds");
+TEST(Campaign, EveryKindCampaignRepeatsAcrossProcessesViaDiskStore) {
+  const std::string path = temp_store("every_kind");
 
-  Campaign campaign = nine_kind_campaign();
+  Campaign campaign = every_kind_campaign();
   CampaignResult first;
   {
     ResultCache cache;  // process 1
@@ -1075,9 +1026,8 @@ TEST(Campaign, NineKindCampaignRepeatsAcrossProcessesViaDiskStore) {
   campaign.cache(&cold);
   const auto second = campaign.run();
 
-  // Every cacheable job (all but the verifications) is served from disk.
-  EXPECT_EQ(second.stats.cache_hits,
-            first.stats.jobs_executed - first.stats.verifications);
+  // Every job is served from disk.
+  EXPECT_EQ(second.stats.cache_hits, first.stats.jobs_executed);
   EXPECT_GT(second.stats.cache_hits, 0u);
   EXPECT_EQ(second.stats.jobs_executed, 0u);
   EXPECT_EQ(second.stats.batches_allocated, 0u);
@@ -1099,7 +1049,7 @@ TEST(Campaign, NineKindCampaignRepeatsAcrossProcessesViaDiskStore) {
 // repeated point from disk — nothing executes and nothing is appended.
 TEST(Campaign, EvictedPointsAreReadThroughTheStoreNotReexecuted) {
   const std::string path = temp_store("read_through_campaign");
-  Campaign campaign = nine_kind_campaign();
+  Campaign campaign = every_kind_campaign();
   CampaignResult first;
   {
     ResultCache cache;  // process 1
@@ -1115,8 +1065,7 @@ TEST(Campaign, EvictedPointsAreReadThroughTheStoreNotReexecuted) {
   tiny.persist_to(path);
   campaign.cache(&tiny);
   const auto second = campaign.run();
-  const std::size_t cacheable =
-      first.stats.jobs_executed - first.stats.verifications;
+  const std::size_t cacheable = first.stats.jobs_executed;
   EXPECT_EQ(second.stats.cache_hits, cacheable);
   EXPECT_EQ(second.stats.jobs_executed, 0u);
   EXPECT_EQ(tiny.stats().hits, cacheable);
@@ -1194,7 +1143,7 @@ TEST(Campaign, FourChipCampaignComputesEachProductOnce) {
   ASSERT_EQ(result.gemm.size(), 4u * 4u * 6u);
   const std::size_t points = 4u * 6u;  // (impl, n) verify points
   EXPECT_EQ(result.stats.verifications, points);
-  EXPECT_EQ(result.stats.jobs_executed, result.gemm.size() + points);
+  EXPECT_EQ(result.stats.jobs_executed, result.gemm.size());
   for (const auto& m : result.gemm) {
     EXPECT_TRUE(m.functional);
     EXPECT_TRUE(m.verified) << soc::to_string(m.impl) << " n=" << m.n;
@@ -1295,7 +1244,7 @@ TEST(Campaign, PartiallyCachedCampaignExecutesOnlyTheMissingChips) {
   }
   EXPECT_EQ(result.stats.cache_hits, 2u * per_chip_records);
   EXPECT_EQ(result.stats.verifications, 4u * 6u);
-  EXPECT_EQ(result.stats.jobs_executed, 2u * per_chip_records + 4u * 6u);
+  EXPECT_EQ(result.stats.jobs_executed, 2u * per_chip_records);
 
   const auto cold = grid(kFourChips).run();
   EXPECT_EQ(result.gemm, cold.gemm);
@@ -1699,9 +1648,7 @@ Campaign plan_cache_campaign() {
 
 TEST(PlanCache, CompiledExpansionRebuildsTheExactJobGraph) {
   const Campaign campaign = plan_cache_campaign();
-  const CompiledCampaign compiled = compile_campaign(campaign);
-  EXPECT_EQ(compiled.groups.size(), campaign.groups().size());
-  EXPECT_EQ(compiled.job_count, campaign.job_count());
+  const std::vector<ExperimentJob> compiled = campaign.jobs();
 
   // A queue rebuilt from the compilation is indistinguishable — job for
   // job, id for id — from one the campaign expanded directly: a cache-hit
@@ -1709,7 +1656,7 @@ TEST(PlanCache, CompiledExpansionRebuildsTheExactJobGraph) {
   JobQueue direct;
   campaign.expand(direct);
   JobQueue rebuilt;
-  push_groups(rebuilt, compiled.groups);
+  push_jobs(rebuilt, compiled);
   const auto expected = direct.jobs();
   const auto actual = rebuilt.jobs();
   ASSERT_EQ(actual.size(), expected.size());
@@ -1720,17 +1667,14 @@ TEST(PlanCache, CompiledExpansionRebuildsTheExactJobGraph) {
     EXPECT_EQ(actual[i].chip, expected[i].chip) << "job " << i;
     EXPECT_EQ(actual[i].impl, expected[i].impl) << "job " << i;
     EXPECT_EQ(actual[i].n, expected[i].n) << "job " << i;
-    EXPECT_EQ(actual[i].parent, expected[i].parent) << "job " << i;
-    EXPECT_EQ(actual[i].expects_verify, expected[i].expects_verify)
-        << "job " << i;
   }
 
-  // The subset form addresses the same group indices a full expansion
+  // The subset form addresses the same job indices a full expansion
   // would — the shard-task path reuses the compilation too.
   JobQueue subset_direct;
   campaign.expand_subset(subset_direct, {0, 2});
   JobQueue subset_rebuilt;
-  push_group_subset(subset_rebuilt, compiled.groups, {0, 2});
+  push_job_subset(subset_rebuilt, compiled, {0, 2});
   EXPECT_EQ(subset_rebuilt.jobs().size(), subset_direct.jobs().size());
 }
 
@@ -1739,7 +1683,7 @@ TEST(PlanCache, CheckoutSharesOneCompilationPerKey) {
   int compiles = 0;
   const auto compile = [&] {
     ++compiles;
-    return compile_campaign(plan_cache_campaign());
+    return plan_cache_campaign().jobs();
   };
   const auto first = cache.checkout("key-a", compile);
   const auto second = cache.checkout("key-a", compile);
@@ -1761,9 +1705,7 @@ TEST(PlanCache, LruBoundEvictsTheColdestEntryOnly) {
   int compiles = 0;
   const auto compile = [&] {
     ++compiles;
-    CompiledCampaign compiled;
-    compiled.job_count = static_cast<std::size_t>(compiles);
-    return compiled;
+    return std::vector<ExperimentJob>(static_cast<std::size_t>(compiles));
   };
   const auto held = cache.checkout("k0", compile);
   cache.checkout("k1", compile);
@@ -1771,7 +1713,7 @@ TEST(PlanCache, LruBoundEvictsTheColdestEntryOnly) {
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
   // Holders of an evicted compilation keep a valid shared snapshot.
-  EXPECT_EQ(held->job_count, 1u);
+  EXPECT_EQ(held->size(), 1u);
 
   // k1 is still resident (a hit); k0 must recompile.
   cache.checkout("k1", compile);
@@ -1796,7 +1738,7 @@ TEST(PlanCache, ShardPartitionMemoizesPerShardCountAndNeedsResidency) {
   EXPECT_EQ(cache.shard_partition("ghost", 2, plan), nullptr);
   EXPECT_EQ(plans, 0);
 
-  cache.checkout("k", [] { return CompiledCampaign{}; });
+  cache.checkout("k", [] { return std::vector<ExperimentJob>{}; });
   const auto first = cache.shard_partition("k", 2, plan);
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(plans, 1);

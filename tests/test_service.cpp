@@ -329,7 +329,7 @@ std::string nine_kind_block(std::size_t workers, std::size_t shards) {
   return out.str();
 }
 
-TEST(CampaignService, StreamsRecordsBeforeDoneInDependencyOrder) {
+TEST(CampaignService, StreamsVerifiedRecordsBeforeDone) {
   CampaignService service({});
   const auto lines = serve_lines(service, nine_kind_block(2, 1));
 
@@ -347,8 +347,8 @@ TEST(CampaignService, StreamsRecordsBeforeDoneInDependencyOrder) {
       const auto entry = orchestrator::parse_store_entry(lines[i].substr(7));
       ASSERT_TRUE(entry.has_value()) << lines[i];
       ++records;
-      // Dependency order: a GEMM measurement streams only after its verify
-      // job settled, so the record already carries the verdict.
+      // A GEMM measurement streams only once its (impl, n) verdict is
+      // settled, so the record already carries it.
       if (entry->first.kind == JobKind::kGemmMeasure) {
         const auto& m =
             std::get<harness::GemmMeasurement>(entry->second);
@@ -396,29 +396,29 @@ TEST(ShardPlanner, CoversEveryGroupExactlyOnceAndIsDeterministic) {
   const auto request =
       parse_request_lines(full_request().to_lines(), &error);
   ASSERT_TRUE(request.has_value()) << error;
-  const auto groups = request->to_campaign().groups();
-  ASSERT_GT(groups.size(), 4u);
+  const auto jobs = request->to_campaign().jobs();
+  ASSERT_GT(jobs.size(), 4u);
 
-  const ShardPlan plan = plan_shards(groups, 3);
+  const ShardPlan plan = plan_shards(jobs, request->options(), 3);
   ASSERT_EQ(plan.shard_count(), 3u);
   std::vector<std::size_t> seen;
   for (const auto& shard : plan.shard_groups) {
     seen.insert(seen.end(), shard.begin(), shard.end());
   }
   std::sort(seen.begin(), seen.end());
-  std::vector<std::size_t> expected(groups.size());
-  for (std::size_t i = 0; i < groups.size(); ++i) {
+  std::vector<std::size_t> expected(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
     expected[i] = i;
   }
   EXPECT_EQ(seen, expected);
 
-  const ShardPlan again = plan_shards(groups, 3);
+  const ShardPlan again = plan_shards(jobs, request->options(), 3);
   EXPECT_EQ(plan.shard_groups, again.shard_groups);
 
   // Every shard carries real work and none carries all of it.
   double total = 0.0;
-  for (const auto& g : groups) {
-    total += estimated_group_cost(g);
+  for (const auto& job : jobs) {
+    total += estimated_job_cost(job, request->options());
   }
   const double heaviest =
       *std::max_element(plan.shard_costs.begin(), plan.shard_costs.end());
@@ -429,9 +429,9 @@ TEST(ShardPlanner, CoversEveryGroupExactlyOnceAndIsDeterministic) {
 TEST(ShardPlanner, MoreShardsThanGroupsLeavesTrailingShardsEmpty) {
   orchestrator::Campaign campaign;
   campaign.chips({soc::ChipModel::kM1}).impls({}).sizes({}).sme_gemm({32});
-  const auto groups = campaign.groups();
-  ASSERT_EQ(groups.size(), 1u);
-  const ShardPlan plan = plan_shards(groups, 4);
+  const auto jobs = campaign.jobs();
+  ASSERT_EQ(jobs.size(), 1u);
+  const ShardPlan plan = plan_shards(jobs, {}, 4);
   std::size_t populated = 0;
   for (const auto& shard : plan.shard_groups) {
     populated += shard.empty() ? 0 : 1;
@@ -441,7 +441,7 @@ TEST(ShardPlanner, MoreShardsThanGroupsLeavesTrailingShardsEmpty) {
 
 // Every chip of one functional (impl, n) shares one product, so the planner
 // keeps them together: with the paper's four chips and sizes 32-1024, the
-// LPT order over single groups used to split all 30 such points across
+// LPT order over single jobs used to split all 30 such points across
 // shards under `shards 4`, and each shard computed the product again.
 TEST(ShardPlanner, FourShardsKeepEveryImplAndSizeOnOneShard) {
   orchestrator::Campaign campaign;
@@ -451,8 +451,9 @@ TEST(ShardPlanner, FourShardsKeepEveryImplAndSizeOnOneShard) {
       .sizes({32, 64, 128, 256, 512, 1024})
       .precision_study({64})
       .sme_gemm({64});
-  const auto groups = campaign.groups();
-  const ShardPlan plan = plan_shards(groups, 4);
+  const harness::GemmExperiment::Options options;  // the campaign's
+  const auto jobs = campaign.jobs();
+  const ShardPlan plan = plan_shards(jobs, options, 4);
   std::map<std::tuple<orchestrator::JobKind, soc::GemmImpl, std::size_t>,
            std::set<std::size_t>>
       shards_of;
@@ -462,12 +463,12 @@ TEST(ShardPlanner, FourShardsKeepEveryImplAndSizeOnOneShard) {
     EXPECT_TRUE(std::is_sorted(plan.shard_groups[shard].begin(),
                                plan.shard_groups[shard].end()));
     for (const std::size_t index : plan.shard_groups[shard]) {
-      const orchestrator::ExperimentJob& root = groups[index].jobs.front();
-      shards_of[{root.kind, root.impl, root.n}].insert(shard);
+      const orchestrator::ExperimentJob& job = jobs[index];
+      shards_of[{job.kind, job.impl, job.n}].insert(shard);
       ++placed;
     }
   }
-  EXPECT_EQ(placed, groups.size());
+  EXPECT_EQ(placed, jobs.size());
   EXPECT_EQ(shards_of.size(), 6u * 6u + 2u);
   for (const auto& [point, shards] : shards_of) {
     EXPECT_EQ(shards.size(), 1u)
@@ -476,8 +477,8 @@ TEST(ShardPlanner, FourShardsKeepEveryImplAndSizeOnOneShard) {
   }
   // Each shared product is charged once, not once per chip.
   double per_chip_total = 0.0;
-  for (const auto& group : groups) {
-    per_chip_total += estimated_group_cost(group);
+  for (const auto& job : jobs) {
+    per_chip_total += estimated_job_cost(job, options);
   }
   double planned_total = 0.0;
   for (const double cost : plan.shard_costs) {
@@ -1619,13 +1620,13 @@ stats-phase queue-wait count 3
 stats-phase admission count 3
 stats-phase schedule count 4
 stats-phase shard count 2
-stats-phase execute count 24
+stats-phase execute count 20
 stats-phase serialize count 20
 stats-phase merge count 2
 stats-phase abort count 1
 stats-phase plan count 3
 stats-phase query count 2
-stats campaigns 2 sharded 1 records 26 executed 22 hits 0 merged 6 cache-entries 26 store-entries 26 running 0 queued 0 peak 1 rejected 0 remote-shards 0 workers 0 idle-workers 0 aborted 1 deadline-expired 0 shard-retries 0 outbox-peak <t> outbox-blocked 0 outbox-dropped 0 plan-hits 0 plan-misses 3 plan-entries 3 queries 1 query-records 25 follows 1 stale-cursors 0
+stats campaigns 2 sharded 1 records 26 executed 20 hits 0 merged 6 cache-entries 26 store-entries 26 running 0 queued 0 peak 1 rejected 0 remote-shards 0 workers 0 idle-workers 0 aborted 1 deadline-expired 0 shard-retries 0 outbox-peak <t> outbox-blocked 0 outbox-dropped 0 plan-hits 0 plan-misses 3 plan-entries 3 queries 1 query-records 25 follows 1 stale-cursors 0
 # HELP ao_campaigns_total Campaigns completed since daemon start.
 # TYPE ao_campaigns_total counter
 ao_campaigns_total 2
@@ -1643,7 +1644,7 @@ ao_campaigns_deadline_expired_total 0
 ao_queue_rejected_total 0
 # HELP ao_jobs_executed_total Jobs executed by schedulers (local and worker-side).
 # TYPE ao_jobs_executed_total counter
-ao_jobs_executed_total 22
+ao_jobs_executed_total 20
 # HELP ao_cache_hits_total Jobs served from the warm result cache.
 # TYPE ao_cache_hits_total counter
 ao_cache_hits_total 0
@@ -1747,7 +1748,7 @@ ao_phase_duration_ns_bucket{phase="execute",le="1000000000"} <t>
 ao_phase_duration_ns_bucket{phase="execute",le="10000000000"} <t>
 ao_phase_duration_ns_bucket{phase="execute",le="+Inf"} <t>
 ao_phase_duration_ns_sum{phase="execute"} <t>
-ao_phase_duration_ns_count{phase="execute"} 24
+ao_phase_duration_ns_count{phase="execute"} 20
 ao_phase_duration_ns_bucket{phase="merge",le="1000"} <t>
 ao_phase_duration_ns_bucket{phase="merge",le="10000"} <t>
 ao_phase_duration_ns_bucket{phase="merge",le="100000"} <t>
@@ -1896,7 +1897,7 @@ TEST(CampaignService, PlanCacheHitCampaignStaysBitIdentical) {
 
 // -------------------------------------------------------- record batching ---
 
-/// A single-chip SME-only request: six one-job groups, so batch math is
+/// A single-chip SME-only request: six jobs, so batch math is
 /// exact and the settle order (workers 1) is deterministic.
 CampaignRequest sme_only_request() {
   CampaignRequest request;
@@ -1909,10 +1910,10 @@ CampaignRequest sme_only_request() {
 }
 
 /// Drives one full worker session over in-memory streams: hello ack, one
-/// task covering every group, bye. Returns the worker's reply frames.
+/// task covering every job, bye. Returns the worker's reply frames.
 std::vector<Frame> session_frames(const CampaignRequest& request,
                                   const WorkerSessionOptions& options) {
-  const std::size_t group_count = request.to_campaign().groups().size();
+  const std::size_t group_count = request.to_campaign().jobs().size();
   std::vector<std::size_t> groups(group_count);
   for (std::size_t i = 0; i < group_count; ++i) {
     groups[i] = i;
@@ -2080,6 +2081,133 @@ TEST(CampaignService, RemoteBatchedWorkersStayBitIdentical) {
   const auto batched_entries = entries_by_key(service.cache());
   ASSERT_EQ(batched_entries.size(), 20u);
   EXPECT_EQ(batched_entries, entries_by_key(single.cache()));
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------- follow replay -------
+
+/// The `record` payloads of a live campaign stream, in stream order.
+std::vector<std::string> live_records(const std::vector<std::string>& lines) {
+  std::vector<std::string> out;
+  for (const auto& line : lines) {
+    if (starts_with(line, "record ")) {
+      out.push_back(line.substr(7));
+    }
+  }
+  return out;
+}
+
+/// One `follow` reply split into its record payloads and the resume token
+/// each record leads with, plus the terminal line.
+struct FollowReply {
+  std::vector<std::string> entries;
+  std::vector<std::string> tokens;
+  std::string terminal;
+};
+
+FollowReply follow_reply(CampaignService& service, const std::string& command) {
+  FollowReply reply;
+  for (const auto& line : serve_lines(service, command + "\n")) {
+    if (starts_with(line, "follow-record ")) {
+      const std::size_t token_end = line.find(' ', 14);
+      EXPECT_NE(token_end, std::string::npos) << line;
+      if (token_end == std::string::npos) {
+        continue;
+      }
+      reply.tokens.push_back(line.substr(14, token_end - 14));
+      reply.entries.push_back(line.substr(token_end + 1));
+    } else {
+      reply.terminal = line;
+    }
+  }
+  return reply;
+}
+
+/// A follow of finished campaign `name` — from the start and resumed from
+/// every token it hands out — replays exactly the live stream's tail, in
+/// order and byte for byte.
+void expect_follow_replays_live_stream(CampaignService& service,
+                                       const std::string& name,
+                                       const std::vector<std::string>& live) {
+  const FollowReply full = follow_reply(service, "follow " + name);
+  EXPECT_EQ(full.entries, live);
+  EXPECT_NE(full.terminal.find(" state complete"), std::string::npos)
+      << full.terminal;
+  ASSERT_EQ(full.tokens.size(), live.size());
+  for (std::size_t i = 0; i < full.tokens.size(); ++i) {
+    const FollowReply resumed =
+        follow_reply(service, "follow " + name + " from " + full.tokens[i]);
+    const std::vector<std::string> tail(live.begin() + i + 1, live.end());
+    EXPECT_EQ(resumed.entries, tail) << "resumed after record " << i;
+    EXPECT_NE(resumed.terminal.find(" state complete"), std::string::npos)
+        << resumed.terminal;
+  }
+}
+
+TEST(CampaignService, FollowReplaysTheLiveStreamBitForBit) {
+  const auto dir = temp_dir("follow_replay");
+  CampaignService::Config config;
+  config.store_path = (dir / "follow.aocache").string();
+  config.shard_dir = dir.string();
+  CampaignService service(config);
+
+  // In process: every GEMM point is functional and verified, and three
+  // chips share each (impl, n) verdict — records park and publish together.
+  const auto verified = serve_lines(
+      service, "begin verified\nchips m1,m2,m3\n"
+               "impls cpu-single,cpu-omp,gpu-naive,gpu-mps\nsizes 32,64\n"
+               "repetitions 1\nworkers 3\nrun\n");
+  ASSERT_TRUE(starts_with(verified.back(), "done campaign "))
+      << verified.back();
+  const auto verified_live = live_records(verified);
+  ASSERT_EQ(verified_live.size(), 3u * 4u * 2u);
+  for (const auto& entry : verified_live) {
+    const auto parsed = orchestrator::parse_store_entry(entry);
+    ASSERT_TRUE(parsed.has_value()) << entry;
+    EXPECT_TRUE(std::get<harness::GemmMeasurement>(parsed->second).verified)
+        << entry;
+  }
+  expect_follow_replays_live_stream(service, "verified", verified_live);
+
+  const auto sharded = serve_lines(service, nine_kind_block(2, 2));
+  ASSERT_TRUE(starts_with(sharded.back(), "done campaign ")) << sharded.back();
+  EXPECT_NE(sharded.back().find(" shards 2"), std::string::npos)
+      << sharded.back();
+  const auto sharded_live = live_records(sharded);
+  ASSERT_EQ(sharded_live.size(), 20u);
+  expect_follow_replays_live_stream(service, "ninekinds", sharded_live);
+  std::filesystem::remove_all(dir);
+}
+
+// -------------------------------------------------------- query filters ---
+
+TEST(CampaignService, QueryKindFilterKnowsEveryKindAndNoRetiredCode) {
+  const auto dir = temp_dir("query_kinds");
+  CampaignService::Config config;
+  config.store_path = (dir / "kinds.aocache").string();
+  CampaignService service(config);
+  serve_lines(service, nine_kind_block(2, 1));
+  for (const orchestrator::JobKind kind : orchestrator::kAllJobKinds) {
+    const auto lines =
+        serve_lines(service, "query kind " + orchestrator::to_string(kind) +
+                                 " limit 100\n");
+    ASSERT_FALSE(lines.empty());
+    EXPECT_GE(count_prefixed(lines, "query-record "), 2u)  // every chip
+        << orchestrator::to_string(kind);
+    for (const auto& line : lines) {
+      if (starts_with(line, "query-record ")) {
+        const auto parsed = orchestrator::parse_store_entry(line.substr(13));
+        ASSERT_TRUE(parsed.has_value()) << line;
+        EXPECT_EQ(parsed->first.kind, kind) << line;
+      }
+    }
+    EXPECT_TRUE(starts_with(lines.back(), "query-page ")) << lines.back();
+  }
+  // The name of the retired code-1 kind is an unknown kind like any other.
+  EXPECT_EQ(serve_lines(service, "query kind gemm-verify\n"),
+            std::vector<std::string>{
+                "error bad-query unknown job kind: gemm-verify | line: "
+                "query kind gemm-verify"});
   std::filesystem::remove_all(dir);
 }
 
