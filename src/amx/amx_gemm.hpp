@@ -5,7 +5,7 @@
 namespace ao::amx {
 
 /// Tiled FP32 GEMM executed through the AMX instruction emulator — the
-/// engine underneath ao::accelerate's BLAS/vDSP (Section 2.1: "BLAS routines
+/// engine underneath ao::accelerate's cblas_sgemm (Section 2.1: "BLAS routines
 /// within Accelerate ... utilizing the AMX units").
 ///
 /// Computes C = alpha * A * B + beta * C over row-major matrices with leading

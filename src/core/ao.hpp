@@ -5,22 +5,22 @@
 /// Reproduction of "Apple vs. Oranges: Evaluating the Apple Silicon M-Series
 /// SoCs for HPC Performance and Efficiency" (Hübner, Hu, Peng, Markidis;
 /// IPPS 2025; arXiv:2502.05317) as a calibrated simulation on non-Apple
-/// hardware. See DESIGN.md for the paper-to-module mapping and EXPERIMENTS.md
-/// for the per-figure reproduction record.
+/// hardware. See docs/ARCHITECTURE.md for the paper-to-module mapping and
+/// docs/benchmarks.md for the per-figure reproduction record.
 ///
 /// Layering (each header can also be included individually):
 ///   util        — buffers, statistics, tables, charts, thread pool
 ///   soc         — chip specs (Table 1), devices (Table 3), clock, thermal,
 ///                 calibration anchors, the analytic performance model
-///   mem         — unified memory, storage modes, controller, caches
+///   mem         — unified memory, storage modes, memory controller
 ///   metal       — Metal-like compute API (device/queue/buffer/pipeline)
 ///   shaders     — the MSL kernels (STREAM + GEMM) in simulator form
 ///   mps         — Metal Performance Shaders GEMM
 ///   amx         — Apple AMX coprocessor emulator
-///   accelerate  — CBLAS / vDSP on AMX
+///   accelerate  — CBLAS on AMX, and the reference BLAS
 ///   ane         — Neural Engine + Core ML dispatch model
 ///   power       — powermetrics substrate
-///   harness     — the paper's test library (suite runner, experiments)
+///   harness     — matrix workloads, experiments, reporting
 ///   stream      — CPU and GPU STREAM benchmarks
 ///   gemm        — the six Table-2 implementations
 ///   baseline    — GH200 / literature HPC reference points
@@ -28,7 +28,6 @@
 
 #include "accelerate/cblas.hpp"
 #include "accelerate/reference_blas.hpp"
-#include "accelerate/vdsp.hpp"
 #include "amx/amx_gemm.hpp"
 #include "amx/amx_unit.hpp"
 #include "amx/float16.hpp"
@@ -37,7 +36,6 @@
 #include "core/system.hpp"
 #include "gemm/gemm_interface.hpp"
 #include "harness/matrix_workload.hpp"
-#include "mem/cache_model.hpp"
 #include "mem/memory_controller.hpp"
 #include "mem/storage_mode.hpp"
 #include "mem/unified_memory.hpp"

@@ -19,7 +19,8 @@ namespace ao::core {
 /// examples and tests build everything else from here.
 ///
 ///   ao::core::System m4(ao::soc::ChipModel::kM4);
-///   auto gemms = ao::gemm::create_all_gemms(m4.gemm_context());
+///   auto mps = ao::gemm::create_gemm(ao::soc::GemmImpl::kGpuMps,
+///                                    m4.gemm_context());
 class System {
  public:
   explicit System(soc::ChipModel model);

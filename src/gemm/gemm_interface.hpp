@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "metal/device.hpp"
 #include "soc/benchmark_taxonomy.hpp"
@@ -46,8 +45,5 @@ class IGemm {
 
 /// Builds the implementation for `impl` over `context`.
 std::unique_ptr<IGemm> create_gemm(soc::GemmImpl impl, GemmContext& context);
-
-/// Builds all six Table-2 implementations.
-std::vector<std::unique_ptr<IGemm>> create_all_gemms(GemmContext& context);
 
 }  // namespace ao::gemm

@@ -23,13 +23,4 @@ std::unique_ptr<IGemm> create_gemm(soc::GemmImpl impl, GemmContext& context) {
   throw util::InvalidArgument("unknown GEMM implementation");
 }
 
-std::vector<std::unique_ptr<IGemm>> create_all_gemms(GemmContext& context) {
-  std::vector<std::unique_ptr<IGemm>> impls;
-  impls.reserve(soc::kAllGemmImpls.size());
-  for (const auto impl : soc::kAllGemmImpls) {
-    impls.push_back(create_gemm(impl, context));
-  }
-  return impls;
-}
-
 }  // namespace ao::gemm

@@ -79,10 +79,9 @@ void parallel_fill_uniform(float* data, std::size_t count, std::uint64_t seed);
 
 /// The canonical operand-seeding convention: the left matrix is generated
 /// from `seed`, the right from a derived seed. Every producer of GEMM
-/// operands (MatrixSet, the orchestrator's MatrixBatch, test_suite's
-/// between-repetition restore) goes through these two functions, so
-/// (n, seed) identifies the operand bits everywhere — the property the
-/// orchestrator's ResultCache identity rests on.
+/// operands (MatrixSet, the orchestrator's MatrixBatch) goes through these
+/// two functions, so (n, seed) identifies the operand bits everywhere — the
+/// property the orchestrator's ResultCache identity rests on.
 void fill_left_operand(float* data, std::size_t n, std::uint64_t seed);
 void fill_right_operand(float* data, std::size_t n, std::uint64_t seed);
 

@@ -97,20 +97,6 @@ metal::Kernel make_stream_triad() {
   return k;
 }
 
-metal::Kernel make_stream_kernel(soc::StreamKernel kernel) {
-  switch (kernel) {
-    case soc::StreamKernel::kCopy:
-      return make_stream_copy();
-    case soc::StreamKernel::kScale:
-      return make_stream_scale();
-    case soc::StreamKernel::kAdd:
-      return make_stream_add();
-    case soc::StreamKernel::kTriad:
-      return make_stream_triad();
-  }
-  return make_stream_copy();
-}
-
 std::string stream_kernel_name(soc::StreamKernel kernel) {
   switch (kernel) {
     case soc::StreamKernel::kCopy:

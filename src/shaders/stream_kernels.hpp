@@ -24,9 +24,6 @@ metal::Kernel make_stream_scale();
 metal::Kernel make_stream_add();
 metal::Kernel make_stream_triad();
 
-/// The kernel matching `kernel` (Copy/Scale/Add/Triad).
-metal::Kernel make_stream_kernel(soc::StreamKernel kernel);
-
 /// Library function name for a STREAM kernel ("stream_copy", ...).
 std::string stream_kernel_name(soc::StreamKernel kernel);
 

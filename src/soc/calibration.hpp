@@ -19,7 +19,7 @@ namespace ao::soc {
 /// overheads, thread scaling, thermal effects) is produced by the model.
 ///
 /// Keeping every quoted number in this one translation unit makes the
-/// paper-vs-model mapping auditable: EXPERIMENTS.md cross-references this
+/// paper-vs-model mapping auditable: docs/benchmarks.md cross-references this
 /// file per experiment.
 
 /// STREAM anchors for one chip: sustained GB/s per kernel and agent.

@@ -32,17 +32,6 @@ ChipModel chip_model_from_string(const std::string& name) {
   throw util::InvalidArgument("unknown chip model: " + name);
 }
 
-double ChipSpec::cpu_neon_peak_fp32_gflops() const {
-  // One 128-bit NEON FMA pipe processes 4 FP32 lanes, 2 FLOP each, and the
-  // Firestorm-class cores issue 4 such ops per cycle; efficiency cores have
-  // half the issue width. This derivation is only used for roofline context,
-  // not for reported results.
-  constexpr double kFlopsPerCyclePCore = 4.0 * 2.0 * 4.0;  // 4 pipes * FMA * 4 lanes
-  constexpr double kFlopsPerCycleECore = 2.0 * 2.0 * 4.0;
-  return performance_cores * p_clock_ghz * kFlopsPerCyclePCore +
-         efficiency_cores * e_clock_ghz * kFlopsPerCycleECore;
-}
-
 namespace {
 
 std::array<ChipSpec, 4> make_specs() {

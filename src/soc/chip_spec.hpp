@@ -65,10 +65,6 @@ struct ChipSpec {
     return theoretical_fp32_tflops_max * 1e3;
   }
 
-  /// Theoretical FP32 peak of the CPU P-cluster via NEON (4-wide FMA = 8
-  /// FLOP/cycle per core), in GFLOPS.
-  double cpu_neon_peak_fp32_gflops() const;
-
   /// Total physical cores (the CPU STREAM thread sweep runs 1..this).
   int total_cpu_cores() const { return performance_cores + efficiency_cores; }
 

@@ -1,10 +1,6 @@
 #include "util/hash.hpp"
 
-#include <algorithm>
 #include <cstring>
-#include <vector>
-
-#include "util/thread_pool.hpp"
 
 namespace ao::util {
 
@@ -19,26 +15,6 @@ std::uint64_t fnv1a_bytes(const void* data, std::size_t length,
   }
   for (std::size_t i = words * 8; i < length; ++i) {
     h = (h ^ bytes[i]) * kFnv1aPrime;
-  }
-  return h;
-}
-
-std::uint64_t parallel_fnv1a_bytes(const void* data, std::size_t length) {
-  constexpr std::size_t kChunk = 1u << 22;  // 4 MiB
-  const std::size_t chunks = (length + kChunk - 1) / kChunk;
-  if (chunks <= 1) {
-    return fnv1a_bytes(data, length);
-  }
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::vector<std::uint64_t> digests(chunks);
-  global_pool().parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * kChunk;
-    const std::size_t end = std::min(begin + kChunk, length);
-    digests[c] = fnv1a_bytes(bytes + begin, end - begin);
-  });
-  std::uint64_t h = kFnv1aOffset;
-  for (const std::uint64_t digest : digests) {
-    h = fnv1a_mix(h, digest);
   }
   return h;
 }

@@ -6,8 +6,7 @@
 namespace ao::util {
 
 /// FNV-1a, the library's one hashing primitive. Used for content identity
-/// (the orchestrator's ResultCache keys, test_suite's input fingerprints) —
-/// never for untrusted input.
+/// (the orchestrator's ResultCache keys) — never for untrusted input.
 inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ull;
 inline constexpr std::uint64_t kFnv1aPrime = 0x100000001b3ull;
 
@@ -23,11 +22,5 @@ constexpr std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t value) {
 /// Digest of a byte range (word-at-a-time for 8-byte-aligned lengths).
 std::uint64_t fnv1a_bytes(const void* data, std::size_t length,
                           std::uint64_t h = kFnv1aOffset);
-
-/// Deterministic parallel digest of a large buffer: fixed-size chunks are
-/// hashed on the global pool and the per-chunk digests folded in chunk
-/// order, so the result is schedule-independent. Falls back to the serial
-/// digest for small inputs.
-std::uint64_t parallel_fnv1a_bytes(const void* data, std::size_t length);
 
 }  // namespace ao::util

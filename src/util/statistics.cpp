@@ -7,62 +7,6 @@
 
 namespace ao::util {
 
-void RunningStats::add(double value) {
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  const double delta = value - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (value - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ += other.count_;
-}
-
-void RunningStats::reset() { *this = RunningStats{}; }
-
-double RunningStats::mean() const {
-  AO_REQUIRE(count_ > 0, "mean of empty RunningStats");
-  return mean_;
-}
-
-double RunningStats::variance() const {
-  AO_REQUIRE(count_ > 0, "variance of empty RunningStats");
-  return m2_ / static_cast<double>(count_);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const {
-  AO_REQUIRE(count_ > 0, "min of empty RunningStats");
-  return min_;
-}
-
-double RunningStats::max() const {
-  AO_REQUIRE(count_ > 0, "max of empty RunningStats");
-  return max_;
-}
-
 void SampleSet::add(double value) { values_.push_back(value); }
 
 void SampleSet::reset() { values_.clear(); }

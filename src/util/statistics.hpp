@@ -5,30 +5,6 @@
 
 namespace ao::util {
 
-/// Streaming statistics accumulator (Welford's online algorithm), used by the
-/// harness to aggregate the repeated runs the paper performs (five GEMM
-/// repetitions, ten CPU STREAM / twenty GPU STREAM repetitions).
-class RunningStats {
- public:
-  void add(double value);
-  void merge(const RunningStats& other);
-  void reset();
-
-  std::size_t count() const { return count_; }
-  double mean() const;
-  double variance() const;  ///< population variance
-  double stddev() const;
-  double min() const;
-  double max() const;
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Order statistics over a retained sample set. The STREAM methodology keeps
 /// the *maximum* bandwidth across repetitions; GEMM keeps all five samples.
 class SampleSet {

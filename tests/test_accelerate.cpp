@@ -5,7 +5,6 @@
 
 #include "accelerate/cblas.hpp"
 #include "accelerate/reference_blas.hpp"
-#include "accelerate/vdsp.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -105,84 +104,6 @@ TEST(CblasSgemm, RejectsBadLeadingDimension) {
                            1.0f, buf.data(), 4 /* < k */, buf.data(), 8, 0.0f,
                            buf.data(), 4),
                util::InvalidArgument);
-}
-
-// ---------------------------------------------------------------- vDSP -----
-
-TEST(Vdsp, MmulMatchesCblas) {
-  const std::size_t m = 20;
-  const std::size_t n = 28;
-  const std::size_t p = 36;
-  const auto a = random_matrix(m * p, 7);
-  const auto b = random_matrix(p * n, 8);
-  std::vector<float> c_vdsp(m * n);
-  std::vector<float> c_blas(m * n);
-  vDSP_mmul(a.data(), 1, b.data(), 1, c_vdsp.data(), 1, m, n, p);
-  cblas_sgemm(CblasRowMajor, CblasNoTrans, CblasNoTrans, static_cast<int>(m),
-              static_cast<int>(n), static_cast<int>(p), 1.0f, a.data(),
-              static_cast<int>(p), b.data(), static_cast<int>(n), 0.0f,
-              c_blas.data(), static_cast<int>(n));
-  // Both run on the same AMX engine: results are identical, reproducing
-  // "the vDSP and BLAS implementations perform nearly identically".
-  for (std::size_t i = 0; i < c_vdsp.size(); ++i) {
-    ASSERT_EQ(c_vdsp[i], c_blas[i]);
-  }
-}
-
-TEST(Vdsp, VectorAddSub) {
-  const float a[] = {1, 2, 3, 4};
-  const float b[] = {10, 20, 30, 40};
-  float c[4];
-  vDSP_vadd(a, 1, b, 1, c, 1, 4);
-  EXPECT_EQ(c[3], 44.0f);
-  // vDSP_vsub(B, A, C) computes C = A - B.
-  vDSP_vsub(a, 1, b, 1, c, 1, 4);
-  EXPECT_EQ(c[0], 9.0f);
-  EXPECT_EQ(c[3], 36.0f);
-}
-
-TEST(Vdsp, StridedAccess) {
-  const float a[] = {1, -1, 2, -1, 3, -1};  // stride 2 reads 1, 2, 3
-  float c[6] = {};
-  const float scalar = 10.0f;
-  vDSP_vsmul(a, 2, &scalar, c, 2, 3);
-  EXPECT_EQ(c[0], 10.0f);
-  EXPECT_EQ(c[2], 20.0f);
-  EXPECT_EQ(c[4], 30.0f);
-  EXPECT_EQ(c[1], 0.0f);  // gaps untouched
-}
-
-TEST(Vdsp, FillDotSumSquareMax) {
-  float buf[5];
-  const float value = 2.5f;
-  vDSP_vfill(&value, buf, 1, 5);
-  for (const float v : buf) {
-    EXPECT_EQ(v, 2.5f);
-  }
-
-  const float x[] = {1, 2, 3};
-  const float y[] = {4, 5, 6};
-  float dot = 0.0f;
-  vDSP_dotpr(x, 1, y, 1, &dot, 3);
-  EXPECT_EQ(dot, 32.0f);
-
-  float sum = 0.0f;
-  vDSP_sve(x, 1, &sum, 3);
-  EXPECT_EQ(sum, 6.0f);
-
-  float squares[3];
-  vDSP_vsq(x, 1, squares, 1, 3);
-  EXPECT_EQ(squares[2], 9.0f);
-
-  float max = 0.0f;
-  vDSP_maxv(y, 1, &max, 3);
-  EXPECT_EQ(max, 6.0f);
-}
-
-TEST(Vdsp, MaxvRequiresElements) {
-  float x = 1.0f;
-  float out;
-  EXPECT_THROW(vDSP_maxv(&x, 1, &out, 0), util::InvalidArgument);
 }
 
 // ------------------------------------------------------------ reference ----

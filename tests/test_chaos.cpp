@@ -36,6 +36,7 @@
 #include "service/socket.hpp"
 #include "service/worker_link.hpp"
 #include "service/worker_registry.hpp"
+#include "temp_dir.hpp"
 
 // Deterministic chaos suite: an in-process daemon plus scripted frame
 // workers whose connections die at scripted points of the conversation —
@@ -51,11 +52,7 @@ namespace {
 // ---------------------------------------------------------------- helpers --
 
 std::filesystem::path temp_dir(const std::string& name) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / ("ao_chaos_" + name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
+  return test::unique_temp_dir("ao_chaos_" + name);
 }
 
 std::vector<std::string> serve_lines(CampaignService& service,

@@ -17,6 +17,7 @@
 #include "power/powermetrics.hpp"
 #include "service/frame.hpp"
 #include "service/service.hpp"
+#include "temp_dir.hpp"
 #include "util/csv_writer.hpp"
 #include "util/hex.hpp"
 #include "util/rng.hpp"
@@ -407,8 +408,7 @@ TEST(StoreEntryFuzz, KindCodesThatNameNoJobKindAreRejected) {
 
   // load() skips such a line and counts it; the valid line still loads.
   const auto path =
-      (std::filesystem::temp_directory_path() / "ao_retired_kind.aocache")
-          .string();
+      (test::unique_temp_dir("ao_retired_kind") / "store.aocache").string();
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << orchestrator::store_header_line() << '\n'
@@ -459,10 +459,7 @@ bool structured_read_reply(const std::string& line) {
 /// A service with a populated store and one retained campaign journal —
 /// the substrate every read-path fuzz round mutates requests against.
 std::string fuzz_store_path() {
-  const auto path =
-      std::filesystem::temp_directory_path() / "ao_queryfuzz.store";
-  std::filesystem::remove(path);
-  return path.string();
+  return (test::unique_temp_dir("ao_queryfuzz") / "fuzz.store").string();
 }
 
 void populate_campaign(service::CampaignService& service) {

@@ -99,16 +99,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(GemmRegistry, CreatesAllSix) {
   core::System system(soc::ChipModel::kM1);
-  auto impls = create_all_gemms(system.gemm_context());
-  ASSERT_EQ(impls.size(), 6u);
-  for (std::size_t i = 0; i < impls.size(); ++i) {
-    EXPECT_EQ(impls[i]->kind(), soc::kAllGemmImpls[i]);
+  ASSERT_EQ(soc::kAllGemmImpls.size(), 6u);
+  for (const auto impl : soc::kAllGemmImpls) {
+    EXPECT_EQ(create_gemm(impl, system.gemm_context())->kind(), impl);
   }
 }
 
 TEST(GemmRegistry, ImplementationsAgreeWithEachOther) {
   core::System system(soc::ChipModel::kM3);
-  auto impls = create_all_gemms(system.gemm_context());
+  std::vector<std::unique_ptr<IGemm>> impls;
+  for (const auto impl : soc::kAllGemmImpls) {
+    impls.push_back(create_gemm(impl, system.gemm_context()));
+  }
   const std::size_t n = 96;
   harness::MatrixSet matrices(n, true, 55);
 

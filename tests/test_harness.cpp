@@ -4,7 +4,6 @@
 #include "harness/experiment.hpp"
 #include "harness/matrix_workload.hpp"
 #include "harness/reporting.hpp"
-#include "harness/test_suite.hpp"
 #include "util/aligned_buffer.hpp"
 
 namespace ao::harness {
@@ -60,69 +59,6 @@ TEST(MatrixWorkload, ClearOutZeroes) {
   m.out()[5] = 3.0f;
   m.clear_out();
   EXPECT_EQ(m.out()[5], 0.0f);
-}
-
-// ----------------------------------------------------------- test_suite ----
-
-TEST(TestSuite, InvokesCallbackPerSizeAndRep) {
-  std::vector<unsigned int> seen;
-  test_suite(
-      [&seen](unsigned int n, unsigned int memory_length, float* left,
-              float* right, float* out) {
-        EXPECT_NE(left, nullptr);
-        EXPECT_NE(right, nullptr);
-        EXPECT_NE(out, nullptr);
-        EXPECT_GE(memory_length, n * n * sizeof(float));
-        EXPECT_EQ(memory_length % 16384, 0u);
-        seen.push_back(n);
-      },
-      "", {32, 64}, 3);
-  ASSERT_EQ(seen.size(), 6u);
-  EXPECT_EQ(seen[0], 32u);
-  EXPECT_EQ(seen[3], 64u);
-}
-
-TEST(TestSuite, RequiresCallback) {
-  EXPECT_THROW(test_suite(nullptr, "", {32}, 1), util::InvalidArgument);
-}
-
-TEST(TestSuite, DiscardSemanticsRestoreMutatedInputs) {
-  // A callback that clobbers its inputs must not leak the clobbered bits
-  // into the next repetition: every invocation sees the same generated
-  // matrices (what makes (n, seed) a sound cache identity).
-  std::vector<float> first_left_elements;
-  std::vector<float> first_right_elements;
-  test_suite(
-      [&](unsigned int n, unsigned int, float* left, float* right, float*) {
-        first_left_elements.push_back(left[0]);
-        first_right_elements.push_back(right[n - 1]);
-        left[0] = -1.0f;       // clobber an input
-        right[n - 1] = 99.0f;  // and the other one
-      },
-      "", {64}, 4);
-  ASSERT_EQ(first_left_elements.size(), 4u);
-  for (int rep = 1; rep < 4; ++rep) {
-    EXPECT_EQ(first_left_elements[rep], first_left_elements[0]);
-    EXPECT_EQ(first_right_elements[rep], first_right_elements[0]);
-  }
-}
-
-TEST(TestSuite, SeedSelectsTheGeneratedData) {
-  float seed42 = 0.0f;
-  float seed7 = 0.0f;
-  test_suite([&](unsigned int, unsigned int, float* left, float*, float*) {
-    seed42 = left[0];
-  }, "", {32}, 1, 42);
-  test_suite([&](unsigned int, unsigned int, float* left, float*, float*) {
-    seed7 = left[0];
-  }, "", {32}, 1, 7);
-  EXPECT_NE(seed42, seed7);
-  // Same seed, repeated invocation: bit-identical.
-  float seed42_again = -1.0f;
-  test_suite([&](unsigned int, unsigned int, float* left, float*, float*) {
-    seed42_again = left[0];
-  }, "", {32}, 1, 42);
-  EXPECT_EQ(seed42, seed42_again);
 }
 
 // ------------------------------------------------------------ experiment ---

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "mem/cache_model.hpp"
 #include "mem/memory_controller.hpp"
 #include "mem/storage_mode.hpp"
 #include "mem/unified_memory.hpp"
@@ -144,63 +143,6 @@ TEST(MemoryController, InactiveAgentQueryThrows) {
   EXPECT_THROW(
       mc.arbitrated_bandwidth_gbs(soc::MemoryAgent::kCpu, {false, true, false}),
       util::InvalidArgument);
-}
-
-// ---------------------------------------------------------- cache model ----
-
-TEST(CacheModel, HierarchyFromSpec) {
-  CacheModel cm(soc::chip_spec(soc::ChipModel::kM1));
-  ASSERT_EQ(cm.levels().size(), 3u);
-  EXPECT_EQ(cm.levels()[0].name, "L1");
-  EXPECT_EQ(cm.levels()[0].capacity_bytes, 128u * 1024u);
-  EXPECT_EQ(cm.levels()[1].capacity_bytes, 12u * 1024u * 1024u);
-}
-
-TEST(CacheModel, ResidentWorkingSetHits) {
-  CacheModel cm(soc::chip_spec(soc::ChipModel::kM2));
-  EXPECT_DOUBLE_EQ(cm.hit_rate(0, 64 * 1024, AccessPattern::kSequential), 1.0);
-  EXPECT_LT(cm.hit_rate(0, 64 * 1024 * 1024, AccessPattern::kSequential), 0.01);
-}
-
-TEST(CacheModel, LatencyMonotonicInWorkingSet) {
-  CacheModel cm(soc::chip_spec(soc::ChipModel::kM3));
-  double prev = 0.0;
-  for (std::size_t ws = 16 * 1024; ws <= 512ull * 1024 * 1024; ws *= 4) {
-    const double lat = cm.average_latency_ns(ws, AccessPattern::kSequential);
-    EXPECT_GE(lat, prev);
-    prev = lat;
-  }
-}
-
-TEST(CacheModel, RandomWorseThanSequential) {
-  CacheModel cm(soc::chip_spec(soc::ChipModel::kM1));
-  const std::size_t ws = 64ull * 1024 * 1024;
-  EXPECT_GT(cm.average_latency_ns(ws, AccessPattern::kRandom),
-            cm.average_latency_ns(ws, AccessPattern::kSequential));
-  EXPECT_LT(cm.effective_bandwidth_gbs(ws, AccessPattern::kRandom),
-            cm.effective_bandwidth_gbs(ws, AccessPattern::kSequential));
-}
-
-TEST(CacheModel, GemmKneeNearCalibrationDecay) {
-  // The L2 knee (3 n^2 floats > L2) should sit near the calibrated decay
-  // midpoint used for CPU-Single (n_decay = 1200).
-  CacheModel cm(soc::chip_spec(soc::ChipModel::kM2));  // 16 MB L2
-  const std::size_t knee = cm.gemm_l2_knee();
-  EXPECT_GT(knee, 900u);
-  EXPECT_LT(knee, 1400u);
-}
-
-TEST(CacheModel, M1DramSlowerThanM2) {
-  // LPDDR4X (M1) carries a higher first-word latency than LPDDR5 (M2+).
-  CacheModel m1(soc::chip_spec(soc::ChipModel::kM1));
-  CacheModel m2(soc::chip_spec(soc::ChipModel::kM2));
-  EXPECT_GT(m1.dram_latency_ns(), m2.dram_latency_ns());
-}
-
-TEST(CacheModel, LevelOutOfRangeThrows) {
-  CacheModel cm(soc::chip_spec(soc::ChipModel::kM1));
-  EXPECT_THROW(cm.hit_rate(5, 1024, AccessPattern::kSequential),
-               util::InvalidArgument);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "orchestrator/scheduler.hpp"
 #include "precision/precision_study.hpp"
 #include "stream/cpu_stream.hpp"
+#include "temp_dir.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/hex.hpp"
@@ -148,10 +149,7 @@ TEST(ResultCache, OptionsFingerprintCoversMeasurementIdentity) {
 // ------------------------------------------------------- disk persistence --
 
 std::string temp_store(const std::string& name) {
-  const auto path =
-      std::filesystem::temp_directory_path() / ("ao_test_" + name + ".aocache");
-  std::remove(path.string().c_str());
-  return path.string();
+  return (test::unique_temp_dir("ao_test_" + name) / "store.aocache").string();
 }
 
 StreamRecord stream_stub(soc::ChipModel chip, bool gpu) {

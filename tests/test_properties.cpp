@@ -9,12 +9,12 @@
 #include <utility>
 #include <vector>
 
-#include "mem/cache_model.hpp"
 #include "mem/memory_controller.hpp"
 #include "orchestrator/result_cache.hpp"
 #include "orchestrator/store_index.hpp"
 #include "service/frame.hpp"
 #include "soc/perf_model.hpp"
+#include "temp_dir.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -151,21 +151,6 @@ TEST_P(ChipProperty, ArbitrationConservesFabricBandwidth) {
     total += bw;
   }
   EXPECT_LE(total, mc.fabric_ceiling_gbs() + 1e-9);
-}
-
-TEST_P(ChipProperty, CacheLatencyMonotoneInWorkingSet) {
-  mem::CacheModel cm(soc::chip_spec(GetParam()));
-  for (const auto pattern :
-       {mem::AccessPattern::kSequential, mem::AccessPattern::kStrided,
-        mem::AccessPattern::kRandom}) {
-    double prev = 0.0;
-    for (std::size_t ws = 4 * 1024; ws <= 1ull << 30; ws *= 2) {
-      const double lat = cm.average_latency_ns(ws, pattern);
-      EXPECT_GE(lat, prev - 1e-12);
-      EXPECT_GT(lat, 0.0);
-      prev = lat;
-    }
-  }
 }
 
 TEST_P(ChipProperty, GenericGpuKernelCostIsMonotone) {
@@ -402,9 +387,8 @@ TEST(FrameProperty, BatchedRecordLinesSplitBackExactly) {
 /// worst-case shape for an index that must keep the newest line per key.
 std::string build_query_store(orchestrator::ResultCache& cache,
                               const std::string& tag) {
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("ao_queryprop_" + tag + ".store");
-  std::filesystem::remove(path);
+  const auto path =
+      test::unique_temp_dir("ao_queryprop_" + tag) / "query.store";
   cache.persist_to(path.string());
   util::Xoshiro256 rng(607);
   for (std::size_t i = 0; i < 36; ++i) {

@@ -35,6 +35,7 @@
 #include "service/socket.hpp"
 #include "service/worker_link.hpp"
 #include "service/worker_pool.hpp"
+#include "temp_dir.hpp"
 
 namespace ao::service {
 namespace {
@@ -235,10 +236,7 @@ TEST(WireFrame, TaskPayloadRoundTripsThroughItsTextForm) {
 // ----------------------------------------------------------------- session --
 
 std::filesystem::path temp_dir(const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() / ("ao_svc_" + name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
+  return test::unique_temp_dir("ao_svc_" + name);
 }
 
 std::vector<std::string> serve_lines(CampaignService& service,

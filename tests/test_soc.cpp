@@ -93,15 +93,6 @@ TEST(ChipSpec, PageSizeMatchesApple) {
   EXPECT_EQ(ChipSpec::kPageSize, 16384u);
 }
 
-TEST(ChipSpec, NeonPeakIsPositiveAndGrows) {
-  double prev = 0.0;
-  for (const auto model : kAllChipModels) {
-    const double peak = chip_spec(model).cpu_neon_peak_fp32_gflops();
-    EXPECT_GT(peak, prev);
-    prev = peak;
-  }
-}
-
 // ------------------------------------------------------ devices (Table 3) --
 
 TEST(DeviceInfo, Table3Devices) {

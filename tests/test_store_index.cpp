@@ -11,6 +11,7 @@
 
 #include "orchestrator/result_cache.hpp"
 #include "orchestrator/store_index.hpp"
+#include "temp_dir.hpp"
 
 namespace ao::orchestrator {
 namespace {
@@ -20,10 +21,7 @@ namespace {
 // query engine exists for.
 
 std::string temp_store(const std::string& name) {
-  const auto path =
-      std::filesystem::temp_directory_path() / ("ao_idx_" + name + ".store");
-  std::filesystem::remove(path);
-  return path.string();
+  return (test::unique_temp_dir("ao_idx_" + name) / "index.store").string();
 }
 
 /// Deterministic key spread across three record-shape-compatible kinds, all

@@ -276,42 +276,6 @@ TEST(Rng, FillValueSetsEveryElement) {
 
 // --------------------------------------------------------- statistics ------
 
-TEST(RunningStats, KnownSequence) {
-  RunningStats s;
-  for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.add(v);
-  }
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, MergeMatchesCombined) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 50; ++i) {
-    const double v = i * 0.37;
-    (i % 2 == 0 ? a : b).add(v);
-    all.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, EmptyThrows) {
-  RunningStats s;
-  EXPECT_THROW(s.mean(), InvalidArgument);
-  EXPECT_THROW(s.min(), InvalidArgument);
-}
-
 TEST(SampleSet, OrderStatistics) {
   SampleSet s;
   for (const double v : {5.0, 1.0, 3.0, 2.0, 4.0}) {
