@@ -20,8 +20,8 @@ Half float_to_half(float value);
 float half_to_float(Half value);
 
 /// FP32 -> FP16 -> FP32 in one step: bit-identical to
-/// half_to_float(float_to_half(value)) for every input. The FP16 quantizers
-/// (precision study, Neural Engine operands) call this per element.
+/// half_to_float(float_to_half(value)) for every input. The FP16 datapath
+/// (ane::gemm_fp16_host) rounds its operands through this per element.
 inline float round_to_half(float value) {
   std::uint32_t u = std::bit_cast<std::uint32_t>(value);
   const std::uint32_t exponent = (u >> 23) & 0xFFu;

@@ -14,9 +14,32 @@ namespace {
 /// Core ML's model-compilation-and-dispatch overhead per prediction.
 constexpr double kDispatchOverheadNs = 25e3;
 
-/// The FP16-ingest / FP32-accumulate datapath, on the host. Every dispatch
-/// target computes this same result — what differs is where the simulated
-/// time is charged.
+double gemm_fp16_flops(std::size_t m, std::size_t n, std::size_t k) {
+  return 2.0 * static_cast<double>(m) * static_cast<double>(n) *
+             static_cast<double>(k) -
+         static_cast<double>(m) * static_cast<double>(n);
+}
+
+}  // namespace
+
+void gemm_fp32_accumulate(std::size_t m, std::size_t n, std::size_t k,
+                          const float* a, const float* b, float* c) {
+  // i-k-j over a row of FP32 accumulators: each element still sums its
+  // products in k order from 0.0f (the bits of an i-j-k dot product), but B
+  // is streamed by rows.
+  util::global_pool().parallel_for(m, [&](std::size_t i) {
+    std::vector<float> acc(n, 0.0f);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float a_ik = a[i * k + kk];
+      const float* b_row = b + kk * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        acc[j] += a_ik * b_row[j];
+      }
+    }
+    std::copy(acc.begin(), acc.end(), c + i * n);
+  });
+}
+
 void gemm_fp16_host(std::size_t m, std::size_t n, std::size_t k,
                     const float* a, const float* b, float* c) {
   std::vector<float> a16(m * k);
@@ -27,29 +50,8 @@ void gemm_fp16_host(std::size_t m, std::size_t n, std::size_t k,
   for (std::size_t i = 0; i < k * n; ++i) {
     b16[i] = amx::round_to_half(b[i]);
   }
-  // i-k-j over a row of FP32 accumulators: each element still sums its
-  // products in k order from 0.0f (the bits of an i-j-k dot product), but B
-  // is streamed by rows.
-  util::global_pool().parallel_for(m, [&](std::size_t i) {
-    std::vector<float> acc(n, 0.0f);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float a_ik = a16[i * k + kk];
-      const float* b_row = b16.data() + kk * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        acc[j] += a_ik * b_row[j];
-      }
-    }
-    std::copy(acc.begin(), acc.end(), c + i * n);
-  });
+  gemm_fp32_accumulate(m, n, k, a16.data(), b16.data(), c);
 }
-
-double gemm_fp16_flops(std::size_t m, std::size_t n, std::size_t k) {
-  return 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-             static_cast<double>(k) -
-         static_cast<double>(m) * static_cast<double>(n);
-}
-
-}  // namespace
 
 NeuralEngine::NeuralEngine(soc::Soc& soc) : soc_(&soc) {}
 

@@ -7,6 +7,22 @@
 
 namespace ao::ane {
 
+/// m x n x k FP32 GEMM on the host (row-major, no alpha/beta): each element
+/// of c sums its products one at a time in k order from 0.0f, the bits of a
+/// plain FP32 dot product. Rows of c run in parallel on the shared pool.
+/// This is the accumulate half of gemm_fp16_host() and the precision
+/// study's FP32 row.
+void gemm_fp32_accumulate(std::size_t m, std::size_t n, std::size_t k,
+                          const float* a, const float* b, float* c);
+
+/// The FP16-ingest / FP32-accumulate datapath of the ANE (and the AMX mixed
+/// mode): a and b are rounded through FP16, then gemm_fp32_accumulate()
+/// multiplies them. Every Core ML dispatch target and the precision study's
+/// FP16 row compute this one result; what differs is where the simulated
+/// time is charged.
+void gemm_fp16_host(std::size_t m, std::size_t n, std::size_t k,
+                    const float* a, const float* b, float* c);
+
 /// Model of the 16-core Apple Neural Engine.
 ///
 /// The paper does not benchmark the ANE ("A large gap left behind in this

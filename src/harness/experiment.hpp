@@ -58,12 +58,14 @@ class GemmExperiment {
     /// Seed the operand matrices are generated from. Part of a measurement's
     /// identity: the orchestrator's ResultCache keys on it.
     std::uint64_t matrix_seed = 42;
-    /// Per-impl functional ceilings (0 = never run functionally). Defaults
-    /// keep the host-side cost of a full sweep in seconds, not hours.
+    /// Per-impl functional ceilings (0 = never run functionally). Every
+    /// default equals verify_n_max, so each product computed is also
+    /// checked: above the ceiling the model alone is charged, and a product
+    /// nothing verifies would only set the record's `functional` bit.
     std::map<soc::GemmImpl, std::size_t> functional_n_max = {
-        {soc::GemmImpl::kCpuSingle, 256},  {soc::GemmImpl::kCpuOmp, 512},
-        {soc::GemmImpl::kCpuAccelerate, 512}, {soc::GemmImpl::kGpuNaive, 512},
-        {soc::GemmImpl::kGpuCutlass, 512}, {soc::GemmImpl::kGpuMps, 1024},
+        {soc::GemmImpl::kCpuSingle, 256},  {soc::GemmImpl::kCpuOmp, 256},
+        {soc::GemmImpl::kCpuAccelerate, 256}, {soc::GemmImpl::kGpuNaive, 256},
+        {soc::GemmImpl::kGpuCutlass, 256}, {soc::GemmImpl::kGpuMps, 256},
     };
   };
 

@@ -7,7 +7,7 @@
 #include <sstream>
 
 #include "orchestrator/store_index.hpp"
-
+#include "precision/precision_study.hpp"
 #include "stream/cpu_stream.hpp"
 #include "stream/gpu_stream.hpp"
 #include "util/error.hpp"
@@ -246,6 +246,7 @@ CacheKey key_for_job(const ExperimentJob& job, std::uint64_t options_fp) {
     case JobKind::kPrecisionStudy:
       key.n = job.n;
       h = util::fnv1a_mix(h, job.study_seed);
+      h = util::fnv1a_mix(h, precision::kAccuracyModelEpoch);
       break;
     case JobKind::kAneInference:
       key.n = job.n;

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <vector>
 
-#include "amx/float16.hpp"
+#include "ane/neural_engine.hpp"
 #include "fp64emu/double_single.hpp"
 #include "soc/calibration.hpp"
 #include "soc/perf_model.hpp"
@@ -46,68 +46,51 @@ std::vector<double> gemm_fp64(const std::vector<double>& a,
   return c;
 }
 
-/// GEMM with inputs/arithmetic rounded through a per-element quantizer.
-template <typename Quantize>
-std::vector<double> gemm_quantized(const std::vector<double>& a,
-                                   const std::vector<double>& b, std::size_t n,
-                                   Quantize quantize) {
-  std::vector<double> qa(n * n);
-  std::vector<double> qb(n * n);
-  for (std::size_t i = 0; i < n * n; ++i) {
-    qa[i] = quantize(a[i]);
-    qb[i] = quantize(b[i]);
-  }
-  std::vector<double> c(n * n, 0.0);
-  util::global_pool().parallel_for(n, [&](std::size_t i) {
-    // i-k-j: row i of c holds the running sums, quantized after every add
-    // to model the format's accumulator. Each element still accumulates its
-    // own products in k order (the result is bit-identical to an i-j-k dot
-    // product) while B is read row by row.
-    double* acc = c.data() + i * n;
-    for (std::size_t kk = 0; kk < n; ++kk) {
-      const double a_ik = qa[i * n + kk];
-      const double* b_row = qb.data() + kk * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        acc[j] = quantize(acc[j] + quantize(a_ik * b_row[j]));
-      }
-    }
-  });
-  return c;
-}
-
 /// GEMM in double-single arithmetic (the GPU emulation path, bit-faithful).
 std::vector<double> gemm_double_single(const std::vector<double>& a,
                                        const std::vector<double>& b,
                                        std::size_t n) {
   using fp64emu::DoubleSingle;
   std::vector<DoubleSingle> dsa(n * n);
-  std::vector<DoubleSingle> dsb(n * n);
+  std::vector<float> b_hi(n * n);
+  std::vector<float> b_lo(n * n);
   for (std::size_t i = 0; i < n * n; ++i) {
     dsa[i] = DoubleSingle::from_double(a[i]);
-    dsb[i] = DoubleSingle::from_double(b[i]);
+    const DoubleSingle ds_b = DoubleSingle::from_double(b[i]);
+    b_hi[i] = ds_b.hi;
+    b_lo[i] = ds_b.lo;
   }
   std::vector<double> c(n * n);
   util::global_pool().parallel_for(n, [&](std::size_t i) {
-    // i-k-j with a row of ds accumulators; per element the ds_fma chain runs
-    // in k order exactly as an i-j-k loop would.
-    std::vector<DoubleSingle> acc(n);
+    // i-k-j over a row of ds accumulators kept as separate hi/lo lanes, B
+    // read from split hi/lo rows; per element the ds_fma chain runs in k
+    // order exactly as an i-j-k loop would.
+    std::vector<float> acc_hi(n, 0.0f);
+    std::vector<float> acc_lo(n, 0.0f);
     for (std::size_t kk = 0; kk < n; ++kk) {
       const DoubleSingle a_ik = dsa[i * n + kk];
-      const DoubleSingle* b_row = dsb.data() + kk * n;
+      const float* b_hi_row = b_hi.data() + kk * n;
+      const float* b_lo_row = b_lo.data() + kk * n;
       for (std::size_t j = 0; j < n; ++j) {
-        acc[j] = fp64emu::ds_fma(a_ik, b_row[j], acc[j]);
+        const DoubleSingle sum =
+            fp64emu::ds_fma(a_ik, {b_hi_row[j], b_lo_row[j]},
+                            {acc_hi[j], acc_lo[j]});
+        acc_hi[j] = sum.hi;
+        acc_lo[j] = sum.lo;
       }
     }
     for (std::size_t j = 0; j < n; ++j) {
-      c[i * n + j] = acc[j].to_double();
+      c[i * n + j] = DoubleSingle(acc_hi[j], acc_lo[j]).to_double();
     }
   });
   return c;
 }
 
+/// `value` is the format's product, double or float (widened exactly).
+template <typename T>
 StudyResult make_result(Format format, std::size_t n,
                         const std::vector<double>& reference,
-                        const std::vector<double>& value) {
+                        const std::vector<T>& value) {
   StudyResult r;
   r.format = format;
   r.n = n;
@@ -144,17 +127,17 @@ std::vector<StudyResult> gemm_accuracy_pass(std::size_t n, std::uint64_t seed) {
   results.push_back(make_result(Format::kFp64Emulated, n, reference,
                                 gemm_double_single(a, b, n)));
   results.back().executing_unit = "GPU (double-single)";
-  results.push_back(make_result(
-      Format::kFp32, n, reference, gemm_quantized(a, b, n, [](double v) {
-        return static_cast<double>(static_cast<float>(v));
-      })));
+  // Both FP32-accumulating rows take the operands as FP32; the FP16 row is
+  // the ANE's FP16-ingest / FP32-accumulate datapath, which rounds them
+  // through half first.
+  const std::vector<float> a32(a.begin(), a.end());
+  const std::vector<float> b32(b.begin(), b.end());
+  std::vector<float> c32(n * n);
+  ane::gemm_fp32_accumulate(n, n, n, a32.data(), b32.data(), c32.data());
+  results.push_back(make_result(Format::kFp32, n, reference, c32));
   results.back().executing_unit = "GPU (MPS)";
-  results.push_back(make_result(
-      Format::kFp16, n, reference, gemm_quantized(a, b, n, [](double v) {
-        // FP16 storage, FP32 accumulate (the ANE/AMX mixed mode): quantize
-        // products, keep the running sum in FP32.
-        return static_cast<double>(amx::round_to_half(static_cast<float>(v)));
-      })));
+  ane::gemm_fp16_host(n, n, n, a32.data(), b32.data(), c32.data());
+  results.push_back(make_result(Format::kFp16, n, reference, c32));
   results.back().executing_unit = "GPU/ANE (FP16)";
   return results;
 }

@@ -36,6 +36,14 @@ struct StudyResult {
   bool operator==(const StudyResult&) const = default;
 };
 
+/// Version of the numeric model behind gemm_accuracy_pass(). A study's cache
+/// key is otherwise only (n, seed), so the key folds this in: rows a store
+/// kept from an older model are never served. Bump it whenever a row's
+/// result changes. Epoch 1 is the FP16 row as the ANE datapath (FP32
+/// accumulation); keys from before it carried no epoch, and their FP16 row
+/// rounded its accumulator to half after every add.
+inline constexpr std::uint64_t kAccuracyModelEpoch = 1;
+
 /// The chip-free half of the study: computes the FP64 reference once, then
 /// each format's result functionally, on uniformly random [0,1) inputs. Rows
 /// carry every field but `modeled_gflops` (0 here), so one pass serves every

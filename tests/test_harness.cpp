@@ -108,6 +108,21 @@ TEST_F(ExperimentTest, FunctionalThresholdHonored) {
   EXPECT_EQ(big.out()[0], 0.0f);
 }
 
+// The default ceilings compute no product that nothing reads: every impl
+// runs functionally only where its output is also verified.
+TEST(ExperimentOptions, DefaultFunctionalCeilingsStayWithinVerification) {
+  const GemmExperiment::Options opts;
+  for (const auto impl : soc::kAllGemmImpls) {
+    const auto it = opts.functional_n_max.find(impl);
+    ASSERT_NE(it, opts.functional_n_max.end()) << soc::to_string(impl);
+    EXPECT_LE(it->second, opts.verify_n_max) << soc::to_string(impl);
+    for (std::size_t n = 32; n <= 16384; n *= 2) {
+      EXPECT_EQ(functional_at(opts, impl, n), verified_at(opts, impl, n))
+          << soc::to_string(impl) << " n=" << n;
+    }
+  }
+}
+
 TEST_F(ExperimentTest, PowerPiggybacksOnRun) {
   GemmExperiment experiment(system_.gemm_context());
   auto impl = gemm::create_gemm(soc::GemmImpl::kGpuMps, system_.gemm_context());

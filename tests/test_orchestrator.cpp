@@ -1085,6 +1085,9 @@ TEST(Campaign, EvictedPointsAreReadThroughTheStoreNotReexecuted) {
 // execute that moves one record bit changes the digest. Optimisations of
 // execute must keep it; never re-capture the constant to make one pass.
 // (Captured with GCC on x86-64 Linux; libm results enter the records.)
+// Re-captured once, on purpose, when the record model changed: the default
+// functional ceilings fell to verify_n_max, which moves every GEMM key's
+// options fingerprint, and the study's FP16 row became the ANE datapath.
 TEST(Campaign, GoldenStoreDigestIsUnchanged) {
   harness::GemmExperiment::Options opts;
   Campaign campaign;
@@ -1115,7 +1118,74 @@ TEST(Campaign, GoldenStoreDigestIsUnchanged) {
     digest = util::fnv1a_bytes("\n", 1, digest);
   }
   EXPECT_EQ(lines.size(), 2u * (4u * 6u + 4u));
-  EXPECT_EQ(digest, 0x1c36c83768a2808eull) << std::hex << "digest 0x" << digest;
+  EXPECT_EQ(digest, 0x3e96412138cbb6abull) << std::hex << "digest 0x" << digest;
+}
+
+// A study's key is (n, seed) plus the accuracy model's epoch. A store entry
+// written under the key from before the epoch existed, when the FP16 row
+// accumulated in half, must never be served: the point executes again and
+// its rows are the current model's.
+TEST(Campaign, PreEpochPrecisionStudyEntryIsNotServed) {
+  const std::string path = temp_store("pre_epoch_study");
+  const auto chip = soc::ChipModel::kM3;
+  const std::size_t n = 64;
+  const std::uint64_t seed = 7;
+  ExperimentJob job;
+  job.kind = JobKind::kPrecisionStudy;
+  job.chip = chip;
+  job.n = n;
+  job.study_seed = seed;
+  CacheKey old_key = key_for_job(job, 0);
+  old_key.payload_fingerprint = util::fnv1a_mix(util::kFnv1aOffset, seed);
+  EXPECT_FALSE(old_key == key_for_job(job, 0));
+
+  PrecisionRecord sentinel = precision_stub();
+  sentinel.chip = chip;
+  sentinel.n = n;
+  sentinel.seed = seed;
+  {
+    ResultCache writer;
+    writer.persist_to(path);
+    writer.insert(old_key, sentinel);
+  }
+
+  ResultCache cold;
+  ASSERT_EQ(cold.load(path), 1u);
+  ASSERT_TRUE(cold.contains(old_key));  // the old entry is there, unserved
+  Campaign campaign;
+  campaign.chips({chip}).impls({}).sizes({}).precision_study({n}, seed);
+  campaign.cache(&cold);
+  const auto result = campaign.run();
+  EXPECT_EQ(result.stats.jobs_executed, 1u);
+  EXPECT_EQ(result.stats.cache_hits, 0u);
+  ASSERT_EQ(result.precision.size(), 1u);
+  auto want = precision::gemm_accuracy_pass(n, seed);
+  precision::fill_modeled_gflops(want, chip);
+  EXPECT_EQ(result.precision.front().rows, want);
+  EXPECT_NE(result.precision.front().rows, sentinel.rows);
+  std::remove(path.c_str());
+}
+
+// Under the default options no product is computed that nothing checks:
+// every functional GEMM record of a sweep across the ceiling is verified,
+// the same check perfbench's check_campaign makes on every campaign.
+TEST(Campaign, DefaultOptionsVerifyEveryFunctionalRecord) {
+  Campaign campaign;
+  campaign.chips({soc::ChipModel::kM1}).sizes({128, 256, 512, 1024})
+      .options(harness::GemmExperiment::Options{})
+      .concurrency(4);
+  const auto result = campaign.run();
+  ASSERT_EQ(result.gemm.size(), 4u * 6u);
+  std::size_t functional = 0;
+  for (const auto& m : result.gemm) {
+    EXPECT_EQ(m.functional, m.n <= 256)
+        << soc::to_string(m.impl) << " n=" << m.n;
+    if (m.functional) {
+      ++functional;
+      EXPECT_TRUE(m.verified) << soc::to_string(m.impl) << " n=" << m.n;
+    }
+  }
+  EXPECT_EQ(functional, 2u * 6u);
 }
 
 const std::vector<soc::ChipModel> kFourChips{
