@@ -62,15 +62,27 @@ void AmxUnit::fma32(std::size_t x_reg, std::size_t y_reg, std::size_t z_offset,
   AO_REQUIRE(y_reg < kYRegs, "Y register index out of range");
   AO_REQUIRE(z_offset < 4, "fp32 Z offset must be 0..3");
 
-  const auto* x = reinterpret_cast<const float*>(x_.data() + x_reg * kRegBytes);
+  // X in a local copy and each Z row through a restrict pointer, so the
+  // compiler sees no aliasing and runs the lanes as vectors. Each lane is
+  // still one multiply, then one add. The lane loop stays rolled: fully
+  // unrolled, it is not vectorised.
+  alignas(64) float x[kLanesF32];
+  std::memcpy(x, x_.data() + x_reg * kRegBytes, kRegBytes);
   const auto* y = reinterpret_cast<const float*>(y_.data() + y_reg * kRegBytes);
   for (std::size_t j = 0; j < kLanesF32; ++j) {
-    auto* z_row =
+    float* __restrict z_row =
         reinterpret_cast<float*>(z_.data() + (j * 4 + z_offset) * kRegBytes);
     const float yj = y[j];
-    for (std::size_t i = 0; i < kLanesF32; ++i) {
-      const float prod = x[i] * yj;
-      z_row[i] = accumulate ? z_row[i] + prod : prod;
+    if (accumulate) {
+#pragma GCC unroll 1
+      for (std::size_t i = 0; i < kLanesF32; ++i) {
+        z_row[i] = z_row[i] + x[i] * yj;
+      }
+    } else {
+#pragma GCC unroll 1
+      for (std::size_t i = 0; i < kLanesF32; ++i) {
+        z_row[i] = x[i] * yj;
+      }
     }
   }
   mac_count_ += kLanesF32 * kLanesF32;

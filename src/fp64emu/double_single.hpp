@@ -59,14 +59,18 @@ inline DoubleSingle two_sum(float a, float b) {
   return {s, e};
 }
 
-/// Error-free product: a * b = p + e exactly (Dekker split TwoProd).
-inline DoubleSingle two_prod(float a, float b) {
+/// Error-free product: a * b = p + e exactly (Dekker split TwoProd), with
+/// the splits of a and b supplied, so a GEMM splits each operand once.
+inline DoubleSingle two_prod(float a, detail::Split sa, float b,
+                             detail::Split sb) {
   const float p = a * b;
-  const detail::Split sa = detail::split(a);
-  const detail::Split sb = detail::split(b);
   const float e = ((sa.hi * sb.hi - p) + sa.hi * sb.lo + sa.lo * sb.hi) +
                   sa.lo * sb.lo;
   return {p, e};
+}
+
+inline DoubleSingle two_prod(float a, float b) {
+  return two_prod(a, detail::split(a), b, detail::split(b));
 }
 
 /// ds arithmetic. Results are accurate to ~2 ulps of the 49-bit format.
@@ -81,15 +85,26 @@ inline DoubleSingle ds_sub(DoubleSingle a, DoubleSingle b) {
   return ds_add(a, {-b.hi, -b.lo});
 }
 
-inline DoubleSingle ds_mul(DoubleSingle a, DoubleSingle b) {
-  DoubleSingle p = two_prod(a.hi, b.hi);
+/// `sa` and `sb` are detail::split(a.hi) and detail::split(b.hi).
+inline DoubleSingle ds_mul(DoubleSingle a, detail::Split sa, DoubleSingle b,
+                           detail::Split sb) {
+  DoubleSingle p = two_prod(a.hi, sa, b.hi, sb);
   p.lo += a.hi * b.lo + a.lo * b.hi;
   return two_sum(p.hi, p.lo);
 }
 
+inline DoubleSingle ds_mul(DoubleSingle a, DoubleSingle b) {
+  return ds_mul(a, detail::split(a.hi), b, detail::split(b.hi));
+}
+
 /// Fused a*b + c in ds arithmetic (the GEMM inner-loop operation).
+inline DoubleSingle ds_fma(DoubleSingle a, detail::Split sa, DoubleSingle b,
+                           detail::Split sb, DoubleSingle c) {
+  return ds_add(ds_mul(a, sa, b, sb), c);
+}
+
 inline DoubleSingle ds_fma(DoubleSingle a, DoubleSingle b, DoubleSingle c) {
-  return ds_add(ds_mul(a, b), c);
+  return ds_fma(a, detail::split(a.hi), b, detail::split(b.hi), c);
 }
 
 /// FP32 operation count of one ds_fma — the cost model's basis for the

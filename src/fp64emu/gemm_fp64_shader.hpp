@@ -28,6 +28,19 @@ namespace ao::fp64emu {
 /// FP32-to-emulated-FP64 throughput gap the technique is known for.
 metal::Kernel make_gemm_fp64_emulated();
 
+/// The double-single GEMM kernel the emulated shader and the precision
+/// study share, on split hi/lo FP32 planes (row-major, strides lda, ldb,
+/// ldc): C = A * B for a `rows` x `cols` block of C, summed over `depth`.
+/// `a_*` point at the block's first row of A, `b_*` at its first column of
+/// B, `c_*` at its first element of C, which is overwritten. k is the outer
+/// loop: each step splits the B row segment once for the whole block, then
+/// advances every element's ds_fma chain by one product. Each chain starts
+/// from zero and runs in k order, the bits of a per-element dot product.
+void ds_gemm_block(std::size_t rows, std::size_t cols, std::size_t depth,
+                   const float* a_hi, const float* a_lo, std::size_t lda,
+                   const float* b_hi, const float* b_lo, std::size_t ldb,
+                   float* c_hi, float* c_lo, std::size_t ldc);
+
 /// Splits a host FP64 matrix into hi/lo FP32 planes.
 void split_matrix(const double* src, float* hi, float* lo, std::size_t count);
 

@@ -43,9 +43,9 @@ using ThreadKernelFn =
     std::function<void(const ArgumentTable&, const ThreadContext&)>;
 
 /// Per-threadgroup kernel body, called once per threadgroup: the
-/// Cutlass-style tiled GEMM shader (threadgroup memory + barrier phases) and
-/// the naive GEMM shader (its threads run in lockstep over k). See
-/// GroupContext for the execution contract.
+/// Cutlass-style tiled GEMM shader (threadgroup memory + barrier phases), and
+/// the naive and emulated-FP64 GEMM shaders (their threads run in lockstep
+/// over k). See GroupContext for the execution contract.
 using GroupKernelFn =
     std::function<void(const ArgumentTable&, const GroupContext&)>;
 

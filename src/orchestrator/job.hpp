@@ -96,6 +96,10 @@ struct ExperimentJob {
   std::size_t ane_m = 0;
   std::size_t ane_k = 0;
   bool ane_functional = true;
+
+  /// The ANE GEMM's m and k, with 0 standing for n.
+  std::size_t ane_rows() const { return ane_m != 0 ? ane_m : n; }
+  std::size_t ane_depth() const { return ane_k != 0 ? ane_k : n; }
 };
 
 /// Thread-safe, priority-ordered queue of independent experiment jobs.

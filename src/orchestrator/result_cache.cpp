@@ -250,8 +250,8 @@ CacheKey key_for_job(const ExperimentJob& job, std::uint64_t options_fp) {
       break;
     case JobKind::kAneInference:
       key.n = job.n;
-      h = util::fnv1a_mix(h, job.ane_m != 0 ? job.ane_m : job.n);
-      h = util::fnv1a_mix(h, job.ane_k != 0 ? job.ane_k : job.n);
+      h = util::fnv1a_mix(h, job.ane_rows());
+      h = util::fnv1a_mix(h, job.ane_depth());
       h = util::fnv1a_mix(h, job.ane_functional ? 1 : 0);
       // The functional operands (and so mean_output) come from this seed.
       h = util::fnv1a_mix(h, job.study_seed);

@@ -201,38 +201,28 @@ Fp64EmuRecord fp64emu_accuracy(metal::Device& device, std::size_t n,
   std::vector<double> b(a.size());
   util::fill_uniform(std::span<double>(a), seed);
   util::fill_uniform(std::span<double>(b), seed + 1);
-  std::vector<double> expected(a.size(), 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t kk = 0; kk < n; ++kk) {
-      const double aik = a[i * n + kk];
-      for (std::size_t j = 0; j < n; ++j) {
-        expected[i * n + j] += aik * b[kk * n + j];
-      }
-    }
-  }
+  const std::vector<double> expected = precision::gemm_fp64(a, b, n);
 
   // Double-single GEMM — the X3 extension bench's dispatch, shared via
   // run_emulated_gemm.
   const std::vector<double> emu = fp64emu::run_emulated_gemm(
       device, a.data(), b.data(), static_cast<std::uint32_t>(n));
 
+  // Plain FP32 GEMM of the same operands, each element summed in k order.
+  const std::vector<float> a32(a.begin(), a.end());
+  const std::vector<float> b32(b.begin(), b.end());
+  std::vector<float> c32(a.size());
+  ane::gemm_fp32_accumulate(n, n, n, a32.data(), b32.data(), c32.data());
+
   Fp64EmuRecord record;
   record.n = n;
   record.seed = seed;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      float acc32 = 0.0f;
-      for (std::size_t kk = 0; kk < n; ++kk) {
-        acc32 += static_cast<float>(a[i * n + kk]) *
-                 static_cast<float>(b[kk * n + j]);
-      }
-      const double ref = expected[i * n + j];
-      record.emu_max_abs_error = std::max(record.emu_max_abs_error,
-                                          std::abs(ref - emu[i * n + j]));
-      record.fp32_max_abs_error =
-          std::max(record.fp32_max_abs_error,
-                   std::abs(ref - static_cast<double>(acc32)));
-    }
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    record.emu_max_abs_error =
+        std::max(record.emu_max_abs_error, std::abs(expected[i] - emu[i]));
+    record.fp32_max_abs_error =
+        std::max(record.fp32_max_abs_error,
+                 std::abs(expected[i] - static_cast<double>(c32[i])));
   }
   return record;
 }
@@ -267,18 +257,18 @@ SmeRecord sme_accuracy(std::size_t n, std::uint64_t seed) {
   return record;
 }
 
-/// Values computed once per (n, seed) within one run(). The first job to
-/// ask computes; a concurrent job asking for the same key waits for that
-/// result rather than computing it again.
-template <typename T>
+/// Values computed once per key within one run(): (n, seed) for the
+/// studies. The first job to ask computes; a concurrent job asking for the
+/// same key waits for that result rather than computing it again.
+template <typename T, typename Key = std::pair<std::size_t, std::uint64_t>>
 class OnceMap {
  public:
   template <typename Compute>
-  T get(std::size_t n, std::uint64_t seed, Compute&& compute) {
+  T get(const Key& key, Compute&& compute) {
     Entry* entry;
     {
       std::lock_guard lock(mutex_);
-      entry = &entries_[{n, seed}];  // map nodes never move
+      entry = &entries_[key];  // map nodes never move
     }
     std::call_once(entry->once, [&] { entry->value = compute(); });
     return entry->value;
@@ -290,8 +280,26 @@ class OnceMap {
     T value;
   };
   std::mutex mutex_;
-  std::map<std::pair<std::size_t, std::uint64_t>, Entry> entries_;
+  std::map<Key, Entry> entries_;
 };
+
+/// The mean element of the functional m x n x k FP16 product on the seeded
+/// operands: the one numeric field of an ANE record, the same on every chip
+/// and every dispatch target.
+double ane_mean_output(std::size_t m, std::size_t n, std::size_t k,
+                       std::uint64_t seed) {
+  std::vector<float> a(m * k);
+  std::vector<float> b(k * n);
+  std::vector<float> c(m * n);
+  util::fill_uniform(std::span<float>(a), seed);
+  util::fill_uniform(std::span<float>(b), seed + 1);
+  ane::gemm_fp16_host(m, n, k, a.data(), b.data(), c.data());
+  double sum = 0.0;
+  for (const float v : c) {
+    sum += v;
+  }
+  return sum / static_cast<double>(c.size());
+}
 
 }  // namespace
 
@@ -299,6 +307,10 @@ struct CampaignScheduler::StudyMemos {
   OnceMap<PrecisionRecord> precision;
   OnceMap<Fp64EmuRecord> fp64emu;
   OnceMap<SmeRecord> sme;
+  /// mean_output per (m, n, k, seed) of the functional ANE jobs.
+  OnceMap<double, std::tuple<std::size_t, std::size_t, std::size_t,
+                             std::uint64_t>>
+      ane;
 };
 
 CampaignScheduler::CampaignScheduler(
@@ -721,7 +733,7 @@ void CampaignScheduler::run_precision_study(const ExperimentJob& job,
   }
   // The study needs no leased timeline: accuracy is host math, shared by
   // every chip of the run, and throughput comes from the calibrated model.
-  PrecisionRecord record = memos_->precision.get(job.n, job.study_seed, [&] {
+  PrecisionRecord record = memos_->precision.get({job.n, job.study_seed}, [&] {
     PrecisionRecord accuracy;
     accuracy.n = job.n;
     accuracy.seed = job.study_seed;
@@ -742,31 +754,27 @@ void CampaignScheduler::run_ane_inference(const ExperimentJob& job,
   if (serve_from_cache(job, outputs)) {
     return;
   }
-  const std::size_t m = job.ane_m != 0 ? job.ane_m : job.n;
+  const std::size_t m = job.ane_rows();
   const std::size_t n = job.n;
-  const std::size_t k = job.ane_k != 0 ? job.ane_k : job.n;
+  const std::size_t k = job.ane_depth();
   AO_REQUIRE(m > 0 && n > 0 && k > 0, "ANE job needs GEMM dimensions");
 
-  // Model-only jobs never touch host memory; functional jobs use the same
-  // deterministic operands in every process, so cached and fresh records
-  // agree bit-for-bit.
-  std::vector<float> a;
-  std::vector<float> b;
-  std::vector<float> c;
+  AneRecord record;
   if (job.ane_functional) {
-    a.resize(m * k);
-    b.resize(k * n);
-    c.resize(m * n);
-    util::fill_uniform(std::span<float>(a), job.study_seed);
-    util::fill_uniform(std::span<float>(b), job.study_seed + 1);
+    // One product per (m, n, k, seed), shared by every chip: the datapath is
+    // the same wherever the plan lands, and the operands are seeded, so
+    // cached and fresh records agree bit for bit.
+    record.mean_output = memos_->ane.get({m, n, k, job.study_seed}, [&] {
+      return ane_mean_output(m, n, k, job.study_seed);
+    });
   }
 
   auto lease = systems_.acquire(job.chip);
   ane::CoreMLRuntime runtime(lease.system().soc());
-  const ane::Prediction prediction = runtime.predict_gemm(
-      m, n, k, a.data(), b.data(), c.data(), job.ane_functional);
+  const ane::Prediction prediction =
+      runtime.predict_gemm(m, n, k, nullptr, nullptr, nullptr,
+                           /*functional=*/false);
 
-  AneRecord record;
   record.chip = job.chip;
   record.m = m;
   record.n = n;
@@ -775,13 +783,6 @@ void CampaignScheduler::run_ane_inference(const ExperimentJob& job,
   record.duration_ns = prediction.duration_ns;
   record.gflops = prediction.gflops;
   record.gflops_per_watt = record.gflops / prediction.watts;
-  if (job.ane_functional) {
-    double sum = 0.0;
-    for (const float v : c) {
-      sum += v;
-    }
-    record.mean_output = sum / static_cast<double>(c.size());
-  }
   {
     std::lock_guard lock(state_mutex_);
     ++stats_.jobs_executed;
@@ -798,7 +799,7 @@ void CampaignScheduler::run_fp64_emulation(const ExperimentJob& job,
   AO_REQUIRE(n > 0, "fp64-emulation job needs a matrix size");
 
   auto lease = systems_.acquire(job.chip);
-  Fp64EmuRecord record = memos_->fp64emu.get(n, job.study_seed, [&] {
+  Fp64EmuRecord record = memos_->fp64emu.get({n, job.study_seed}, [&] {
     return fp64emu_accuracy(lease.system().device(), n, job.study_seed);
   });
   record.chip = job.chip;
@@ -824,7 +825,7 @@ void CampaignScheduler::run_sme_gemm(const ExperimentJob& job,
   AO_REQUIRE(n > 0, "sme-gemm job needs a matrix size");
 
   SmeRecord record = memos_->sme.get(
-      n, job.study_seed, [&] { return sme_accuracy(n, job.study_seed); });
+      {n, job.study_seed}, [&] { return sme_accuracy(n, job.study_seed); });
   record.chip = job.chip;
 
   auto lease = systems_.acquire(job.chip);

@@ -6,6 +6,7 @@
 
 #include "ane/neural_engine.hpp"
 #include "fp64emu/double_single.hpp"
+#include "fp64emu/gemm_fp64_shader.hpp"
 #include "soc/calibration.hpp"
 #include "soc/perf_model.hpp"
 #include "soc/soc.hpp"
@@ -31,57 +32,30 @@ std::string to_string(Format format) {
 
 namespace {
 
-/// FP64 reference GEMM (the ground truth).
-std::vector<double> gemm_fp64(const std::vector<double>& a,
-                              const std::vector<double>& b, std::size_t n) {
-  std::vector<double> c(n * n, 0.0);
-  util::global_pool().parallel_for(n, [&](std::size_t i) {
-    for (std::size_t kk = 0; kk < n; ++kk) {
-      const double a_ik = a[i * n + kk];
-      for (std::size_t j = 0; j < n; ++j) {
-        c[i * n + j] += a_ik * b[kk * n + j];
-      }
-    }
-  });
-  return c;
-}
-
-/// GEMM in double-single arithmetic (the GPU emulation path, bit-faithful).
+/// GEMM in double-single arithmetic (the GPU emulation path, bit-faithful):
+/// the emulated shader's kernel over blocks of kRowBlock rows on the pool.
 std::vector<double> gemm_double_single(const std::vector<double>& a,
                                        const std::vector<double>& b,
                                        std::size_t n) {
-  using fp64emu::DoubleSingle;
-  std::vector<DoubleSingle> dsa(n * n);
+  constexpr std::size_t kRowBlock = 8;
+  std::vector<float> a_hi(n * n);
+  std::vector<float> a_lo(n * n);
   std::vector<float> b_hi(n * n);
   std::vector<float> b_lo(n * n);
-  for (std::size_t i = 0; i < n * n; ++i) {
-    dsa[i] = DoubleSingle::from_double(a[i]);
-    const DoubleSingle ds_b = DoubleSingle::from_double(b[i]);
-    b_hi[i] = ds_b.hi;
-    b_lo[i] = ds_b.lo;
-  }
+  fp64emu::split_matrix(a.data(), a_hi.data(), a_lo.data(), n * n);
+  fp64emu::split_matrix(b.data(), b_hi.data(), b_lo.data(), n * n);
   std::vector<double> c(n * n);
-  util::global_pool().parallel_for(n, [&](std::size_t i) {
-    // i-k-j over a row of ds accumulators kept as separate hi/lo lanes, B
-    // read from split hi/lo rows; per element the ds_fma chain runs in k
-    // order exactly as an i-j-k loop would.
-    std::vector<float> acc_hi(n, 0.0f);
-    std::vector<float> acc_lo(n, 0.0f);
-    for (std::size_t kk = 0; kk < n; ++kk) {
-      const DoubleSingle a_ik = dsa[i * n + kk];
-      const float* b_hi_row = b_hi.data() + kk * n;
-      const float* b_lo_row = b_lo.data() + kk * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        const DoubleSingle sum =
-            fp64emu::ds_fma(a_ik, {b_hi_row[j], b_lo_row[j]},
-                            {acc_hi[j], acc_lo[j]});
-        acc_hi[j] = sum.hi;
-        acc_lo[j] = sum.lo;
-      }
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      c[i * n + j] = DoubleSingle(acc_hi[j], acc_lo[j]).to_double();
-    }
+  const std::size_t blocks = (n + kRowBlock - 1) / kRowBlock;
+  util::global_pool().parallel_for(blocks, [&](std::size_t block) {
+    const std::size_t row0 = block * kRowBlock;
+    const std::size_t rows = std::min(kRowBlock, n - row0);
+    std::vector<float> c_hi(rows * n);
+    std::vector<float> c_lo(rows * n);
+    fp64emu::ds_gemm_block(rows, n, n, a_hi.data() + row0 * n,
+                           a_lo.data() + row0 * n, n, b_hi.data(),
+                           b_lo.data(), n, c_hi.data(), c_lo.data(), n);
+    fp64emu::join_matrix(c_hi.data(), c_lo.data(), c.data() + row0 * n,
+                         rows * n);
   });
   return c;
 }
@@ -111,6 +85,20 @@ StudyResult make_result(Format format, std::size_t n,
 }
 
 }  // namespace
+
+std::vector<double> gemm_fp64(const std::vector<double>& a,
+                              const std::vector<double>& b, std::size_t n) {
+  std::vector<double> c(n * n, 0.0);
+  util::global_pool().parallel_for(n, [&](std::size_t i) {
+    for (std::size_t kk = 0; kk < n; ++kk) {
+      const double a_ik = a[i * n + kk];
+      for (std::size_t j = 0; j < n; ++j) {
+        c[i * n + j] += a_ik * b[kk * n + j];
+      }
+    }
+  });
+  return c;
+}
 
 std::vector<StudyResult> gemm_accuracy_pass(std::size_t n, std::uint64_t seed) {
   AO_REQUIRE(n >= 8 && n <= 1024, "study sizes are functional: keep n small");

@@ -44,6 +44,12 @@ struct StudyResult {
 /// rounded its accumulator to half after every add.
 inline constexpr std::uint64_t kAccuracyModelEpoch = 1;
 
+/// The FP64 reference GEMM (the ground truth of the study and of the
+/// FP64-emulation record): n x n row-major, i-k-j, each element summed from
+/// 0.0 in k order; rows run in parallel on the shared pool.
+std::vector<double> gemm_fp64(const std::vector<double>& a,
+                              const std::vector<double>& b, std::size_t n);
+
 /// The chip-free half of the study: computes the FP64 reference once, then
 /// each format's result functionally, on uniformly random [0,1) inputs. Rows
 /// carry every field but `modeled_gflops` (0 here), so one pass serves every

@@ -18,8 +18,9 @@ using orchestrator::JobKind;
 
 /// `computes` is false for a chip whose numeric result another chip of the
 /// same bundle computes (see bundle_of): it is charged its per-chip model
-/// work, n^2, instead of the n^3 product. A verified GEMM job is charged
-/// n^2 more, for its verdict (computed, or copied from the claimant).
+/// work, n^2 (an ANE dispatch: 1), instead of the n^3 product. A verified
+/// GEMM job is charged n^2 more, for its verdict (computed, or copied from
+/// the claimant).
 double job_cost(const ExperimentJob& job,
                 const harness::GemmExperiment::Options& options,
                 bool computes) {
@@ -28,6 +29,9 @@ double job_cost(const ExperimentJob& job,
                     job.kind == JobKind::kFp64Emulation ||
                     job.kind == JobKind::kSmeGemm)) {
     return n * n;
+  }
+  if (!computes && job.kind == JobKind::kAneInference) {
+    return 1.0;
   }
   switch (job.kind) {
     case JobKind::kGemmMeasure: {
@@ -53,11 +57,10 @@ double job_cost(const ExperimentJob& job,
       return 1.0;
     case JobKind::kPrecisionStudy:
       return 4.0 * n * n * n;  // four formats, each a functional GEMM
-    case JobKind::kAneInference: {
-      const double m = job.ane_m != 0 ? static_cast<double>(job.ane_m) : n;
-      const double k = job.ane_k != 0 ? static_cast<double>(job.ane_k) : n;
-      return job.ane_functional ? m * n * k : 1.0;
-    }
+    case JobKind::kAneInference:
+      return job.ane_functional ? static_cast<double>(job.ane_rows()) * n *
+                                      static_cast<double>(job.ane_depth())
+                                : 1.0;
     case JobKind::kFp64Emulation:
       // Reference GEMM + emulated GEMM + FP32 error sweep, all host-side.
       return 3.0 * n * n * n;
@@ -69,17 +72,25 @@ double job_cost(const ExperimentJob& job,
 
 /// The jobs whose numeric result one scheduler computes once and shares
 /// between chips (a functional GEMM per (impl, n); the precision,
-/// FP64-emulation and SME accuracy passes per (n, seed)) form one bundle,
-/// keyed here; every other job is a bundle of its own (nullopt).
-using BundleKey = std::tuple<JobKind, soc::GemmImpl, std::size_t, std::uint64_t>;
+/// FP64-emulation and SME accuracy passes per (n, seed); a functional ANE
+/// product per (m, n, k, seed)) form one bundle, keyed here as (kind, impl,
+/// m, n, k, seed); every other job is a bundle of its own (nullopt).
+using BundleKey = std::tuple<JobKind, soc::GemmImpl, std::size_t, std::size_t,
+                             std::size_t, std::uint64_t>;
 std::optional<BundleKey> bundle_of(const ExperimentJob& job) {
   switch (job.kind) {
     case JobKind::kGemmMeasure:
-      return BundleKey{job.kind, job.impl, job.n, 0};
+      return BundleKey{job.kind, job.impl, 0, job.n, 0, 0};
     case JobKind::kPrecisionStudy:
     case JobKind::kFp64Emulation:
     case JobKind::kSmeGemm:
-      return BundleKey{job.kind, soc::GemmImpl{}, job.n, job.study_seed};
+      return BundleKey{job.kind, soc::GemmImpl{}, 0, job.n, 0, job.study_seed};
+    case JobKind::kAneInference:
+      if (!job.ane_functional) {
+        return std::nullopt;
+      }
+      return BundleKey{job.kind, soc::GemmImpl{}, job.ane_rows(), job.n,
+                       job.ane_depth(), job.study_seed};
     default:
       return std::nullopt;
   }

@@ -31,8 +31,8 @@ double estimated_job_cost(const orchestrator::ExperimentJob& job,
 /// greedy assignment over bundles: the jobs whose numeric result a scheduler
 /// computes once and shares between chips — every chip of one GEMM
 /// (impl, n), every chip of one precision / FP64-emulation / SME study at
-/// (n, seed) — form one bundle, placed whole, and charged the shared
-/// computation once. Bundles are sorted by descending cost, each placed on
+/// (n, seed), every chip of one functional ANE product at (m, n, k, seed) —
+/// form one bundle, placed whole, and charged the shared computation once. Bundles are sorted by descending cost, each placed on
 /// the least-loaded shard. Deterministic — ties break on job index and
 /// shard index — so a plan computed by the service addresses the same jobs
 /// a worker process expands from the same request.

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -212,6 +213,56 @@ TEST(AmxUnit, ZOffsetsAreIndependentAccumulators) {
   unit.fma32(0, 0, 1);
   EXPECT_EQ(unit.z_row_f32(0)[0], 1.0f);  // offset 0: one product
   EXPECT_EQ(unit.z_row_f32(1)[0], 2.0f);  // offset 1: two products
+}
+
+// fma32 against a scalar oracle, bit for bit: for every Z offset, in both
+// accumulate and overwrite mode, on a Z grid preloaded with values of mixed
+// sign and magnitude (so every add rounds), and the rows the instruction does
+// not address keep their bits.
+TEST(AmxUnit, Fma32MatchesAScalarOracleBitForBit) {
+  util::Xoshiro256 rng(2024);
+  auto next = [&rng] {
+    const float magnitude = std::ldexp(
+        rng.next_float(), static_cast<int>(rng.next_below(16)) - 8);
+    return rng.next_below(2) == 0 ? magnitude : -magnitude;
+  };
+  for (std::size_t z_offset = 0; z_offset < 4; ++z_offset) {
+    for (const bool accumulate : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "z_offset=" << z_offset
+                                        << " accumulate=" << accumulate);
+      AmxUnit unit;
+      unit.set();
+      alignas(64) float z[AmxUnit::kZRows][16];
+      for (std::size_t row = 0; row < AmxUnit::kZRows; ++row) {
+        for (float& v : z[row]) {
+          v = next();
+        }
+        unit.ldz(row, z[row]);
+      }
+      alignas(64) float x[16];
+      alignas(64) float y[16];
+      for (std::size_t i = 0; i < 16; ++i) {
+        x[i] = next();
+        y[i] = next();
+      }
+      unit.ldx(3, x);
+      unit.ldy(5, y);
+      unit.fma32(3, 5, z_offset, accumulate);
+
+      for (std::size_t j = 0; j < 16; ++j) {
+        float* row = z[j * 4 + z_offset];
+        for (std::size_t i = 0; i < 16; ++i) {
+          const float prod = x[i] * y[j];
+          row[i] = accumulate ? row[i] + prod : prod;
+        }
+      }
+      for (std::size_t row = 0; row < AmxUnit::kZRows; ++row) {
+        alignas(64) float got[16];
+        unit.stz(row, got);
+        ASSERT_EQ(std::memcmp(got, z[row], sizeof(got)), 0) << "Z row " << row;
+      }
+    }
+  }
 }
 
 TEST(AmxUnit, SetZeroesState) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "core/system.hpp"
@@ -104,9 +105,25 @@ class Fp64ShaderTest : public ::testing::Test {
  protected:
   core::System system_{soc::ChipModel::kM3};
 
+  /// C's hi and lo planes, as the shader leaves them.
+  struct Planes {
+    std::vector<float> hi;
+    std::vector<float> lo;
+  };
+
   /// Runs the emulated-FP64 GEMM shader and returns the FP64 result.
   std::vector<double> run(const std::vector<double>& a,
                           const std::vector<double>& b, std::uint32_t n) {
+    const Planes c = run_planes(a, b, n, {8, 8, 1});
+    std::vector<double> joined(c.hi.size());
+    join_matrix(c.hi.data(), c.lo.data(), joined.data(), joined.size());
+    return joined;
+  }
+
+  /// Runs the shader with threadgroups of `group` threads and returns C's
+  /// hi/lo planes.
+  Planes run_planes(const std::vector<double>& a, const std::vector<double>& b,
+                    std::uint32_t n, metal::UInt3 group) {
     auto& device = system_.device();
     const std::size_t bytes = static_cast<std::size_t>(n) * n * sizeof(float);
     auto make = [&](const double* src) {
@@ -136,18 +153,59 @@ class Fp64ShaderTest : public ::testing::Test {
     enc->set_buffer(c_hi.get(), 0, 4);
     enc->set_buffer(c_lo.get(), 0, 5);
     enc->set_value<std::uint32_t>(n, 6);
-    enc->dispatch_threads({n, n, 1}, {8, 8, 1});
+    enc->dispatch_threads({n, n, 1}, group);
     enc->end_encoding();
     cmd->commit();
     cmd->wait_until_completed();
 
-    std::vector<double> c(static_cast<std::size_t>(n) * n);
-    join_matrix(static_cast<const float*>(c_hi->contents()),
-                static_cast<const float*>(c_lo->contents()), c.data(),
-                c.size());
-    return c;
+    const auto* hi = static_cast<const float*>(c_hi->contents());
+    const auto* lo = static_cast<const float*>(c_lo->contents());
+    const std::size_t count = static_cast<std::size_t>(n) * n;
+    return {{hi, hi + count}, {lo, lo + count}};
   }
 };
+
+// The shader against the MSL original's per-thread loop, bit for bit: one
+// ds_fma chain per C element, from zero in k order, on sizes that leave
+// partial threadgroups and on threadgroups that are not square.
+TEST_F(Fp64ShaderTest, MatchesThePerThreadLoopBitForBit) {
+  for (const std::uint32_t n : {1u, 7u, 33u, 100u, 130u}) {
+    std::vector<double> a(static_cast<std::size_t>(n) * n);
+    std::vector<double> b(a.size());
+    util::fill_uniform(std::span<double>(a), 40 + n);
+    util::fill_uniform(std::span<double>(b), 41 + n);
+    std::vector<float> a_hi(a.size()), a_lo(a.size());
+    std::vector<float> b_hi(b.size()), b_lo(b.size());
+    split_matrix(a.data(), a_hi.data(), a_lo.data(), a.size());
+    split_matrix(b.data(), b_hi.data(), b_lo.data(), b.size());
+    Planes oracle{std::vector<float>(a.size()), std::vector<float>(a.size())};
+    for (std::uint32_t row = 0; row < n; ++row) {
+      for (std::uint32_t col = 0; col < n; ++col) {
+        DoubleSingle acc;
+        for (std::uint32_t kk = 0; kk < n; ++kk) {
+          const std::size_t ai = static_cast<std::size_t>(row) * n + kk;
+          const std::size_t bi = static_cast<std::size_t>(kk) * n + col;
+          acc = ds_fma({a_hi[ai], a_lo[ai]}, {b_hi[bi], b_lo[bi]}, acc);
+        }
+        oracle.hi[static_cast<std::size_t>(row) * n + col] = acc.hi;
+        oracle.lo[static_cast<std::size_t>(row) * n + col] = acc.lo;
+      }
+    }
+    for (const metal::UInt3 group :
+         {metal::UInt3{8, 8, 1}, metal::UInt3{16, 4, 1},
+          metal::UInt3{3, 5, 1}}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " group=" << group.x
+                                        << "x" << group.y);
+      const Planes got = run_planes(a, b, n, group);
+      ASSERT_EQ(std::memcmp(got.hi.data(), oracle.hi.data(),
+                            oracle.hi.size() * sizeof(float)),
+                0);
+      ASSERT_EQ(std::memcmp(got.lo.data(), oracle.lo.data(),
+                            oracle.lo.size() * sizeof(float)),
+                0);
+    }
+  }
+}
 
 TEST_F(Fp64ShaderTest, BeatsFp32ByManyDigits) {
   const std::uint32_t n = 64;

@@ -2,6 +2,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "accelerate/reference_blas.hpp"
+#include "ane/neural_engine.hpp"
 #include "core/system.hpp"
 #include "harness/experiment.hpp"
 #include "harness/matrix_workload.hpp"
@@ -28,6 +30,7 @@
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/hex.hpp"
+#include "util/rng.hpp"
 
 namespace ao::orchestrator {
 namespace {
@@ -1000,6 +1003,45 @@ TEST(Campaign, AneIncompatibleShapeFallsBackToGpu) {
   ASSERT_EQ(result.ane.size(), 1u);
   EXPECT_EQ(result.ane.front().target, ane::DispatchTarget::kGpu);
   EXPECT_NEAR(result.ane.front().mean_output, 10.0, 1.0);
+}
+
+// The ANE product is computed once per campaign and shared: every chip's
+// mean_output is the mean of a standalone FP16 product on the seeded
+// operands, on-engine (64) and on the GPU fallback (40) alike.
+TEST(Campaign, EveryChipsAneMeanIsTheStandaloneFp16Mean) {
+  Campaign campaign;
+  campaign.chips({soc::ChipModel::kM1, soc::ChipModel::kM2,
+                  soc::ChipModel::kM3, soc::ChipModel::kM4})
+      .impls({})
+      .sizes({})
+      .ane_inference({64, 40})
+      .concurrency(4);
+  const auto result = campaign.run();
+  ASSERT_EQ(result.ane.size(), 8u);
+  for (const std::size_t n : {64u, 40u}) {
+    std::vector<float> a(n * n);
+    std::vector<float> b(n * n);
+    std::vector<float> c(n * n);
+    const std::uint64_t seed = ExperimentJob{}.study_seed;
+    util::fill_uniform(std::span<float>(a), seed);
+    util::fill_uniform(std::span<float>(b), seed + 1);
+    ane::gemm_fp16_host(n, n, n, a.data(), b.data(), c.data());
+    double sum = 0.0;
+    for (const float v : c) {
+      sum += v;
+    }
+    const double mean = sum / static_cast<double>(c.size());
+    std::size_t chips = 0;
+    for (const AneRecord& r : result.ane) {
+      if (r.n == n) {
+        ++chips;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(r.mean_output),
+                  std::bit_cast<std::uint64_t>(mean))
+            << soc::to_string(r.chip) << " n=" << n;
+      }
+    }
+    EXPECT_EQ(chips, 4u);
+  }
 }
 
 // A campaign mixing every JobKind runs twice in (simulated) separate

@@ -448,7 +448,8 @@ TEST(ShardPlanner, FourShardsKeepEveryImplAndSizeOnOneShard) {
               soc::ChipModel::kM4})
       .sizes({32, 64, 128, 256, 512, 1024})
       .precision_study({64})
-      .sme_gemm({64});
+      .sme_gemm({64})
+      .ane_inference({64});
   const harness::GemmExperiment::Options options;  // the campaign's
   const auto jobs = campaign.jobs();
   const ShardPlan plan = plan_shards(jobs, options, 4);
@@ -467,7 +468,7 @@ TEST(ShardPlanner, FourShardsKeepEveryImplAndSizeOnOneShard) {
     }
   }
   EXPECT_EQ(placed, jobs.size());
-  EXPECT_EQ(shards_of.size(), 6u * 6u + 2u);
+  EXPECT_EQ(shards_of.size(), 6u * 6u + 3u);
   for (const auto& [point, shards] : shards_of) {
     EXPECT_EQ(shards.size(), 1u)
         << orchestrator::to_string(std::get<0>(point)) << " "
@@ -514,6 +515,42 @@ TEST(CampaignService, FourShardStoreEqualsTheSingleShardStore) {
   EXPECT_NE(sharded_done.find(" shards 4"), std::string::npos)
       << sharded_done;
   ASSERT_EQ(single.size(), 4u * 2u * 3u);
+  EXPECT_EQ(sharded, single);
+  std::filesystem::remove_all(dir);
+}
+
+// Every chip of one functional ANE product lands on one shard, whose
+// scheduler computes it once: a two-shard run's records equal a one-shard
+// run's.
+TEST(CampaignService, TwoShardAneStoreEqualsTheSingleShardStore) {
+  const auto dir = temp_dir("ane_shards");
+  const auto run = [&](std::size_t shards) {
+    CampaignService::Config config;
+    config.store_path =
+        (dir / ("shards" + std::to_string(shards) + ".aocache")).string();
+    config.shard_dir = dir.string();
+    CampaignService service(config);
+    const auto lines = serve_lines(
+        service, "begin anegrid\nchips m1,m2,m3,m4\nimpls cpu-single\n"
+                 "sizes 32\nrepetitions 1\nane 64,48,40\nworkers 1\nshards " +
+                     std::to_string(shards) + "\nrun\n");
+    EXPECT_TRUE(starts_with(lines.back(), "done campaign ")) << lines.back();
+    std::ifstream in(config.store_path);
+    std::vector<std::string> entries;
+    std::string line;
+    while (std::getline(in, line)) {
+      if (starts_with(line, "entry ")) {
+        entries.push_back(line);
+      }
+    }
+    std::sort(entries.begin(), entries.end());
+    return std::pair{entries, lines.back()};
+  };
+  const auto [single, single_done] = run(1);
+  const auto [sharded, sharded_done] = run(2);
+  EXPECT_NE(sharded_done.find(" shards 2"), std::string::npos)
+      << sharded_done;
+  ASSERT_EQ(single.size(), 4u * (1u + 3u));
   EXPECT_EQ(sharded, single);
   std::filesystem::remove_all(dir);
 }
