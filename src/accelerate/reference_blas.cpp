@@ -4,8 +4,11 @@
 #include <cmath>
 #include <vector>
 
+#include "util/simd.hpp"
+
 namespace ao::accelerate::reference {
 
+AO_SIMD_CLONES
 void sgemm(bool transpose_a, bool transpose_b, std::size_t m, std::size_t n,
            std::size_t k, float alpha, const float* a, std::size_t lda,
            const float* b, std::size_t ldb, float beta, float* c,

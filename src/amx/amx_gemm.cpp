@@ -23,17 +23,26 @@ void compute_tile(AmxUnit& unit, std::size_t i0, std::size_t j0, std::size_t mi,
   alignas(64) float x_buf[kTile];
   alignas(64) float y_buf[kTile];
 
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    // X register <- B row segment  (b[kk][j0 .. j0+nj)), zero-padded.
-    const float* b_row = b + kk * ldb + j0;
+  // A full tile reads X straight from the B row and fills every Y lane; a
+  // partial one stages both zero-padded, so no load reads past the operands.
+  const bool full = mi == kTile && nj == kTile;
+  if (!full) {
     std::memset(x_buf, 0, sizeof(x_buf));
-    std::memcpy(x_buf, b_row, nj * sizeof(float));
-    // Y register <- A column segment (a[i0 .. i0+mi)[kk]), gathered.
     std::memset(y_buf, 0, sizeof(y_buf));
+  }
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    // X register <- B row segment  (b[kk][j0 .. j0+nj)).
+    const float* b_row = b + kk * ldb + j0;
+    if (full) {
+      unit.ldx(0, b_row);
+    } else {
+      std::memcpy(x_buf, b_row, nj * sizeof(float));
+      unit.ldx(0, x_buf);
+    }
+    // Y register <- A column segment (a[i0 .. i0+mi)[kk]), gathered.
     for (std::size_t ii = 0; ii < mi; ++ii) {
       y_buf[ii] = a[(i0 + ii) * lda + kk];
     }
-    unit.ldx(0, x_buf);
     unit.ldy(0, y_buf);
     // z[j][i] += x[i] * y[j]  =>  z[row=ii][col=jj] += B[kk][j0+jj]*A[i0+ii][kk]
     unit.fma32(0, 0, /*z_offset=*/0, /*accumulate=*/true);

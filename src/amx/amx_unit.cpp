@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace ao::amx {
 
@@ -15,12 +16,6 @@ void AmxUnit::set() {
 }
 
 void AmxUnit::clr() { enabled_ = false; }
-
-void AmxUnit::require_enabled() const {
-  if (!enabled_) {
-    throw util::StateError("AMX instruction issued before AMX_SET");
-  }
-}
 
 void AmxUnit::ldx(std::size_t reg, const void* src) {
   require_enabled();
@@ -55,6 +50,7 @@ void AmxUnit::zero_z() {
   z_.fill(std::byte{0});
 }
 
+AO_SIMD_CLONES
 void AmxUnit::fma32(std::size_t x_reg, std::size_t y_reg, std::size_t z_offset,
                     bool accumulate) {
   require_enabled();

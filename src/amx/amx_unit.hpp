@@ -5,6 +5,7 @@
 #include <span>
 
 #include "amx/float16.hpp"
+#include "util/error.hpp"
 
 namespace ao::amx {
 
@@ -72,7 +73,11 @@ class AmxUnit {
   std::uint64_t mac_count() const { return mac_count_; }
 
  private:
-  void require_enabled() const;
+  void require_enabled() const {
+    if (!enabled_) {
+      throw util::StateError("AMX instruction issued before AMX_SET");
+    }
+  }
 
   bool enabled_ = false;
   alignas(64) std::array<std::byte, kXRegs * kRegBytes> x_{};

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace ao::amx {
 
@@ -15,12 +16,6 @@ void SmeEngine::smstart() {
 }
 
 void SmeEngine::smstop() { streaming_ = false; }
-
-void SmeEngine::require_streaming() const {
-  if (!streaming_) {
-    throw util::StateError("SME instruction outside streaming mode (SMSTART)");
-  }
-}
 
 void SmeEngine::zero_za(std::size_t tile) {
   require_streaming();
@@ -39,6 +34,7 @@ void SmeEngine::ld1w(std::size_t reg, const float* src, std::size_t active) {
   std::fill(dst + active, dst + kLanesF32, 0.0f);  // inactive lanes read 0
 }
 
+AO_SIMD_CLONES
 void SmeEngine::fmopa(std::size_t tile, std::size_t zn, std::size_t zm,
                       std::size_t rows_active, std::size_t cols_active) {
   require_streaming();
@@ -46,14 +42,25 @@ void SmeEngine::fmopa(std::size_t tile, std::size_t zn, std::size_t zm,
   AO_REQUIRE(zn < kZRegs && zm < kZRegs, "Z register index out of range");
   AO_REQUIRE(rows_active <= kLanesF32 && cols_active <= kLanesF32,
              "predicate exceeds vector length");
+  // zm in a local copy and each ZA row through a restrict pointer, as in
+  // AmxUnit::fma32, so the lanes run as vectors; a full row has a constant
+  // trip count. Each lane is still one multiply, then one add.
+  alignas(64) float vm[kLanesF32];
+  std::memcpy(vm, z_.data() + zm * kLanesF32, sizeof(vm));
   const float* vn = z_.data() + zn * kLanesF32;
-  const float* vm = z_.data() + zm * kLanesF32;
   float* za = za_.data() + tile * kLanesF32 * kLanesF32;
   for (std::size_t r = 0; r < rows_active; ++r) {
     const float nr = vn[r];
-    float* row = za + r * kLanesF32;
-    for (std::size_t c = 0; c < cols_active; ++c) {
-      row[c] += nr * vm[c];
+    float* __restrict row = za + r * kLanesF32;
+    if (cols_active == kLanesF32) {
+#pragma GCC unroll 1
+      for (std::size_t c = 0; c < kLanesF32; ++c) {
+        row[c] += nr * vm[c];
+      }
+    } else {
+      for (std::size_t c = 0; c < cols_active; ++c) {
+        row[c] += nr * vm[c];
+      }
     }
   }
   mac_count_ += rows_active * cols_active;

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <span>
 
+#include "util/error.hpp"
+
 namespace ao::amx {
 
 /// Functional model of the ARM Scalable Matrix Extension as the M4 ships it
@@ -58,7 +60,12 @@ class SmeEngine {
   std::uint64_t mac_count() const { return mac_count_; }
 
  private:
-  void require_streaming() const;
+  void require_streaming() const {
+    if (!streaming_) {
+      throw util::StateError(
+          "SME instruction outside streaming mode (SMSTART)");
+    }
+  }
 
   bool streaming_ = false;
   alignas(64) std::array<float, kZRegs * kLanesF32> z_{};

@@ -6,6 +6,7 @@
 #include "amx/float16.hpp"
 #include "soc/perf_model.hpp"
 #include "util/error.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ao::ane {
@@ -30,11 +31,7 @@ void gemm_fp32_accumulate(std::size_t m, std::size_t n, std::size_t k,
   util::global_pool().parallel_for(m, [&](std::size_t i) {
     std::vector<float> acc(n, 0.0f);
     for (std::size_t kk = 0; kk < k; ++kk) {
-      const float a_ik = a[i * k + kk];
-      const float* b_row = b + kk * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        acc[j] += a_ik * b_row[j];
-      }
+      util::axpy(n, a[i * k + kk], b + kk * n, acc.data());
     }
     std::copy(acc.begin(), acc.end(), c + i * n);
   });

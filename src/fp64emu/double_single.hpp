@@ -9,9 +9,13 @@ namespace ao::fp64emu {
 ///
 /// The algorithms are the classical error-free transformations (Knuth's
 /// TwoSum, Dekker's split/TwoProd), written FMA-free because Metal's FP32
-/// fma contraction cannot be relied on across all GPU generations. They are
-/// defined inline so GEMM inner loops (the precision study, the emulated
-/// FP64 shader) run them without a call per operation.
+/// fma contraction cannot be relied on across all GPU generations. The
+/// source alone does not keep them FMA-free on the host: a compiler may
+/// contract `a * b - p` into one fused operation, which breaks TwoProd and
+/// split. They stay exact only because the build pins -ffp-contract=off
+/// (CMakeLists.txt), for every -march and for each AO_SIMD_CLONES clone.
+/// They are defined inline so GEMM inner loops (the precision study, the
+/// emulated FP64 shader) run them without a call per operation.
 struct DoubleSingle {
   float hi = 0.0f;  ///< leading component
   float lo = 0.0f;  ///< trailing error term, |lo| <= ulp(hi)/2

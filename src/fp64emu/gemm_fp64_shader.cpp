@@ -5,12 +5,16 @@
 #include "fp64emu/double_single.hpp"
 #include "metal/compute_command_encoder.hpp"
 #include "metal/device.hpp"
+#include "util/simd.hpp"
 
 namespace ao::fp64emu {
 namespace {
 
 /// One k step of one row of a block: acc[j] = ds_fma(a, b[j], acc[j]) for
 /// j < cols, with `sa` and `sb` the Dekker splits of a.hi and b_hi.
+/// Cloned itself: a callee that is not inlined runs at its own ISA, not at
+/// that of the ds_gemm_block clone calling it.
+AO_SIMD_CLONES
 void ds_fma_row(DoubleSingle a, detail::Split sa, const float* __restrict b_hi,
                 const float* __restrict b_lo, const float* __restrict sb_hi,
                 const float* __restrict sb_lo, float* __restrict acc_hi,
@@ -26,6 +30,7 @@ void ds_fma_row(DoubleSingle a, detail::Split sa, const float* __restrict b_hi,
 
 }  // namespace
 
+AO_SIMD_CLONES
 void ds_gemm_block(std::size_t rows, std::size_t cols, std::size_t depth,
                    const float* a_hi, const float* a_lo, std::size_t lda,
                    const float* b_hi, const float* b_lo, std::size_t ldb,

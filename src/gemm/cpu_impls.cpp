@@ -4,6 +4,7 @@
 
 #include "accelerate/cblas.hpp"
 #include "util/error.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ao::gemm {
@@ -44,11 +45,7 @@ void CpuSingleGemm::multiply(std::size_t n, std::size_t memory_length,
       float* c_row = out + i * n;
       std::fill(c_row, c_row + n, 0.0f);
       for (std::size_t k = 0; k < n; ++k) {
-        const float a_ik = left[i * n + k];
-        const float* b_row = right + k * n;
-        for (std::size_t j = 0; j < n; ++j) {
-          c_row[j] += a_ik * b_row[j];
-        }
+        util::axpy(n, left[i * n + k], right + k * n, c_row);
       }
     }
   }
@@ -79,11 +76,7 @@ void CpuOmpGemm::multiply(std::size_t n, std::size_t memory_length,
           c_row[j] = 0.0f;
         }
         for (std::size_t k = 0; k < n; ++k) {
-          const float a_ik = left[i * n + k];
-          const float* b_row = right + k * n;
-          for (std::size_t j = j0; j < j1; ++j) {
-            c_row[j] += a_ik * b_row[j];
-          }
+          util::axpy(j1 - j0, left[i * n + k], right + k * n + j0, c_row + j0);
         }
       }
     });

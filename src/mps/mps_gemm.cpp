@@ -6,6 +6,7 @@
 
 #include "metal/compute_command_encoder.hpp"
 #include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace ao::mps {
 namespace detail {
@@ -44,13 +45,10 @@ void sgemm_block(bool transpose_a, bool transpose_b, std::size_t row_begin,
           if (a_ik == 0.0f) {
             continue;
           }
-          // Inner j loop is stride-1 over B and C in the no-transpose case,
-          // which the compiler auto-vectorizes — this is the hot loop.
+          // The hot loop: with B not transposed it walks a row of B and of
+          // C, and util::axpy runs it at the host's widest vector ISA.
           if (!transpose_b) {
-            const float* b_row = b + k * ldb;
-            for (std::size_t j = j0; j < j1; ++j) {
-              c_row[j] += a_ik * b_row[j];
-            }
+            util::axpy(j1 - j0, a_ik, b + k * ldb + j0, c_row + j0);
           } else {
             for (std::size_t j = j0; j < j1; ++j) {
               c_row[j] += a_ik * b[j * ldb + k];

@@ -12,6 +12,7 @@
 #include "soc/soc.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ao::precision {
@@ -91,10 +92,7 @@ std::vector<double> gemm_fp64(const std::vector<double>& a,
   std::vector<double> c(n * n, 0.0);
   util::global_pool().parallel_for(n, [&](std::size_t i) {
     for (std::size_t kk = 0; kk < n; ++kk) {
-      const double a_ik = a[i * n + kk];
-      for (std::size_t j = 0; j < n; ++j) {
-        c[i * n + j] += a_ik * b[kk * n + j];
-      }
+      util::axpy(n, a[i * n + kk], b.data() + kk * n, c.data() + i * n);
     }
   });
   return c;

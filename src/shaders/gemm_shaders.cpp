@@ -4,6 +4,7 @@
 #include <array>
 
 #include "metal/compute_pipeline.hpp"
+#include "util/simd.hpp"
 
 namespace ao::shaders {
 namespace {
@@ -12,6 +13,63 @@ using metal::ArgumentTable;
 using metal::DispatchShape;
 using metal::GroupContext;
 using metal::WorkEstimate;
+
+/// gemm_naive's threadgroup body: the rows x cols threads at A row block
+/// `a` and B column block `b` (row stride n) sum their products into
+/// `acc`, thread (tx, ty) into acc[ty * cols + tx]. A named function, not
+/// the kernel lambda, so it carries AO_SIMD_CLONES.
+AO_SIMD_CLONES
+void naive_lockstep(const float* __restrict a, const float* __restrict b,
+                    float* __restrict acc, std::uint32_t rows,
+                    std::uint32_t cols, std::uint32_t n) {
+  const std::size_t stride = n;
+  std::fill_n(acc, rows * cols, 0.0f);
+  // K lockstep steps from k0: each accumulator is read and written once
+  // per K products, which it still adds one at a time in k order.
+  auto steps = [&]<std::uint32_t K>(std::uint32_t k0) {
+    for (std::uint32_t ty = 0; ty < rows; ++ty) {
+      const float* a_k = a + ty * stride + k0;
+      float* acc_row = acc + ty * cols;
+      for (std::uint32_t tx = 0; tx < cols; ++tx) {
+        float sum = acc_row[tx];
+        for (std::uint32_t j = 0; j < K; ++j) {
+          sum += a_k[j] * b[(k0 + j) * stride + tx];
+        }
+        acc_row[tx] = sum;
+      }
+    }
+  };
+  constexpr std::uint32_t kSteps = 8;
+  std::uint32_t kk = 0;
+  for (; kk + kSteps <= n; kk += kSteps) {
+    steps.template operator()<kSteps>(kk);
+  }
+  for (; kk < n; ++kk) {
+    steps.template operator()<1>(kk);
+  }
+}
+
+/// gemm_tiled's multiply phase over one staged k tile (k_lim valid steps):
+/// a row of the C tile is one row of G threads' micro-tiles; they run in
+/// lockstep over k, so the inner loop is a full row of tile_b. Each
+/// accumulator still adds its products in k order. Cloned like
+/// naive_lockstep.
+AO_SIMD_CLONES
+void tiled_multiply(const float* __restrict tile_a,
+                    const float* __restrict tile_b,
+                    float (*__restrict acc)[kGemmTile], std::uint32_t k_lim) {
+  constexpr std::uint32_t T = kGemmTile;
+  for (std::uint32_t r = 0; r < T; ++r) {
+    float* acc_row = acc[r];
+    for (std::uint32_t kk = 0; kk < k_lim; ++kk) {
+      const float a_val = tile_a[r * T + kk];
+      const float* b_row = tile_b + kk * T;
+      for (std::uint32_t col = 0; col < T; ++col) {
+        acc_row[col] += a_val * b_row[col];
+      }
+    }
+  }
+}
 
 metal::WorkEstimator gemm_estimator(soc::GemmImpl impl) {
   return [impl](const ArgumentTable& args, const DispatchShape&) {
@@ -57,30 +115,7 @@ metal::Kernel make_gemm_naive() {
     std::array<float,
                metal::ComputePipelineState::kMaxTotalThreadsPerThreadgroup>
         acc;
-    std::fill_n(acc.begin(), rows * cols, 0.0f);
-    // K lockstep steps from k0: each accumulator is read and written once
-    // per K products, which it still adds one at a time in k order.
-    auto steps = [&]<std::uint32_t K>(std::uint32_t k0) {
-      for (std::uint32_t ty = 0; ty < rows; ++ty) {
-        const float* a_k = a + ty * stride + k0;
-        float* acc_row = acc.data() + ty * cols;
-        for (std::uint32_t tx = 0; tx < cols; ++tx) {
-          float sum = acc_row[tx];
-          for (std::uint32_t j = 0; j < K; ++j) {
-            sum += a_k[j] * b[(k0 + j) * stride + tx];
-          }
-          acc_row[tx] = sum;
-        }
-      }
-    };
-    constexpr std::uint32_t kSteps = 8;
-    std::uint32_t kk = 0;
-    for (; kk + kSteps <= n; kk += kSteps) {
-      steps.template operator()<kSteps>(kk);
-    }
-    for (; kk < n; ++kk) {
-      steps.template operator()<1>(kk);
-    }
+    naive_lockstep(a, b, acc.data(), rows, cols, n);
     for (std::uint32_t ty = 0; ty < rows; ++ty) {
       std::copy_n(acc.begin() + ty * cols, cols, c + ty * stride);
     }
@@ -149,20 +184,8 @@ metal::Kernel make_gemm_tiled() {
       }
 
       // ---- multiply phase: every thread updates its 4x4 micro-tile ----
-      // (second threadgroup_barrier in the MSL original.) A row of the tile
-      // is one row of G threads' micro-tiles; they run in lockstep over k,
-      // so the inner loop is a full row of tile_b. Each accumulator still
-      // adds its products in k order.
-      for (std::uint32_t r = 0; r < T; ++r) {
-        float* acc_row = acc[r];
-        for (std::uint32_t kk = 0; kk < k_lim; ++kk) {
-          const float a_val = tile_a[r * T + kk];
-          const float* b_row = tile_b + kk * T;
-          for (std::uint32_t col = 0; col < T; ++col) {
-            acc_row[col] += a_val * b_row[col];
-          }
-        }
-      }
+      // (second threadgroup_barrier in the MSL original.)
+      tiled_multiply(tile_a, tile_b, acc, k_lim);
     }
 
     // ---- epilogue: write the C tile ----

@@ -370,6 +370,52 @@ TEST(AmxGemm, LeadingDimensions) {
       accelerate::reference::gemm_tolerance(n));
 }
 
+/// C = A * B with each element summed in k order from 0.0f in FP32: the
+/// bits every AMX tile must produce at alpha = 1, beta = 0.
+std::vector<float> k_order_product(std::size_t m, std::size_t n, std::size_t k,
+                                   const std::vector<float>& a,
+                                   const std::vector<float>& b) {
+  std::vector<float> c(m * n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float sum = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        sum += a[i * k + kk] * b[kk * n + j];
+      }
+      c[i * n + j] = sum;
+    }
+  }
+  return c;
+}
+
+TEST(AmxGemm, RaggedSizesMatchAKOrderOracleBitForBit) {
+  // Full 16-wide tiles load X straight from B, partial ones stage it; the
+  // operands are exactly m x k and k x n, so a load past B's end is an
+  // out-of-bounds read the sanitizer builds catch.
+  const std::size_t sizes[] = {1, 15, 17, 33, 40};
+  for (const std::size_t m : sizes) {
+    for (const std::size_t n : sizes) {
+      for (const std::size_t k : sizes) {
+        std::vector<float> a(m * k);
+        std::vector<float> b(k * n);
+        util::fill_uniform(std::span<float>(a), 300 + m + k);
+        util::fill_uniform(std::span<float>(b), 400 + n + k);
+        const std::vector<float> expected = k_order_product(m, n, k, a, b);
+        for (const int threads : {1, 0}) {
+          std::vector<float> c(m * n, -1.0f);
+          amx_sgemm(m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f, c.data(),
+                    n, threads);
+          ASSERT_EQ(std::memcmp(c.data(), expected.data(),
+                                c.size() * sizeof(float)),
+                    0)
+              << "m=" << m << " n=" << n << " k=" << k
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
 TEST(AmxGemm, RejectsNullAndBadLd) {
   std::vector<float> buf(16);
   EXPECT_THROW(

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "accelerate/reference_blas.hpp"
@@ -178,6 +179,38 @@ TEST(SmeGemm, OuterProductEquivalenceWithAmxUnit) {
     const auto z = amx.z_row_f32(static_cast<std::size_t>(r) * 4);
     for (int c = 0; c < 16; ++c) {
       ASSERT_EQ(sme.za_at(0, r, c), z[c]) << "r=" << r << " c=" << c;
+    }
+  }
+}
+
+TEST(SmeGemm, RaggedSizesMatchAKOrderOracleBitForBit) {
+  // Every element summed in k order from 0.0f in FP32, over full and
+  // predicated (partial) tiles alike.
+  const std::size_t sizes[] = {1, 15, 17, 33, 40};
+  for (const std::size_t m : sizes) {
+    for (const std::size_t n : sizes) {
+      for (const std::size_t k : sizes) {
+        std::vector<float> a(m * k);
+        std::vector<float> b(k * n);
+        util::fill_uniform(std::span<float>(a), 500 + m + k);
+        util::fill_uniform(std::span<float>(b), 600 + n + k);
+        std::vector<float> expected(m * n);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            float sum = 0.0f;
+            for (std::size_t kk = 0; kk < k; ++kk) {
+              sum += a[i * k + kk] * b[kk * n + j];
+            }
+            expected[i * n + j] = sum;
+          }
+        }
+        std::vector<float> c(m * n, -1.0f);
+        sme_sgemm(m, n, k, a.data(), k, b.data(), n, c.data(), n);
+        ASSERT_EQ(std::memcmp(c.data(), expected.data(),
+                              c.size() * sizeof(float)),
+                  0)
+            << "m=" << m << " n=" << n << " k=" << k;
+      }
     }
   }
 }

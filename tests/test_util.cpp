@@ -17,6 +17,7 @@
 #include "util/error.hpp"
 #include "util/hex.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/statistics.hpp"
 #include "util/table_printer.hpp"
 #include "util/thread_pool.hpp"
@@ -502,6 +503,45 @@ TEST(ThreadPool, ConcurrentParallelForCallersDoNotCrossWait) {
   tb.join();
   EXPECT_EQ(a.load(), 50 * 16);
   EXPECT_EQ(b.load(), 50 * 16);
+}
+
+// ------------------------------------------------------------------- axpy ---
+
+/// util::axpy against a scalar loop for every length 0..70 at pointer
+/// offsets 0..3, so unaligned heads, every vector width's body and every
+/// tail length run. Each clone must give the scalar loop's bits.
+template <typename T>
+void check_axpy_matches_scalar_loop() {
+  constexpr std::size_t kMaxN = 70;
+  constexpr std::size_t kMaxOffset = 3;
+  std::vector<T> x(kMaxN + kMaxOffset);
+  std::vector<T> y0(kMaxN + kMaxOffset);
+  util::fill_uniform(std::span<T>(x), 11);
+  util::fill_uniform(std::span<T>(y0), 12);
+  const T a = static_cast<T>(0.7310585786300049);
+  for (std::size_t offset = 0; offset <= kMaxOffset; ++offset) {
+    for (std::size_t n = 0; n <= kMaxN; ++n) {
+      // x and y misaligned against each other too.
+      const std::size_t y_offset = kMaxOffset - offset;
+      std::vector<T> y = y0;
+      std::vector<T> expected = y0;
+      for (std::size_t j = 0; j < n; ++j) {
+        expected[y_offset + j] += a * x[offset + j];
+      }
+      axpy(n, a, x.data() + offset, y.data() + y_offset);
+      ASSERT_EQ(std::memcmp(y.data(), expected.data(), y.size() * sizeof(T)),
+                0)
+          << "n=" << n << " offset=" << offset;
+    }
+  }
+}
+
+TEST(Axpy, FloatMatchesAScalarLoopBitForBit) {
+  check_axpy_matches_scalar_loop<float>();
+}
+
+TEST(Axpy, DoubleMatchesAScalarLoopBitForBit) {
+  check_axpy_matches_scalar_loop<double>();
 }
 
 }  // namespace
