@@ -20,21 +20,34 @@ void sgemm(bool transpose_a, bool transpose_b, std::size_t m, std::size_t n,
     return transpose_b ? b[j * ldb + kk] : b[kk * ldb + j];
   };
   // Accumulate in double so the reference is strictly more accurate than
-  // any FP32 path under test. The loop is i-k-j over a row of accumulators:
-  // each element still sums its products in k order, so the result is
-  // bit-identical to an i-j-k dot product, but B is streamed by rows.
-  std::vector<double> acc(n);
-  for (std::size_t i = 0; i < m; ++i) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const auto a_ik = static_cast<double>(a_at(i, kk));
-      for (std::size_t j = 0; j < n; ++j) {
-        acc[j] += a_ik * static_cast<double>(b_at(kk, j));
+  // any FP32 path under test. Each element sums its products in k order
+  // from zero, the bits of an i-j-k dot product. Without transposes the
+  // shared register-blocked kernel computes a block of rows at a time.
+  constexpr std::size_t kRowBlock = 16;
+  std::vector<double> acc(kRowBlock * n);
+  for (std::size_t i0 = 0; i0 < m; i0 += kRowBlock) {
+    const std::size_t rows = std::min(kRowBlock, m - i0);
+    if (!transpose_a && !transpose_b) {
+      util::gemm_korder(rows, n, k, a + i0 * lda, lda, b, ldb, acc.data(),
+                        n);
+    } else {
+      std::fill(acc.begin(), acc.end(), 0.0);
+      for (std::size_t r = 0; r < rows; ++r) {
+        double* acc_row = acc.data() + r * n;
+        for (std::size_t kk = 0; kk < k; ++kk) {
+          const auto a_ik = static_cast<double>(a_at(i0 + r, kk));
+          for (std::size_t j = 0; j < n; ++j) {
+            acc_row[j] += a_ik * static_cast<double>(b_at(kk, j));
+          }
+        }
       }
     }
-    for (std::size_t j = 0; j < n; ++j) {
-      const double prior = beta == 0.0f ? 0.0 : beta * c[i * ldc + j];
-      c[i * ldc + j] = static_cast<float>(alpha * acc[j] + prior);
+    for (std::size_t r = 0; r < rows; ++r) {
+      float* c_row = c + (i0 + r) * ldc;
+      for (std::size_t j = 0; j < n; ++j) {
+        const double prior = beta == 0.0f ? 0.0 : beta * c_row[j];
+        c_row[j] = static_cast<float>(alpha * acc[r * n + j] + prior);
+      }
     }
   }
 }

@@ -4,9 +4,12 @@
 
 namespace ao::accelerate::reference {
 
-/// Naive triple-loop SGEMM with full alpha/beta/transpose support — the
-/// golden reference every optimized path (AMX, MPS, Metal shaders) is tested
-/// against. Deliberately simple; never used for performance reporting.
+/// SGEMM with full alpha/beta/transpose support, accumulating in double —
+/// the golden reference every optimized path (AMX, MPS, Metal shaders) is
+/// tested against. Each element sums its products in k order from zero, the
+/// bits of a naive triple loop; the no-transpose case (every verify
+/// reference) runs on util::gemm_korder. Never used for performance
+/// reporting.
 void sgemm(bool transpose_a, bool transpose_b, std::size_t m, std::size_t n,
            std::size_t k, float alpha, const float* a, std::size_t lda,
            const float* b, std::size_t ldb, float beta, float* c,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/simd.hpp"
@@ -22,16 +23,6 @@ void SmeEngine::zero_za(std::size_t tile) {
   AO_REQUIRE(tile < kZaTilesF32, "ZA tile index out of range");
   std::fill_n(za_.begin() + tile * kLanesF32 * kLanesF32, kLanesF32 * kLanesF32,
               0.0f);
-}
-
-void SmeEngine::ld1w(std::size_t reg, const float* src, std::size_t active) {
-  require_streaming();
-  AO_REQUIRE(reg < kZRegs, "Z register index out of range");
-  AO_REQUIRE(src != nullptr, "ld1w source is null");
-  AO_REQUIRE(active <= kLanesF32, "predicate exceeds vector length");
-  float* dst = z_.data() + reg * kLanesF32;
-  std::memcpy(dst, src, active * sizeof(float));
-  std::fill(dst + active, dst + kLanesF32, 0.0f);  // inactive lanes read 0
 }
 
 AO_SIMD_CLONES
@@ -100,22 +91,30 @@ void sme_sgemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
   SmeEngine sme;
   sme.smstart();
 
-  alignas(64) float col_buf[T];
+  // The row block's A panel, column-major: column kk at a_panel + kk * T.
+  std::vector<float> a_panel(T * k);
   for (std::size_t i0 = 0; i0 < m; i0 += T) {
     const std::size_t mi = std::min(T, m - i0);
+    for (std::size_t r = 0; r < mi; ++r) {
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        a_panel[kk * T + r] = a[(i0 + r) * lda + kk];
+      }
+    }
     for (std::size_t j0 = 0; j0 < n; j0 += T) {
       const std::size_t nj = std::min(T, n - j0);
       sme.zero_za(0);
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        // zn <- column segment of A (gathered; a real kernel keeps A packed
-        // column-major so this is an ld1w).
-        for (std::size_t r = 0; r < mi; ++r) {
-          col_buf[r] = a[(i0 + r) * lda + kk];
+      if (mi == T && nj == T) {
+        for (std::size_t kk = 0; kk < k; ++kk) {
+          sme.ld1w(0, a_panel.data() + kk * T);  // zn <- column of A
+          sme.ld1w(1, b + kk * ldb + j0);        // zm <- row segment of B
+          sme.fmopa(0, 0, 1);
         }
-        sme.ld1w(0, col_buf, mi);
-        // zm <- row segment of B.
-        sme.ld1w(1, b + kk * ldb + j0, nj);
-        sme.fmopa(0, 0, 1, mi, nj);
+      } else {
+        for (std::size_t kk = 0; kk < k; ++kk) {
+          sme.ld1w(0, a_panel.data() + kk * T, mi);
+          sme.ld1w(1, b + kk * ldb + j0, nj);
+          sme.fmopa(0, 0, 1, mi, nj);
+        }
       }
       for (std::size_t r = 0; r < mi; ++r) {
         sme.st1w_row(0, r, c + (i0 + r) * ldc + j0, nj);

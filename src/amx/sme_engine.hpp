@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 #include "util/error.hpp"
@@ -40,7 +42,17 @@ class SmeEngine {
 
   /// LD1W {zN.s}, [ptr]: loads 16 FP32 lanes into a Z register. `active`
   /// lanes below 16 emulate a whilelt predicate (remaining lanes zeroed).
-  void ld1w(std::size_t reg, const float* src, std::size_t active = kLanesF32);
+  /// Inline, so an unpredicated load compiles to one fixed-size copy.
+  void ld1w(std::size_t reg, const float* src,
+            std::size_t active = kLanesF32) {
+    require_streaming();
+    AO_REQUIRE(reg < kZRegs, "Z register index out of range");
+    AO_REQUIRE(src != nullptr, "ld1w source is null");
+    AO_REQUIRE(active <= kLanesF32, "predicate exceeds vector length");
+    float* dst = z_.data() + reg * kLanesF32;
+    std::memcpy(dst, src, active * sizeof(float));
+    std::fill(dst + active, dst + kLanesF32, 0.0f);  // inactive lanes read 0
+  }
 
   /// FMOPA zaT.s, pn/m, pm/m, zn.s, zm.s — FP32 sum-of-outer-products:
   ///   za[r][c] += zn[r] * zm[c]   for r < rows_active, c < cols_active.
@@ -74,7 +86,10 @@ class SmeEngine {
 };
 
 /// FP32 GEMM through the SME engine: C = A * B (row-major, beta = 0),
-/// tiled 16 x 16 with fmopa accumulation — the "Hello SME!" kernel shape.
+/// tiled 16 x 16 with fmopa accumulation — the "Hello SME!" kernel shape:
+/// each 16-row block of A is packed column-major once, so every k step
+/// loads zn and zm with one ld1w each, straight from the packed A and from
+/// B (predicated on ragged tiles).
 /// Must produce results identical to amx_sgemm for the same inputs, which is
 /// exactly the [17] claim the paper cites.
 void sme_sgemm(std::size_t m, std::size_t n, std::size_t k, const float* a,

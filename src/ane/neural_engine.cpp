@@ -15,6 +15,10 @@ namespace {
 /// Core ML's model-compilation-and-dispatch overhead per prediction.
 constexpr double kDispatchOverheadNs = 25e3;
 
+/// Rows of C per pool task in gemm_fp32_accumulate (a multiple of the
+/// kernel's 4-row tile).
+constexpr std::size_t kRowBlock = 16;
+
 double gemm_fp16_flops(std::size_t m, std::size_t n, std::size_t k) {
   return 2.0 * static_cast<double>(m) * static_cast<double>(n) *
              static_cast<double>(k) -
@@ -25,15 +29,14 @@ double gemm_fp16_flops(std::size_t m, std::size_t n, std::size_t k) {
 
 void gemm_fp32_accumulate(std::size_t m, std::size_t n, std::size_t k,
                           const float* a, const float* b, float* c) {
-  // i-k-j over a row of FP32 accumulators: each element still sums its
-  // products in k order from 0.0f (the bits of an i-j-k dot product), but B
-  // is streamed by rows.
-  util::global_pool().parallel_for(m, [&](std::size_t i) {
-    std::vector<float> acc(n, 0.0f);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      util::axpy(n, a[i * k + kk], b + kk * n, acc.data());
-    }
-    std::copy(acc.begin(), acc.end(), c + i * n);
+  // Blocks of rows on the pool, each the shared k-order kernel: every
+  // element sums its products in k order from 0.0f, the bits of an i-j-k
+  // dot product.
+  const std::size_t blocks = (m + kRowBlock - 1) / kRowBlock;
+  util::global_pool().parallel_for(blocks, [&](std::size_t block) {
+    const std::size_t i0 = block * kRowBlock;
+    util::gemm_korder(std::min(kRowBlock, m - i0), n, k, a + i0 * k, k, b, n,
+                      c + i0 * n, n);
   });
 }
 

@@ -9,7 +9,8 @@ namespace ao::ane {
 
 /// m x n x k FP32 GEMM on the host (row-major, no alpha/beta): each element
 /// of c sums its products one at a time in k order from 0.0f, the bits of a
-/// plain FP32 dot product. Rows of c run in parallel on the shared pool.
+/// plain FP32 dot product (util::gemm_korder). Blocks of rows of c run in
+/// parallel on the shared pool.
 /// This is the accumulate half of gemm_fp16_host() and the precision
 /// study's FP32 row.
 void gemm_fp32_accumulate(std::size_t m, std::size_t n, std::size_t k,

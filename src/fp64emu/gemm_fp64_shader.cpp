@@ -10,52 +10,96 @@
 namespace ao::fp64emu {
 namespace {
 
-/// One k step of one row of a block: acc[j] = ds_fma(a, b[j], acc[j]) for
-/// j < cols, with `sa` and `sb` the Dekker splits of a.hi and b_hi.
-/// Cloned itself: a callee that is not inlined runs at its own ISA, not at
-/// that of the ds_gemm_block clone calling it.
-AO_SIMD_CLONES
-void ds_fma_row(DoubleSingle a, detail::Split sa, const float* __restrict b_hi,
-                const float* __restrict b_lo, const float* __restrict sb_hi,
-                const float* __restrict sb_lo, float* __restrict acc_hi,
-                float* __restrict acc_lo, std::size_t cols) {
-  for (std::size_t j = 0; j < cols; ++j) {
-    const DoubleSingle sum =
-        ds_fma(a, sa, {b_hi[j], b_lo[j]}, {sb_hi[j], sb_lo[j]},
-               {acc_hi[j], acc_lo[j]});
-    acc_hi[j] = sum.hi;
-    acc_lo[j] = sum.lo;
+/// One R x J tile of a double-single block product, its hi/lo accumulators
+/// held in registers across the whole k loop. Each k step splits the tile's
+/// B segment once and each A element once, then advances every element's
+/// ds_fma chain by one product. Always inlined, so it runs at the ISA of the
+/// cloned shape function that calls it.
+template <std::size_t R, std::size_t J>
+__attribute__((always_inline)) inline void ds_tile(
+    std::size_t depth, const float* __restrict a_hi,
+    const float* __restrict a_lo, std::size_t lda,
+    const float* __restrict b_hi, const float* __restrict b_lo,
+    std::size_t ldb, float* __restrict c_hi, float* __restrict c_lo,
+    std::size_t ldc) {
+  float acc_hi[R][J] = {};
+  float acc_lo[R][J] = {};
+  for (std::size_t kk = 0; kk < depth; ++kk) {
+    float bh[J];
+    float bl[J];
+    float sb_hi[J];
+    float sb_lo[J];
+    for (std::size_t j = 0; j < J; ++j) {
+      bh[j] = b_hi[kk * ldb + j];
+      bl[j] = b_lo[kk * ldb + j];
+      const detail::Split s = detail::split(bh[j]);
+      sb_hi[j] = s.hi;
+      sb_lo[j] = s.lo;
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      const DoubleSingle a{a_hi[r * lda + kk], a_lo[r * lda + kk]};
+      const detail::Split sa = detail::split(a.hi);
+      for (std::size_t j = 0; j < J; ++j) {
+        const DoubleSingle sum =
+            ds_fma(a, sa, {bh[j], bl[j]}, {sb_hi[j], sb_lo[j]},
+                   {acc_hi[r][j], acc_lo[r][j]});
+        acc_hi[r][j] = sum.hi;
+        acc_lo[r][j] = sum.lo;
+      }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t j = 0; j < J; ++j) {
+      c_hi[r * ldc + j] = acc_hi[r][j];
+      c_lo[r * ldc + j] = acc_lo[r][j];
+    }
   }
 }
 
+/// One cloned function per tile shape (see AO_SIMD_CLONES).
+#define AO_DS_TILE(name, R, J)                                                \
+  AO_SIMD_CLONES void name(std::size_t depth, const float* a_hi,              \
+                           const float* a_lo, std::size_t lda,                \
+                           const float* b_hi, const float* b_lo,              \
+                           std::size_t ldb, float* c_hi, float* c_lo,         \
+                           std::size_t ldc) {                                 \
+    ds_tile<R, J>(depth, a_hi, a_lo, lda, b_hi, b_lo, ldb, c_hi, c_lo, ldc);  \
+  }
+
+AO_DS_TILE(ds_tile_4x16, 4, 16)
+AO_DS_TILE(ds_tile_4x8, 4, 8)
+AO_DS_TILE(ds_tile_1x16, 1, 16)
+AO_DS_TILE(ds_tile_1x8, 1, 8)
+AO_DS_TILE(ds_tile_1x1, 1, 1)
+
+#undef AO_DS_TILE
+
 }  // namespace
 
-AO_SIMD_CLONES
 void ds_gemm_block(std::size_t rows, std::size_t cols, std::size_t depth,
                    const float* a_hi, const float* a_lo, std::size_t lda,
                    const float* b_hi, const float* b_lo, std::size_t ldb,
                    float* c_hi, float* c_lo, std::size_t ldc) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::fill_n(c_hi + r * ldc, cols, 0.0f);
-    std::fill_n(c_lo + r * ldc, cols, 0.0f);
-  }
-  // The Dekker splits of one B row segment, shared by every row.
-  std::vector<float> sb(2 * cols);
-  float* sb_hi = sb.data();
-  float* sb_lo = sb.data() + cols;
-  for (std::size_t kk = 0; kk < depth; ++kk) {
-    const float* b_hi_k = b_hi + kk * ldb;
-    const float* b_lo_k = b_lo + kk * ldb;
-    for (std::size_t j = 0; j < cols; ++j) {
-      const detail::Split s = detail::split(b_hi_k[j]);
-      sb_hi[j] = s.hi;
-      sb_lo[j] = s.lo;
+  // Rows in fours while four are left; columns in 16s, then 8s, then ones.
+  auto run = [&](auto* tile, std::size_t r, std::size_t j) {
+    tile(depth, a_hi + r * lda, a_lo + r * lda, lda, b_hi + j, b_lo + j, ldb,
+         c_hi + r * ldc + j, c_lo + r * ldc + j, ldc);
+  };
+  for (std::size_t i = 0; i < rows;) {
+    const std::size_t tile_rows = rows - i >= 4 ? 4 : 1;
+    std::size_t j = 0;
+    for (; cols - j >= 16; j += 16) {
+      run(tile_rows == 4 ? ds_tile_4x16 : ds_tile_1x16, i, j);
     }
-    for (std::size_t r = 0; r < rows; ++r) {
-      const DoubleSingle a{a_hi[r * lda + kk], a_lo[r * lda + kk]};
-      ds_fma_row(a, detail::split(a.hi), b_hi_k, b_lo_k, sb_hi, sb_lo,
-                 c_hi + r * ldc, c_lo + r * ldc, cols);
+    for (; cols - j >= 8; j += 8) {
+      run(tile_rows == 4 ? ds_tile_4x8 : ds_tile_1x8, i, j);
     }
+    for (; j < cols; ++j) {
+      for (std::size_t r = i; r < i + tile_rows; ++r) {
+        run(ds_tile_1x1, r, j);
+      }
+    }
+    i += tile_rows;
   }
 }
 
@@ -71,9 +115,10 @@ metal::Kernel make_gemm_fp64_emulated() {
   //   c[row][col] = acc;
   //
   // On the host the threadgroup's threads run in lockstep, as in
-  // gemm_naive: ds_gemm_block() runs k outer over the group's tile, and
-  // every thread's chain still starts from zero and runs in k order, so C
-  // keeps every bit. Threads that differ only in z compute the same element.
+  // gemm_naive: ds_gemm_block() runs the group's tile as register tiles
+  // (an {8,8} group is two 4 x 8 tiles), and every thread's chain still
+  // starts from zero and runs in k order, so C keeps every bit. Threads
+  // that differ only in z compute the same element.
   k.body = metal::GroupKernelFn([](const metal::ArgumentTable& args,
                                    const metal::GroupContext& ctx) {
     const auto n = args.value<std::uint32_t>(6);

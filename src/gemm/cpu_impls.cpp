@@ -37,17 +37,11 @@ void CpuSingleGemm::multiply(std::size_t n, std::size_t memory_length,
   validate(n, memory_length, left, right, out);
   if (functional) {
     // The paper's baseline: standard algorithm, triple nested loop, single
-    // threaded. The loop order is i-k-j rather than the textbook i-j-k: the
-    // inner loop walks a row of B and a row of C contiguously instead of
-    // striding down a column of B, so the functional run does not dominate
-    // the harness. Each element still sums its products in k order.
-    for (std::size_t i = 0; i < n; ++i) {
-      float* c_row = out + i * n;
-      std::fill(c_row, c_row + n, 0.0f);
-      for (std::size_t k = 0; k < n; ++k) {
-        util::axpy(n, left[i * n + k], right + k * n, c_row);
-      }
-    }
+    // threaded. On the host the loop runs register-blocked (C tiles held
+    // across the k loop) so the functional run does not dominate the
+    // harness; each element still sums its products in k order from zero,
+    // the bits of the textbook i-j-k loop.
+    util::gemm_korder(n, n, n, left, n, right, n, out, n);
   }
   charge(*ctx_, perf_, kind(), n, soc::ComputeUnit::kCpuPCluster);
 }
@@ -65,20 +59,11 @@ void CpuOmpGemm::multiply(std::size_t n, std::size_t memory_length,
     // CPU-Single's.
     const std::size_t blocks = (n + kBlock - 1) / kBlock;
     util::global_pool().parallel_for(blocks * blocks, [&](std::size_t t) {
-      const std::size_t bi = t / blocks;
-      const std::size_t bj = t % blocks;
-      const std::size_t i1 = std::min((bi + 1) * kBlock, n);
-      const std::size_t j0 = bj * kBlock;
-      const std::size_t j1 = std::min(j0 + kBlock, n);
-      for (std::size_t i = bi * kBlock; i < i1; ++i) {
-        float* c_row = out + i * n;
-        for (std::size_t j = j0; j < j1; ++j) {
-          c_row[j] = 0.0f;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          util::axpy(j1 - j0, left[i * n + k], right + k * n + j0, c_row + j0);
-        }
-      }
+      const std::size_t i0 = t / blocks * kBlock;
+      const std::size_t j0 = t % blocks * kBlock;
+      util::gemm_korder(std::min(kBlock, n - i0), std::min(kBlock, n - j0),
+                        n, left + i0 * n, n, right + j0, n, out + i0 * n + j0,
+                        n);
     });
   }
   charge(*ctx_, perf_, kind(), n, soc::ComputeUnit::kCpuPCluster);

@@ -89,11 +89,13 @@ StudyResult make_result(Format format, std::size_t n,
 
 std::vector<double> gemm_fp64(const std::vector<double>& a,
                               const std::vector<double>& b, std::size_t n) {
-  std::vector<double> c(n * n, 0.0);
-  util::global_pool().parallel_for(n, [&](std::size_t i) {
-    for (std::size_t kk = 0; kk < n; ++kk) {
-      util::axpy(n, a[i * n + kk], b.data() + kk * n, c.data() + i * n);
-    }
+  constexpr std::size_t kRowBlock = 16;
+  std::vector<double> c(n * n);
+  const std::size_t blocks = (n + kRowBlock - 1) / kRowBlock;
+  util::global_pool().parallel_for(blocks, [&](std::size_t block) {
+    const std::size_t i0 = block * kRowBlock;
+    util::gemm_korder(std::min(kRowBlock, n - i0), n, n, a.data() + i0 * n,
+                      n, b.data(), n, c.data() + i0 * n, n);
   });
   return c;
 }

@@ -45,8 +45,9 @@ struct StudyResult {
 inline constexpr std::uint64_t kAccuracyModelEpoch = 1;
 
 /// The FP64 reference GEMM (the ground truth of the study and of the
-/// FP64-emulation record): n x n row-major, i-k-j, each element summed from
-/// 0.0 in k order; rows run in parallel on the shared pool.
+/// FP64-emulation record): n x n row-major, each element summed from 0.0 in
+/// k order (util::gemm_korder); blocks of rows run in parallel on the
+/// shared pool.
 std::vector<double> gemm_fp64(const std::vector<double>& a,
                               const std::vector<double>& b, std::size_t n);
 

@@ -15,6 +15,12 @@
 /// attribute too; lambdas cannot, so a hot loop in one calls a named
 /// function that does.
 ///
+/// Give each register tile shape its own cloned function: GCC 12 emitted
+/// scalar code for a cloned function that inlined several shapes at once.
+/// The ctest ao_tile_kernels_vectorized (tools/check_tile_kernels_vectorized
+/// .sh) fails when the AVX-512 clone of a wide tile shape holds no zmm
+/// arithmetic.
+///
 /// A ThreadSanitizer build keeps one version: GCC instruments the ifunc
 /// resolver, which runs before the sanitizer's runtime is up, and the
 /// program dies at load.
@@ -29,9 +35,31 @@
 namespace ao::util {
 
 /// y[j] += a * x[j] for j < n: one multiply, then one add, per element, so
-/// a k-order GEMM row loop built on it keeps every element's rounding chain.
+/// a k-order GEMM row loop built on it keeps every element's rounding chain
+/// (MPS's sgemm_block, which skips zero a and so cannot use gemm_korder).
 /// `x` and `y` must not overlap. Multi-versioned (AO_SIMD_CLONES).
 void axpy(std::size_t n, float a, const float* x, float* y);
-void axpy(std::size_t n, double a, const double* x, double* y);
+
+/// C = A * B for row-major A (m x k, stride lda), B (k x n, stride ldb) and
+/// C (m x n, stride ldc); C is overwritten and must not overlap A or B.
+/// Each element sums its products from zero in k order, one multiply then
+/// one add per step: the bits of an i-j-k dot product, or of an i-k-j loop
+/// of axpy row updates. The third overload widens float operands to a
+/// double accumulator, each product (double)a * (double)b.
+///
+/// Register-blocked: a 4 x 64 (float) or 4 x 32 (double) tile of C stays in
+/// registers across the whole k loop, so each B row segment is loaded once
+/// per tile and each A element is broadcast once; the rows and columns left
+/// over run as 1 x 64 / 1 x 32, 1 x 8 and 1 x 1 tiles. Each shape is its own
+/// AO_SIMD_CLONES function, called once per tile.
+void gemm_korder(std::size_t m, std::size_t n, std::size_t k, const float* a,
+                 std::size_t lda, const float* b, std::size_t ldb, float* c,
+                 std::size_t ldc);
+void gemm_korder(std::size_t m, std::size_t n, std::size_t k, const double* a,
+                 std::size_t lda, const double* b, std::size_t ldb, double* c,
+                 std::size_t ldc);
+void gemm_korder(std::size_t m, std::size_t n, std::size_t k, const float* a,
+                 std::size_t lda, const float* b, std::size_t ldb, double* c,
+                 std::size_t ldc);
 
 }  // namespace ao::util

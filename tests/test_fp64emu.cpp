@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -96,6 +97,119 @@ TEST(MatrixSplit, RoundTripPreserves48Bits) {
   join_matrix(hi.data(), lo.data(), back.data(), src.size());
   for (std::size_t i = 0; i < src.size(); ++i) {
     ASSERT_NEAR(back[i], src[i], std::fabs(src[i]) * 0x1.0p-45);
+  }
+}
+
+// ------------------------------------------------------ ds_gemm_block -----
+
+/// The row-by-row double-single block loop ds_gemm_block's tiles replace:
+/// k outer, each step splits the B row segment once, then advances every
+/// row's ds_fma chains by one product.
+void ds_gemm_rows(std::size_t rows, std::size_t cols, std::size_t depth,
+                  const float* a_hi, const float* a_lo, std::size_t lda,
+                  const float* b_hi, const float* b_lo, std::size_t ldb,
+                  float* c_hi, float* c_lo, std::size_t ldc) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::fill_n(c_hi + r * ldc, cols, 0.0f);
+    std::fill_n(c_lo + r * ldc, cols, 0.0f);
+  }
+  std::vector<detail::Split> sb(cols);
+  for (std::size_t kk = 0; kk < depth; ++kk) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      sb[j] = detail::split(b_hi[kk * ldb + j]);
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      const DoubleSingle a{a_hi[r * lda + kk], a_lo[r * lda + kk]};
+      const detail::Split sa = detail::split(a.hi);
+      for (std::size_t j = 0; j < cols; ++j) {
+        const DoubleSingle sum =
+            ds_fma(a, sa, {b_hi[kk * ldb + j], b_lo[kk * ldb + j]}, sb[j],
+                   {c_hi[r * ldc + j], c_lo[r * ldc + j]});
+        c_hi[r * ldc + j] = sum.hi;
+        c_lo[r * ldc + j] = sum.lo;
+      }
+    }
+  }
+}
+
+/// Split hi/lo planes of a seeded `count`-element operand.
+struct SplitPlanes {
+  std::vector<float> hi;
+  std::vector<float> lo;
+  SplitPlanes(std::size_t count, std::uint64_t seed) : hi(count), lo(count) {
+    std::vector<double> x(count);
+    util::fill_uniform(std::span<double>(x), seed);
+    for (std::size_t i = 0; i < count; i += 3) {
+      x[i] = -x[i];  // mixed signs, so chains cancel
+    }
+    split_matrix(x.data(), hi.data(), lo.data(), count);
+  }
+};
+
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+// Every block shape from 1 x 1 to 9 x 40 (all tile shapes and tails) at
+// depths 1, 7, 64 and 129, on operands with strides wider than the block:
+// C's planes, padding included, keep the row loop's bits.
+TEST(DsGemmBlock, TilesMatchTheRowLoopBitForBit) {
+  constexpr std::size_t kRows = 9;
+  constexpr std::size_t kCols = 40;
+  constexpr std::size_t kMaxDepth = 129;
+  const std::size_t lda = kMaxDepth + 2;
+  const std::size_t ldb = kCols + 3;
+  const std::size_t ldc = kCols + 5;
+  const SplitPlanes a(kRows * lda, 71);
+  const SplitPlanes b(kMaxDepth * ldb, 72);
+  for (const std::size_t depth : {1, 7, 64, 129}) {
+    for (std::size_t rows = 1; rows <= kRows; ++rows) {
+      for (std::size_t cols = 1; cols <= kCols; ++cols) {
+        std::vector<float> want_hi(kRows * ldc, -2.0f);
+        std::vector<float> want_lo(kRows * ldc, -3.0f);
+        std::vector<float> got_hi = want_hi;
+        std::vector<float> got_lo = want_lo;
+        ds_gemm_rows(rows, cols, depth, a.hi.data(), a.lo.data(), lda,
+                     b.hi.data(), b.lo.data(), ldb, want_hi.data(),
+                     want_lo.data(), ldc);
+        ds_gemm_block(rows, cols, depth, a.hi.data(), a.lo.data(), lda,
+                      b.hi.data(), b.lo.data(), ldb, got_hi.data(),
+                      got_lo.data(), ldc);
+        ASSERT_TRUE(same_bits(got_hi, want_hi) && same_bits(got_lo, want_lo))
+            << "rows=" << rows << " cols=" << cols << " depth=" << depth;
+      }
+    }
+  }
+}
+
+// The shader's {8,8} group: an 8 x 8 block at offsets inside an n = 37
+// matrix (row and column offsets 0, 8 and 29, the last a partial-group
+// origin), everything outside the block untouched.
+TEST(DsGemmBlock, ShaderGroupInsideALargerStrideMatchesTheRowLoop) {
+  constexpr std::size_t n = 37;
+  const SplitPlanes a(n * n, 81);
+  const SplitPlanes b(n * n, 82);
+  for (const std::size_t row0 : {0, 8, 29}) {
+    for (const std::size_t col0 : {0, 8, 29}) {
+      const std::size_t rows = std::min<std::size_t>(8, n - row0);
+      const std::size_t cols = std::min<std::size_t>(8, n - col0);
+      std::vector<float> want_hi(n * n, 5.0f);
+      std::vector<float> want_lo(n * n, 6.0f);
+      std::vector<float> got_hi = want_hi;
+      std::vector<float> got_lo = want_lo;
+      const std::size_t c0 = row0 * n + col0;
+      ds_gemm_rows(rows, cols, n, a.hi.data() + row0 * n,
+                   a.lo.data() + row0 * n, n, b.hi.data() + col0,
+                   b.lo.data() + col0, n, want_hi.data() + c0,
+                   want_lo.data() + c0, n);
+      ds_gemm_block(rows, cols, n, a.hi.data() + row0 * n,
+                    a.lo.data() + row0 * n, n, b.hi.data() + col0,
+                    b.lo.data() + col0, n, got_hi.data() + c0,
+                    got_lo.data() + c0, n);
+      ASSERT_TRUE(same_bits(got_hi, want_hi) && same_bits(got_lo, want_lo))
+          << "row0=" << row0 << " col0=" << col0;
+    }
   }
 }
 

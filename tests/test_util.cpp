@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
@@ -510,38 +511,112 @@ TEST(ThreadPool, ConcurrentParallelForCallersDoNotCrossWait) {
 /// util::axpy against a scalar loop for every length 0..70 at pointer
 /// offsets 0..3, so unaligned heads, every vector width's body and every
 /// tail length run. Each clone must give the scalar loop's bits.
-template <typename T>
-void check_axpy_matches_scalar_loop() {
+TEST(Axpy, FloatMatchesAScalarLoopBitForBit) {
   constexpr std::size_t kMaxN = 70;
   constexpr std::size_t kMaxOffset = 3;
-  std::vector<T> x(kMaxN + kMaxOffset);
-  std::vector<T> y0(kMaxN + kMaxOffset);
-  util::fill_uniform(std::span<T>(x), 11);
-  util::fill_uniform(std::span<T>(y0), 12);
-  const T a = static_cast<T>(0.7310585786300049);
+  std::vector<float> x(kMaxN + kMaxOffset);
+  std::vector<float> y0(kMaxN + kMaxOffset);
+  util::fill_uniform(std::span<float>(x), 11);
+  util::fill_uniform(std::span<float>(y0), 12);
+  const float a = 0.7310585786300049f;
   for (std::size_t offset = 0; offset <= kMaxOffset; ++offset) {
     for (std::size_t n = 0; n <= kMaxN; ++n) {
       // x and y misaligned against each other too.
       const std::size_t y_offset = kMaxOffset - offset;
-      std::vector<T> y = y0;
-      std::vector<T> expected = y0;
+      std::vector<float> y = y0;
+      std::vector<float> expected = y0;
       for (std::size_t j = 0; j < n; ++j) {
         expected[y_offset + j] += a * x[offset + j];
       }
       axpy(n, a, x.data() + offset, y.data() + y_offset);
-      ASSERT_EQ(std::memcmp(y.data(), expected.data(), y.size() * sizeof(T)),
-                0)
+      ASSERT_EQ(
+          std::memcmp(y.data(), expected.data(), y.size() * sizeof(float)), 0)
           << "n=" << n << " offset=" << offset;
     }
   }
 }
 
-TEST(Axpy, FloatMatchesAScalarLoopBitForBit) {
-  check_axpy_matches_scalar_loop<float>();
+// ----------------------------------------------------------- gemm_korder ---
+
+/// The loop gemm_korder replaces: an i-k-j sweep of axpy row updates, each
+/// row of C from zero, one multiply then one add per k step.
+template <typename TA, typename TC>
+void axpy_rows(std::size_t m, std::size_t n, std::size_t k, const TA* a,
+               std::size_t lda, const TA* b, std::size_t ldb, TC* c,
+               std::size_t ldc) {
+  for (std::size_t i = 0; i < m; ++i) {
+    TC* c_row = c + i * ldc;
+    std::fill(c_row, c_row + n, TC{0});
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const auto a_ik = static_cast<TC>(a[i * lda + kk]);
+      for (std::size_t j = 0; j < n; ++j) {
+        c_row[j] += a_ik * static_cast<TC>(b[kk * ldb + j]);
+      }
+    }
+  }
 }
 
-TEST(Axpy, DoubleMatchesAScalarLoopBitForBit) {
-  check_axpy_matches_scalar_loop<double>();
+/// gemm_korder against axpy_rows, bit for bit, on strided operands whose
+/// first elements sit 1..15 elements past a vector boundary. C's padding
+/// (the columns past n in each row of stride ldc, and the elements before
+/// the first) must keep its bits. Every (m, n) pair in 1..70 runs at k 1
+/// and 13, every k in 0..70 at a few (m, n) around the tile edges.
+template <typename TA, typename TC>
+void check_gemm_korder_matches_axpy_rows() {
+  constexpr std::size_t kMax = 70;
+  constexpr std::size_t kMaxShift = 15;
+  std::vector<TA> a(kMaxShift + kMax * (kMax + 3));
+  std::vector<TA> b(kMaxShift + kMax * (kMax + 5));
+  util::fill_uniform(std::span<TA>(a), 21);
+  util::fill_uniform(std::span<TA>(b), 22);
+  // Mixed signs, so sums cancel and any reordering shows in the bits.
+  for (std::size_t i = 0; i < a.size(); i += 3) {
+    a[i] = -a[i];
+  }
+  for (std::size_t i = 1; i < b.size(); i += 4) {
+    b[i] = -b[i];
+  }
+  auto check = [&](std::size_t m, std::size_t n, std::size_t k) {
+    const std::size_t shift = 1 + (m + 3 * n + 7 * k) % kMaxShift;
+    const std::size_t lda = k + 3;
+    const std::size_t ldb = n + 5;
+    const std::size_t ldc = n + 7;
+    const TA* a0 = a.data() + shift;
+    const TA* b0 = b.data() + kMaxShift - shift + 1;
+    std::vector<TC> expected(shift + m * ldc, TC(-1.5));
+    std::vector<TC> c = expected;
+    axpy_rows(m, n, k, a0, lda, b0, ldb, expected.data() + shift, ldc);
+    gemm_korder(m, n, k, a0, lda, b0, ldb, c.data() + shift, ldc);
+    ASSERT_EQ(std::memcmp(c.data(), expected.data(), c.size() * sizeof(TC)),
+              0)
+        << "m=" << m << " n=" << n << " k=" << k;
+  };
+  for (std::size_t m = 1; m <= kMax; ++m) {
+    for (std::size_t n = 1; n <= kMax; ++n) {
+      for (const std::size_t k : {1, 13}) {
+        ASSERT_NO_FATAL_FAILURE(check(m, n, k));
+      }
+    }
+  }
+  for (std::size_t k = 0; k <= kMax; ++k) {
+    for (const std::size_t m : {1, 4, 5, 9}) {
+      for (const std::size_t n : {1, 9, 33, 64, 70}) {
+        ASSERT_NO_FATAL_FAILURE(check(m, n, k));
+      }
+    }
+  }
+}
+
+TEST(GemmKorder, FloatMatchesAxpyRowsBitForBit) {
+  check_gemm_korder_matches_axpy_rows<float, float>();
+}
+
+TEST(GemmKorder, DoubleMatchesAxpyRowsBitForBit) {
+  check_gemm_korder_matches_axpy_rows<double, double>();
+}
+
+TEST(GemmKorder, FloatIntoDoubleMatchesAxpyRowsBitForBit) {
+  check_gemm_korder_matches_axpy_rows<float, double>();
 }
 
 }  // namespace
