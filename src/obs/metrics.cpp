@@ -38,7 +38,7 @@ constexpr std::array<MetricDef, kMetricCount> kMetricTable = {{
     {kCacheHitsTotal, "hits", "ao_cache_hits_total", kCounter, "",
      "Jobs served from the warm result cache."},
     {kMergedEntriesTotal, "merged", "ao_merged_entries_total", kCounter, "",
-     "Store entries merged from shard results."},
+     "Distinct shard records settled into the warm cache."},
     {kCacheEntries, "cache-entries", "", kGauge, "",
      "Entries in the warm result cache."},
     {kStoreEntries, "store-entries", "", kGauge, "",

@@ -28,7 +28,7 @@ enum class Phase {
   kSerialize,  ///< encoding records/stores (entry lines, store snapshots)
   kFrame,      ///< wire-frame encode + write of the shard transport
   kTransport,  ///< one remote shard conversation over its socket
-  kMerge,      ///< folding a shard store back into the warm cache
+  kMerge,      ///< a shard attempt settling its records into the warm cache
   kRetry,      ///< a shard re-dispatched after its worker endpoint died
   kAbort,      ///< a campaign cancelled (abort command / expired deadline)
   kPlan,       ///< plan-cache checkout: compiled-expansion lookup / compile
@@ -80,10 +80,10 @@ struct PhaseStats {
 ///
 /// Nesting: each thread keeps a stack of its open scopes. A new Scope
 /// parents to the innermost open scope *of the same profiler* on its thread
-/// (so a cache merge inside a shard conversation nests under the transport
-/// span with no plumbing), or to an explicit parent id — the handoff for
-/// work that hops threads, e.g. a shard driver parenting its spans under
-/// the campaign root opened by the session thread.
+/// (so a record settled inside a shard conversation nests under the
+/// transport span with no plumbing), or to an explicit parent id — the
+/// handoff for work that hops threads, e.g. a shard driver parenting its
+/// spans under the campaign root opened by the session thread.
 ///
 /// The clock is injectable (`ClockFn` returning nanoseconds, monotonic);
 /// the default is std::chrono::steady_clock. Tests inject a counter clock

@@ -28,10 +28,6 @@ namespace {
 // line fails its digest and is skipped, so a crashed write-through run
 // never poisons later loads.
 
-std::string header_line() {
-  return kStoreHeaderPrefix + std::to_string(ResultCache::kFormatVersion);
-}
-
 std::uint64_t mix_double(std::uint64_t h, double value) {
   std::uint64_t bits;
   static_assert(sizeof(bits) == sizeof(value));
@@ -62,10 +58,10 @@ RecordKind expected_record_kind(JobKind kind) {
   throw util::InvalidArgument("unknown JobKind");
 }
 
-/// Upper bound on format_entry(key, record).size(), mirroring it piece for
-/// piece: the "entry " prefix, six key tokens (each at most 16 hex digits
-/// plus its separator space), the record tokens, the digest separator and
-/// the 16-digit digest.
+/// Upper bound on format_store_entry(key, record).size(), mirroring it
+/// piece for piece: the "entry " prefix, six key tokens (each at most 16
+/// hex digits plus its separator space), the record tokens, the digest
+/// separator and the 16-digit digest.
 std::size_t entry_size_bound(const MeasurementRecord& record) {
   return std::strlen(kStoreEntryPrefix) + 6 * 17 +
          serialized_record_size_bound(record) +
@@ -93,14 +89,42 @@ void append_entry(std::string& line, const CacheKey& key,
                        store_digest(line.data() + start, payload_length));
 }
 
-std::string format_entry(const CacheKey& key, const MeasurementRecord& record) {
+/// Writes `path` through a sibling temp file renamed into place, so a reader
+/// (or a crash) never observes a half-written store.
+template <typename WriteFn>
+void write_replacing(const std::string& path, WriteFn&& write) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      throw util::Error("cannot write result-cache store: " + tmp);
+    }
+    write(out);
+    if (!out.flush()) {
+      throw util::Error("short write to result-cache store: " + tmp);
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw util::Error("cannot move result-cache store into place: " + path);
+  }
+}
+
+}  // namespace
+
+std::uint64_t store_digest(const void* data, std::size_t size) {
+  return util::fnv1a_bytes(data, size);
+}
+
+std::string format_store_entry(const CacheKey& key,
+                               const MeasurementRecord& record) {
   std::string line;
   line.reserve(entry_size_bound(record));
   append_entry(line, key, record);
   return line;
 }
 
-std::optional<std::pair<CacheKey, MeasurementRecord>> parse_entry(
+std::optional<std::pair<CacheKey, MeasurementRecord>> parse_store_entry(
     std::string_view line) {
   if (!line.starts_with(kStoreEntryPrefix)) {
     return std::nullopt;
@@ -155,44 +179,9 @@ std::optional<std::pair<CacheKey, MeasurementRecord>> parse_entry(
   return std::pair{key, std::move(*record)};
 }
 
-/// Writes `path` through a sibling temp file renamed into place, so a reader
-/// (or a crash) never observes a half-written store.
-template <typename WriteFn>
-void write_replacing(const std::string& path, WriteFn&& write) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw util::Error("cannot write result-cache store: " + tmp);
-    }
-    write(out);
-    if (!out.flush()) {
-      throw util::Error("short write to result-cache store: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw util::Error("cannot move result-cache store into place: " + path);
-  }
+std::string store_header_line() {
+  return kStoreHeaderPrefix + std::to_string(ResultCache::kFormatVersion);
 }
-
-}  // namespace
-
-std::uint64_t store_digest(const void* data, std::size_t size) {
-  return util::fnv1a_bytes(data, size);
-}
-
-std::string format_store_entry(const CacheKey& key,
-                               const MeasurementRecord& record) {
-  return format_entry(key, record);
-}
-
-std::optional<std::pair<CacheKey, MeasurementRecord>> parse_store_entry(
-    std::string_view line) {
-  return parse_entry(line);
-}
-
-std::string store_header_line() { return header_line(); }
 
 std::uint64_t CacheKey::fingerprint() const {
   std::uint64_t h = util::kFnv1aOffset;
@@ -325,7 +314,7 @@ std::optional<ResultCache::Entry> ResultCache::read_through(
   // this read cannot move the bytes under it: what fails here is corrupt.
   std::string line;
   if (located->file->read(located->ref, line)) {
-    auto entry = parse_entry(line);
+    auto entry = parse_store_entry(line);
     if (entry.has_value() && entry->first == key) {
       if (line_out != nullptr) {
         *line_out = std::move(line);
@@ -370,7 +359,7 @@ void ResultCache::append_if_absent(const CacheKey& key,
   }
   // Formatted before io_mutex_ is taken, so concurrent inserts format in
   // parallel and only the write itself is serialized.
-  std::string line = format_entry(key, record);
+  std::string line = format_store_entry(key, record);
   line += '\n';
   std::lock_guard io(io_mutex_);
   // Re-checked under the write lock: a concurrent insert of the same key
@@ -469,7 +458,7 @@ std::size_t ResultCache::compact_locked() {
   std::size_t rejected = 0;
   std::uint64_t offset = 0;
   write_replacing(path, [&](std::ostream& out) {
-    const std::string header = header_line();
+    const std::string header = store_header_line();
     out << header << '\n';
     offset = header.size() + 1;
     std::string line;
@@ -477,7 +466,7 @@ std::size_t ResultCache::compact_locked() {
       // Copied verbatim, after the same check a read-through makes: a line
       // corrupted on disk since it was indexed is dropped, not carried on.
       const auto entry =
-          all.file->read(ref, line) ? parse_entry(line) : std::nullopt;
+          all.file->read(ref, line) ? parse_store_entry(line) : std::nullopt;
       if (!entry.has_value() || !(entry->first == ref.key)) {
         ++rejected;
         continue;
@@ -513,7 +502,7 @@ std::string ResultCache::serialize_locked() const {
   // the repeated-append growth path never fires and the whole snapshot is
   // a single allocation.
   out.reserve(serialize_size_hint_locked());
-  out += header_line();
+  out += store_header_line();
   out += '\n';
   // Least recent first: reloading replays insertions in recency order.
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
@@ -524,7 +513,7 @@ std::string ResultCache::serialize_locked() const {
 }
 
 std::size_t ResultCache::serialize_size_hint_locked() const {
-  std::size_t bound = header_line().size() + 1;
+  std::size_t bound = store_header_line().size() + 1;
   for (const Entry& entry : lru_) {
     bound += entry_size_bound(entry.second) + 1;
   }
@@ -566,14 +555,11 @@ std::size_t ResultCache::store_entries() const {
 }
 
 std::size_t ResultCache::load(const std::string& path) {
-  return load_impl(path, /*write_through=*/false);
-}
-
-std::size_t ResultCache::merge_store(const std::string& path) {
-  obs::TimelineProfiler::Scope span(profiler_, obs::Phase::kMerge,
-                                    obs::TimelineProfiler::kInheritParent,
-                                    "store");
-  return load_impl(path, /*write_through=*/true);
+  std::ifstream in(path);
+  if (!in) {
+    return 0;  // nothing persisted yet — a cold start, not an error
+  }
+  return load_stream(in, /*write_through=*/false);
 }
 
 std::size_t ResultCache::merge_buffer(const std::string& buffer) {
@@ -584,18 +570,9 @@ std::size_t ResultCache::merge_buffer(const std::string& buffer) {
   return load_stream(in, /*write_through=*/true);
 }
 
-std::size_t ResultCache::load_impl(const std::string& path,
-                                   bool write_through) {
-  std::ifstream in(path);
-  if (!in) {
-    return 0;  // nothing persisted yet — a cold start, not an error
-  }
-  return load_stream(in, write_through);
-}
-
 std::size_t ResultCache::load_stream(std::istream& in, bool write_through) {
   std::string line;
-  if (!std::getline(in, line) || line != header_line()) {
+  if (!std::getline(in, line) || line != store_header_line()) {
     // A different format version (or not a cache store at all): refuse the
     // whole file rather than guess at its layout.
     std::lock_guard lock(mutex_);
@@ -610,7 +587,7 @@ std::size_t ResultCache::load_stream(std::istream& in, bool write_through) {
       if (line.empty()) {
         continue;
       }
-      if (auto entry = parse_entry(line)) {
+      if (auto entry = parse_store_entry(line)) {
         retain_locked(entry->first, entry->second);
         if (write_through) {
           to_append.push_back(std::move(*entry));
@@ -622,7 +599,7 @@ std::size_t ResultCache::load_stream(std::istream& in, bool write_through) {
     }
     stats_.loaded += loaded;
   }
-  // merge_store propagation: appended after the LRU lock is released, each
+  // merge_buffer propagation: appended after the LRU lock is released, each
   // entry only if the store lacks its key.
   for (const Entry& entry : to_append) {
     append_if_absent(entry.first, entry.second);
@@ -652,7 +629,7 @@ void ResultCache::persist_to(const std::string& path) {
     std::string first_line;
     if (!existing || !std::getline(existing, first_line)) {
       needs_header = true;  // absent or empty file: start a fresh store
-    } else if (first_line != header_line()) {
+    } else if (first_line != store_header_line()) {
       throw util::Error("refusing write-through to a foreign store: " + path);
     } else {
       // Cold index scan: count the pre-existing entry lines (the
@@ -668,7 +645,7 @@ void ResultCache::persist_to(const std::string& path) {
         const bool terminated = !existing.eof();
         if (!line.empty()) {
           ++store_entries_;
-          if (auto entry = parse_entry(line)) {
+          if (auto entry = parse_store_entry(line)) {
             refs.push_back({entry->first, scanned_bytes,
                             static_cast<std::uint32_t>(line.size())});
           }
@@ -683,9 +660,9 @@ void ResultCache::persist_to(const std::string& path) {
     throw util::Error("cannot open result-cache store: " + path);
   }
   if (needs_header) {
-    persist_out_ << header_line() << '\n';
+    persist_out_ << store_header_line() << '\n';
     persist_out_.flush();
-    scanned_bytes = header_line().size() + 1;
+    scanned_bytes = store_header_line().size() + 1;
   } else if (tail_unterminated) {
     persist_out_ << '\n';
     persist_out_.flush();
@@ -748,8 +725,9 @@ std::optional<ResultCache::QueryPage> ResultCache::query(
     std::string line;
     for (const StoreRef& ref : selection.refs) {
       ++page.entries_read;
-      const auto parsed =
-          selection.file->read(ref, line) ? parse_entry(line) : std::nullopt;
+      const auto parsed = selection.file->read(ref, line)
+                              ? parse_store_entry(line)
+                              : std::nullopt;
       if (!parsed.has_value() || !(parsed->first == ref.key)) {
         // Corrupt on disk since it was indexed: drop it as lookup() would,
         // and cut the page again without it.
@@ -777,10 +755,10 @@ std::optional<std::string> ResultCache::fetch_entry(const CacheKey& key) const {
     std::lock_guard lock(mutex_);
     const auto it = index_.find(key);
     if (it != index_.end()) {
-      // Serve from memory without touching recency: format_entry is a pure
-      // function of (key, record), so this is bit-identical to the line the
-      // store holds for the same entry.
-      return format_entry(key, it->second->second);
+      // Serve from memory without touching recency: the entry line is a
+      // pure function of (key, record), so this is bit-identical to the
+      // line the store holds for the same entry.
+      return format_store_entry(key, it->second->second);
     }
   }
   std::string line;

@@ -168,7 +168,7 @@ class ResultCache {
   void clear();
 
   /// Snapshot of the retained entries, most recently used first — the
-  /// service's shard merge and the tests inspect stores through this.
+  /// tests inspect stores through this.
   std::vector<Entry> entries() const;
 
   CacheStats stats() const;
@@ -190,19 +190,11 @@ class ResultCache {
   /// header rejects the whole file. Returns entries loaded.
   std::size_t load(const std::string& path);
 
-  /// Like load(), but every merged entry the attached write-through store
-  /// lacks is also appended to it — ingesting a foreign store (a shard
-  /// worker's, a peer machine's) into a persistent cache. load() stays
-  /// append-free.
-  std::size_t merge_store(const std::string& path);
-
   /// The store exactly as save() would write it (version header + retained
   /// entries, least recent first), as one in-memory buffer: the wire twin
-  /// of save(). A remote shard worker ships this over its socket instead of
-  /// writing a store file (docs/service.md#wire-format-frames). The buffer
-  /// is built behind one up-front reserve of serialize_size_hint() bytes —
-  /// a whole snapshot costs a single allocation, not one per appended
-  /// entry.
+  /// of save(), for the tests and perfbench. The buffer is built behind one
+  /// up-front reserve of serialize_size_hint() bytes — a whole snapshot
+  /// costs a single allocation, not one per appended entry.
   std::string serialize_store() const;
 
   /// Upper bound on serialize_store().size(), computed from token counts
@@ -211,11 +203,12 @@ class ResultCache {
   /// single-allocation invariant the regression tests probe.
   std::size_t serialize_size_hint() const;
 
-  /// merge_store() from an in-memory buffer — the receiving end of
-  /// serialize_store(): same header check, per-entry digest validation,
-  /// load_rejected accounting and write-through propagation. Returns
-  /// entries merged; a version-mismatched or unrecognizable first line
-  /// rejects the whole buffer.
+  /// load() from an in-memory buffer — the receiving end of
+  /// serialize_store(): same header check, per-entry digest validation and
+  /// load_rejected accounting, plus write-through propagation: every merged
+  /// entry the attached store lacks is appended to it. Returns entries
+  /// merged; a version-mismatched or unrecognizable first line rejects the
+  /// whole buffer.
   std::size_t merge_buffer(const std::string& buffer);
 
   /// Write-through mode: indexes `path` (one scan, nothing loaded into
@@ -288,9 +281,8 @@ class ResultCache {
   const StoreIndex& store_index() const { return *store_index_; }
 
   /// Attaches a timeline profiler: save()/serialize_store() record
-  /// `serialize` spans and merge_store()/merge_buffer() record `merge`
-  /// spans, inheriting the calling thread's open scope (so a merge inside a
-  /// shard conversation nests under that transport span). Set before the
+  /// `serialize` spans and merge_buffer() records a `merge` span, each
+  /// inheriting the calling thread's open scope. Set before the
   /// cache is shared between threads; nullptr (the default) detaches.
   void set_profiler(obs::TimelineProfiler* profiler) { profiler_ = profiler; }
 
@@ -313,8 +305,7 @@ class ResultCache {
   /// Header + retained entries (least recent first) under mutex_.
   std::string serialize_locked() const;
   std::size_t serialize_size_hint_locked() const;
-  std::size_t load_impl(const std::string& path, bool write_through);
-  /// The shared merge loop behind load()/merge_store()/merge_buffer().
+  /// The shared merge loop behind load()/merge_buffer().
   std::size_t load_stream(std::istream& in, bool write_through);
 
   /// Lock order: io_mutex_ before mutex_ (a rewrite counts itself under

@@ -10,7 +10,7 @@ namespace ao::service {
 
 // Binary-safe, length-prefixed frames embedded in the service's line
 // protocol — the transport the distributed shard workers use to ship
-// record batches and whole result stores over a socket instead of a shared
+// record batches and span timelines over a socket instead of a shared
 // filesystem (grammar in docs/service.md#wire-format-frames):
 //
 //   @frame1 <type> <length> <digest>\n
@@ -30,8 +30,8 @@ inline constexpr int kFrameVersion = 1;
 inline constexpr char kFrameMagic[] = "@frame1";
 
 /// Hard payload ceiling (64 MiB): a corrupt length token must never make
-/// the reader allocate unbounded memory. Far above any real store — the
-/// CI campaigns ship a few KiB.
+/// the reader allocate unbounded memory. Far above any real records batch
+/// or span timeline — the CI campaigns ship a few KiB.
 inline constexpr std::size_t kMaxFramePayload = std::size_t{1} << 26;
 
 /// Header-line ceiling. A well-formed header is ≤ 74 bytes (magic + type +
@@ -42,7 +42,7 @@ inline constexpr std::size_t kMaxFrameHeader = 128;
 // Frame types of the worker conversation (docs/service.md#wire-format-frames).
 inline constexpr char kFrameTask[] = "task";          ///< daemon → worker
 inline constexpr char kFrameRecords[] = "records";    ///< worker → daemon
-inline constexpr char kFrameStore[] = "store";        ///< worker → daemon
+inline constexpr char kFrameDone[] = "done";          ///< worker → daemon
 inline constexpr char kFrameShardError[] = "shard-error";  ///< worker → daemon
 inline constexpr char kFrameBye[] = "bye";            ///< daemon → worker
 inline constexpr char kFramePing[] = "ping";          ///< daemon → worker

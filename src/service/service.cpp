@@ -50,6 +50,30 @@ void reply_error(std::ostream& out, const std::string& code,
   out << '\n';
 }
 
+/// One shard attempt's settlement window: how many records it settled and
+/// when the first and the last of them did — the attempt's `merge` span.
+struct SettleWindow {
+  std::size_t records = 0;
+  std::uint64_t first_ns = 0;
+  std::uint64_t last_ns = 0;
+
+  void note(std::uint64_t now_ns) {
+    if (records++ == 0) {
+      first_ns = now_ns;
+    }
+    last_ns = now_ns;
+  }
+
+  /// Records the `merge` span under `parent`; an attempt that settled
+  /// nothing merged nothing and records none.
+  void record_merge(obs::TimelineProfiler& profiler, std::uint64_t parent,
+                    const char* label) const {
+    if (records != 0) {
+      profiler.record(obs::Phase::kMerge, first_ns, last_ns, parent, label);
+    }
+  }
+};
+
 /// Incremental reader over one shard's write-through store: consumes the
 /// complete lines appended since the last poll (a half-flushed tail line is
 /// left for the next round), skipping the version header.
@@ -57,7 +81,7 @@ struct StoreTail {
   std::string path;
   std::streamoff offset = 0;
   std::size_t shard_index = 0;
-  std::size_t records = 0;  ///< entries streamed from this shard so far
+  SettleWindow settled;  ///< records this shard settled so far
 
   template <typename LineFn>
   void poll(LineFn&& on_line) {
@@ -144,9 +168,6 @@ CampaignService::CampaignService(Config config)
     // an LRU that would evict most of a large store again.
     cache_.persist_to(config_.store_path);
   }
-  // The warm cache records its own serialize/merge spans — the service never
-  // wraps cache calls itself, so shard merges are counted exactly once.
-  cache_.set_profiler(&profiler_);
   registry_.configure({config_.heartbeat_interval_ns, config_.worker_clock});
 }
 
@@ -781,22 +802,21 @@ void CampaignService::run_sharded(
   // missing jobs cost a worker.
   std::size_t streamed = 0;
   std::size_t warm_hits = 0;
-  // Every entry line this campaign has streamed. A shard retried after its
-  // worker died — or rerun on the local pool — replays records its first
-  // attempt already shipped; the set keeps the client's record stream
-  // exactly-once (identical keys carry bit-identical records, so the line
-  // itself is the dedupe key).
-  std::unordered_set<std::string> seen;
+  std::size_t merged = 0;
+  // Every key this campaign has streamed. A shard retried after its worker
+  // died — or rerun on the local pool — replays records its first attempt
+  // already shipped; the set keeps the client's record stream and the store
+  // exactly-once (identical keys carry bit-identical records).
+  std::unordered_set<orchestrator::CacheKey, orchestrator::CacheKeyHash> seen;
   std::vector<std::size_t> pending;  // job indices the workers must run
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const orchestrator::CacheKey key =
         orchestrator::key_for_job(jobs[i], options_fp);
     const std::optional<MeasurementRecord> hit = cache_.lookup(key);
     if (hit.has_value()) {
-      const std::string entry = orchestrator::format_store_entry(key, *hit);
-      seen.insert(entry);
+      seen.insert(key);
       journal_append(journal, key);
-      out << "record " << entry << '\n';
+      out << "record " << orchestrator::format_store_entry(key, *hit) << '\n';
       ++streamed;
       ++warm_hits;
       out << "progress " << streamed << "/" << expected_records << '\n';
@@ -805,6 +825,32 @@ void CampaignService::run_sharded(
     }
   }
   out.flush();
+
+  // The one settlement point of a shard record, on both transports: the
+  // entry line a worker shipped is parsed once, inserted into the warm
+  // cache (which writes it through to the daemon store), journaled and
+  // streamed. Returns false for a malformed line or an already settled key.
+  // All client writes synchronize on out_mutex — remote shard drivers
+  // settle concurrently — and so does `seen`.
+  std::mutex out_mutex;
+  const SettleFn settle = [&](const std::string& line) {
+    auto parsed = orchestrator::parse_store_entry(line);
+    if (!parsed.has_value()) {
+      return false;
+    }
+    std::lock_guard lock(out_mutex);
+    if (!seen.insert(parsed->first).second) {
+      return false;
+    }
+    cache_.insert(parsed->first, parsed->second);
+    journal_append(journal, parsed->first);
+    out << "record " << line << '\n';
+    ++streamed;
+    ++merged;
+    out << "progress " << streamed << "/" << expected_records << '\n';
+    out.flush();
+    return true;
+  };
 
   // Plan only the pending jobs; plan indices are positions in `pending`,
   // mapped back to campaign job indices for the workers.
@@ -852,7 +898,6 @@ void CampaignService::run_sharded(
   }
   schedule.close();
 
-  std::size_t merged = 0;
   std::size_t remote_executed = 0;
   std::size_t retries = 0;
   std::string failure;
@@ -860,15 +905,14 @@ void CampaignService::run_sharded(
   std::vector<WorkerPool::ShardTask> local_tasks = tasks;
   if (!tasks.empty() &&
       (config_.remote_only || registry_.idle_count() > 0)) {
-    // Remote transport: connected `ao_worker --connect` processes exchange
-    // stores over their sockets — no shared filesystem. Falls back to the
-    // local path (returns false) when every worker was snatched by a
+    // Remote transport: connected `ao_worker --connect` processes ship
+    // their records over their sockets — no shared filesystem. Falls back
+    // to the local path (returns false) when every worker was snatched by a
     // concurrent campaign, unless remote_only forbids it.
     std::vector<WorkerPool::ShardTask> leftover;
-    remote = run_shards_remote(request, tasks, expected_records, root_span,
-                               should_stop, journal, &seen, &streamed,
-                               &merged, &remote_executed, &retries, &leftover,
-                               &failure, out);
+    remote = run_shards_remote(request, tasks, root_span, should_stop, settle,
+                               out_mutex, &remote_executed, &retries,
+                               &leftover, &failure, out);
     if (remote) {
       if (config_.remote_only) {
         // Leftover shards may not touch this host; report them (unless the
@@ -906,28 +950,18 @@ void CampaignService::run_sharded(
       task.store_path =
           base + "-shard" + std::to_string(task.shard_index) + ".aocache";
       std::remove(task.store_path.c_str());  // never tail a stale store
-      tails.push_back({task.store_path, 0, task.shard_index, 0});
+      tails.push_back({task.store_path, 0, task.shard_index, {}});
       out << "shard " << task.shard_index << " start local\n";
     }
     out.flush();
     const auto drain = [&] {
       for (StoreTail& tail : tails) {
         tail.poll([&](const std::string& line) {
-          // Only structurally sound entries are streamed (the merge below
-          // re-validates through ResultCache::load anyway), and only lines
-          // no remote attempt of this shard already shipped.
-          const auto parsed = orchestrator::parse_store_entry(line);
-          if (parsed.has_value() && seen.insert(line).second) {
-            journal_append(journal, parsed->first);
-            out << "record " << line << '\n';
-            ++streamed;
-            ++tail.records;
-            out << "progress " << streamed << "/" << expected_records
-                << '\n';
+          if (settle(line)) {
+            tail.settled.note(profiler_.now());
           }
         });
       }
-      out.flush();
     };
 
     WorkerPool pool(config_.worker_binary);
@@ -942,26 +976,20 @@ void CampaignService::run_sharded(
     drain();  // the final records written between the last poll and exit
     // One `shard` span per local shard, measured manually: the pool's
     // workers run in their own processes, so start/end are observed from
-    // this tail loop, not from inside the shard.
-    for (const auto& task : local_tasks) {
+    // this tail loop, not from inside the shard. Each shard's records
+    // settled as the tail read them (a failed shard's finished points are
+    // real measurements and stay), so its `merge` span is that window.
+    for (const StoreTail& tail : tails) {
       profiler_.record(obs::Phase::kShard, shards_start_ns, shards_end_ns,
                        root_span,
-                       "shard-" + std::to_string(task.shard_index) + " local");
-    }
-
-    // Merge every produced store into the warm cache (merge_store
-    // propagates the entries to the service's own persistent store) —
-    // conflict-free by CacheKey (two shards never run the same job, and
-    // identical keys carry bit-identical records). A failed shard's partial
-    // store still merges: its finished points are real measurements.
-    for (const auto& task : local_tasks) {
-      merged += cache_.merge_store(task.store_path);
+                       "shard-" + std::to_string(tail.shard_index) + " local");
+      tail.settled.record_merge(profiler_, root_span, "store");
     }
     for (const auto& outcome : outcomes) {
       std::size_t records = 0;
       for (const StoreTail& tail : tails) {
         if (tail.shard_index == outcome.shard_index) {
-          records = tail.records;
+          records = tail.settled.records;
         }
       }
       if (outcome.exit_code == 0) {
@@ -1017,11 +1045,9 @@ void CampaignService::run_sharded(
 
 bool CampaignService::run_shards_remote(
     const CampaignRequest& request,
-    const std::vector<WorkerPool::ShardTask>& tasks,
-    std::size_t expected_records, std::uint64_t root_span,
-    const orchestrator::StopFn& should_stop, CampaignJournal* journal,
-    std::unordered_set<std::string>* seen, std::size_t* streamed,
-    std::size_t* merged, std::size_t* remote_executed,
+    const std::vector<WorkerPool::ShardTask>& tasks, std::uint64_t root_span,
+    const orchestrator::StopFn& should_stop, const SettleFn& settle,
+    std::mutex& out_mutex, std::size_t* remote_executed,
     std::size_t* retries_used, std::vector<WorkerPool::ShardTask>* leftover,
     std::string* failure, std::ostream& out) {
   // Retire endpoints that stopped answering before handing out leases: a
@@ -1054,9 +1080,7 @@ bool CampaignService::run_shards_remote(
 
   // Shared work state, guarded by work_mutex: the undispatched work list
   // (a shard enters more than once only after its endpoint died), the
-  // per-campaign retry budget, and each shard's settlement. partial_lines
-  // banks the entry lines every lost attempt managed to ship — they merge
-  // below even when no retry succeeds.
+  // per-campaign retry budget, and each shard's settlement.
   struct Work {
     std::size_t task = 0;
     std::size_t attempt = 0;
@@ -1069,32 +1093,6 @@ bool CampaignService::run_shards_remote(
   std::size_t retries_left = request.shard_retries;
   std::vector<char> settled(tasks.size(), 0);
   std::vector<RemoteShardOutcome> outcomes(tasks.size());
-  std::vector<std::vector<std::string>> partial_lines(tasks.size());
-
-  // All client writes (records, progress, shard events) synchronize on
-  // out_mutex; `seen` is guarded by it too.
-  std::mutex out_mutex;
-  const auto stream_line = [&](const std::string& line) {
-    // Stream each entry the moment its frame arrives — unless an earlier
-    // attempt of a retried shard already shipped it. The merge below
-    // re-validates everything through merge_buffer anyway.
-    const auto parsed = orchestrator::parse_store_entry(line);
-    if (!parsed.has_value()) {
-      return;
-    }
-    obs::TimelineProfiler::Scope serialize(
-        &profiler_, obs::Phase::kSerialize,
-        obs::TimelineProfiler::kInheritParent, "record");
-    std::lock_guard lock(out_mutex);
-    if (!seen->insert(line).second) {
-      return;
-    }
-    journal_append(journal, parsed->first);
-    out << "record " << line << '\n';
-    ++*streamed;
-    out << "progress " << *streamed << "/" << expected_records << '\n';
-    out.flush();
-  };
 
   // One driver per leased worker drains the work list. A driver whose
   // endpoint dies requeues the shard (budget permitting), retires the lease
@@ -1145,10 +1143,22 @@ bool CampaignService::run_shards_remote(
       ShardGraft graft;
       graft.origin = lease->name();
       graft.has_clock_offset = lease->clock_offset(&graft.clock_offset_ns);
+      // Each entry settles the moment its frame arrives, under a
+      // `serialize` span nested in the conversation's transport span.
+      SettleWindow window;
+      const auto on_record = [&](const std::string& line) {
+        obs::TimelineProfiler::Scope serialize(
+            &profiler_, obs::Phase::kSerialize,
+            obs::TimelineProfiler::kInheritParent, "record");
+        if (settle(line)) {
+          window.note(profiler_.now());
+        }
+      };
       RemoteShardOutcome outcome = run_remote_shard(
           lease->in(), lease->out(), request, tasks[i].shard_index,
-          tasks[i].groups, stream_line, &profiler_, &graft);
+          tasks[i].groups, on_record, &profiler_, &graft);
       shard_span.close();
+      window.record_merge(profiler_, root_span, "wire");
       if (!outcome.connection_lost) {
         // Done, or a clean shard-error over a healthy connection: the shard
         // is settled either way and this worker keeps serving.
@@ -1171,14 +1181,12 @@ bool CampaignService::run_shards_remote(
         outcomes[i] = std::move(outcome);
         continue;
       }
-      // The endpoint died mid-conversation. Bank the lines that made it
-      // across, then spend one retry if the budget allows — otherwise the
-      // shard settles as lost.
+      // The endpoint died mid-conversation (the records that made it across
+      // are settled already). Spend one retry if the budget allows —
+      // otherwise the shard settles as lost.
       bool retrying = false;
       {
         std::lock_guard lock(work_mutex);
-        auto& bank = partial_lines[i];
-        bank.insert(bank.end(), outcome.lines.begin(), outcome.lines.end());
         if (retries_left > 0) {
           --retries_left;
           ++*retries_used;
@@ -1237,63 +1245,35 @@ bool CampaignService::run_shards_remote(
     }
   }
 
-  // Merge what each shard shipped. A completed shard's final `store` frame
-  // is authoritative (byte-for-byte the store a local worker would have
-  // written) and already covers any banked partial lines — merges are
-  // idempotent by CacheKey, identical keys carry bit-identical records.
-  // For everything else the banked partials merge (real measurements are
-  // never discarded) and the shard either lands in `leftover` or reports a
-  // structured failure.
+  // Every record that arrived is settled; what remains is each shard's
+  // verdict. Shards never dispatched, or still requeued when the drivers
+  // ran out (or the campaign was cancelled), land in `leftover`: the caller
+  // decides what happens next.
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const auto merge_lines = [&](const std::vector<std::string>& lines) {
-      if (lines.empty()) {
-        return;
-      }
-      std::string partial = orchestrator::store_header_line();
-      partial += '\n';
-      for (const std::string& line : lines) {
-        partial += line;
-        partial += '\n';
-      }
-      *merged += cache_.merge_buffer(partial);
-    };
     if (!settled[i]) {
-      // Never dispatched, or still requeued when the drivers ran out (or
-      // the campaign was cancelled): the caller decides what happens next.
-      merge_lines(partial_lines[i]);
       leftover->push_back(tasks[i]);
       continue;
     }
     const RemoteShardOutcome& outcome = outcomes[i];
     if (outcome.ok) {
       ++*remote_executed;
-      *merged += cache_.merge_buffer(outcome.store);
-      continue;
-    }
-    if (outcome.connection_lost) {
+    } else if (outcome.connection_lost) {
       // Every attempt's endpoint died and the retry budget is spent. Under
       // remote_only that is a structured failure — never a hang, never a
       // local run; otherwise the local pool gets the shard (the `seen` set
       // keeps its replayed records off the client stream).
-      merge_lines(partial_lines[i]);
-      if (config_.remote_only) {
-        if (failure->empty()) {
-          *failure = "shard " + std::to_string(outcome.shard_index) +
-                     " failed (retry budget exhausted): " +
-                     one_line(outcome.error);
-        }
-      } else {
+      if (!config_.remote_only) {
         leftover->push_back(tasks[i]);
+      } else if (failure->empty()) {
+        *failure = "shard " + std::to_string(outcome.shard_index) +
+                   " failed (retry budget exhausted): " +
+                   one_line(outcome.error);
       }
-      continue;
-    }
-    // The shard itself failed — a shard-error frame over a healthy
-    // connection. A clean failure is deterministic, so rerunning it (on any
-    // transport) would only fail again with a worse diagnostic: merge what
-    // arrived and report the real error.
-    merge_lines(partial_lines[i]);
-    merge_lines(outcome.lines);
-    if (failure->empty()) {
+    } else if (failure->empty()) {
+      // The shard itself failed — a shard-error frame over a healthy
+      // connection. A clean failure is deterministic, so rerunning it (on
+      // any transport) would only fail again with a worse diagnostic:
+      // report the real error.
       *failure = "shard " + std::to_string(outcome.shard_index) +
                  " failed: " + one_line(outcome.error);
     }

@@ -3,13 +3,13 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <initializer_list>
 #include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -47,15 +47,16 @@ namespace ao::service {
 ///    `remote_only`): `ao_worker --connect` processes — on this machine or
 ///    any other — that announced themselves with a `worker` hello and sit
 ///    parked in the WorkerRegistry. Each shard is shipped as a `task` frame
-///    and the worker streams `records` frames back, closed by a `store`
-///    frame carrying its full result store; no shared filesystem anywhere
+///    and the worker streams `records` frames back, closed by a `done`
+///    frame counting them; no shared filesystem anywhere
 ///    (docs/service.md#wire-format-frames).
 ///  - **local workers**: WorkerPool-spawned `ao_worker` processes (or
 ///    in-process threads) exchanging results through per-shard disk stores
 ///    the service tails.
-/// Either way the client observes records live, shards merge back into the
-/// warm cache conflict-free by CacheKey, and the merged result is
-/// bit-identical to a single-process run.
+/// Either way each record settles once, as it arrives: into the warm cache
+/// (and its store), the follow journal and the client stream, deduplicated
+/// by CacheKey — so the settled result is bit-identical to a
+/// single-process run.
 ///
 /// Transport-agnostic: serve() speaks the protocol over any istream/ostream
 /// pair. `ao_campaignd` runs it over a unix socket; the tests run it over
@@ -196,24 +197,28 @@ class CampaignService {
       std::size_t shard_count, std::size_t expected_records,
       std::uint64_t root_span, const orchestrator::StopFn& should_stop,
       CampaignJournal* journal, std::ostream& out);
+  /// run_sharded's settlement point for one shipped entry line: settles it
+  /// into the warm cache and the client stream, and returns false for a
+  /// malformed line or a key the campaign already settled. Locks the
+  /// campaign's stream mutex itself.
+  using SettleFn = std::function<bool(const std::string& entry_line)>;
   /// Runs the planned shard tasks on checked-out remote workers (one driver
-  /// thread per lease draining a shared work queue). Returns false when no
-  /// worker could be leased and local fallback is allowed; true when remote
-  /// execution happened (or remote-only failed), with `streamed`, `merged`,
-  /// `remote_executed` (shards a worker completed), `retries_used` and
-  /// `failure` updated. A shard whose endpoint dies mid-conversation is
-  /// re-dispatched to a *different* worker while the request's per-campaign
-  /// retry budget lasts; `seen` dedupes the entry lines a retry replays so
-  /// the client never reads a record twice. Shards that exhausted the
-  /// budget (or never ran) land in `leftover`: the caller reruns them
-  /// locally — or, under remote_only, reports them as a structured failure.
+  /// thread per lease draining a shared work queue), handing every entry
+  /// line to `settle` as its frame arrives; shard events go to `out` under
+  /// `out_mutex`. Returns false when no worker could be leased and local
+  /// fallback is allowed; true when remote execution happened (or
+  /// remote-only failed), with `remote_executed` (shards a worker
+  /// completed), `retries_used` and `failure` updated. A shard whose
+  /// endpoint dies mid-conversation is re-dispatched to a *different*
+  /// worker while the request's per-campaign retry budget lasts; `settle`
+  /// drops the records a retry replays. Shards that exhausted the budget
+  /// (or never ran) land in `leftover`: the caller reruns them locally —
+  /// or, under remote_only, reports them as a structured failure.
   bool run_shards_remote(const CampaignRequest& request,
                          const std::vector<WorkerPool::ShardTask>& tasks,
-                         std::size_t expected_records, std::uint64_t root_span,
+                         std::uint64_t root_span,
                          const orchestrator::StopFn& should_stop,
-                         CampaignJournal* journal,
-                         std::unordered_set<std::string>* seen,
-                         std::size_t* streamed, std::size_t* merged,
+                         const SettleFn& settle, std::mutex& out_mutex,
                          std::size_t* remote_executed,
                          std::size_t* retries_used,
                          std::vector<WorkerPool::ShardTask>* leftover,

@@ -62,6 +62,7 @@ class RecordBatcher {
         flush_ns_(flush_ns) {}
 
   void add(const std::string& line) {
+    ++added_;
     if (buffered_ == 0) {
       first_buffered_ns_ = profiler_.now();
     } else {
@@ -90,6 +91,9 @@ class RecordBatcher {
     buffered_ = 0;
   }
 
+  /// Lines added over the batcher's life — the `done` frame's count.
+  std::size_t added() const { return added_; }
+
  private:
   std::ostream& out_;
   FrameWriter& writer_;
@@ -98,14 +102,15 @@ class RecordBatcher {
   std::uint64_t flush_ns_;
   std::string buffer_;
   std::size_t buffered_ = 0;
+  std::size_t added_ = 0;
   std::uint64_t first_buffered_ns_ = 0;
 };
 
 /// Runs one task's shard, streams its records as batched frames, and closes
 /// with the shard's worker-side timeline (`spans` frame) followed by the
-/// authoritative `store` frame. Any exception propagates to the caller
-/// (buffered records are flushed first), which ships whatever the profiler
-/// measured and a `shard-error` frame.
+/// `done` frame counting the entry lines sent. Any exception propagates to
+/// the caller (buffered records are flushed first), which ships whatever the
+/// profiler measured and a `shard-error` frame.
 void execute_task(const RemoteTask& task, std::ostream& out,
                   obs::TimelineProfiler& profiler, const std::string& origin,
                   FrameWriter& writer, orchestrator::PlanCache& plans,
@@ -127,15 +132,12 @@ void execute_task(const RemoteTask& task, std::ostream& out,
                     compiled_here ? "miss" : "hit");
   }
 
-  // Capacity covers the whole shard so the final `store` frame —
-  // serialize_store() over the retained set — can never have evicted a
-  // record the daemon is owed.
-  orchestrator::ResultCache cache(std::max<std::size_t>(4096, queue.total()));
-  cache.set_profiler(&profiler);
+  // No cache: the daemon settles every record as its line arrives, so the
+  // worker keeps nothing once a line is on the wire.
   orchestrator::CampaignScheduler::Options scheduler_options;
   scheduler_options.concurrency = task.request.workers;
   orchestrator::CampaignScheduler scheduler(task.request.options(),
-                                            scheduler_options, &cache);
+                                            scheduler_options);
   scheduler.set_profile_sink(&profiler, 0);
   const std::uint64_t options_fp =
       orchestrator::options_fingerprint(task.request.options());
@@ -160,20 +162,17 @@ void execute_task(const RemoteTask& task, std::ostream& out,
     });
   } catch (...) {
     // Records settled before the failure are real measurements the daemon
-    // can merge; flush them ahead of the shard-error the caller ships.
+    // keeps; flush them ahead of the shard-error the caller ships.
     std::lock_guard lock(out_mutex);
     batcher.flush();
     throw;
   }
   batcher.flush();  // the partial final batch (workers are joined by now)
-  // The authoritative shard result: byte-for-byte what a local worker's
-  // write-through store file would hold after the same run.
-  const std::string store = cache.serialize_store();
-  // The timeline ships *before* the store so the daemon's shard
-  // conversation handles it inline — the store frame stays the settling
-  // frame, and peers that never send spans change nothing.
+  // The timeline ships *before* `done` so the daemon's shard conversation
+  // handles it inline — `done` stays the settling frame. Its count lets the
+  // daemon check that every line sent arrived.
   writer.write(out, kFrameSpans, obs::encode_spans(origin, profiler.drain()));
-  writer.write(out, kFrameStore, store);
+  writer.write(out, kFrameDone, std::to_string(batcher.added()));
 }
 
 }  // namespace
@@ -361,7 +360,6 @@ RemoteShardOutcome run_remote_shard(
         if (line.empty()) {
           continue;
         }
-        outcome.lines.push_back(line);
         ++outcome.records;
         if (on_record) {
           on_record(line);
@@ -376,19 +374,24 @@ RemoteShardOutcome run_remote_shard(
           obs::decode_spans(frame->payload, &payload_origin, &decode_error);
       if (decoded.has_value()) {
         // Grafted when the settling frame arrives — a worker that dies
-        // between its spans and its store leaves a rescheduled shard, and
+        // between its spans and its `done` leaves a rescheduled shard, and
         // the retry attempt's timeline replaces this one.
         pending_spans = std::move(*decoded);
       }
       // A payload that fails to decode is version-skewed telemetry: drop
       // the spans, never the shard.
-    } else if (frame->type == kFrameStore) {
-      outcome.store = frame->payload;
-      // The store frame is authoritative; the incrementally collected lines
-      // were only the died-before-store fallback. Dropping them halves the
-      // per-shard memory held until the merge.
-      outcome.lines.clear();
-      outcome.lines.shrink_to_fit();
+    } else if (frame->type == kFrameDone) {
+      // The count is the conversation's completeness check: a worker whose
+      // lines went missing (or that counts differently) is as broken as a
+      // lost connection — retire it and retry the shard elsewhere.
+      std::uint64_t sent = 0;
+      if (!parse_u64_token(frame->payload, sent) || sent != outcome.records) {
+        outcome.connection_lost = true;
+        outcome.error = "worker reported " + frame->payload +
+                        " records, " + std::to_string(outcome.records) +
+                        " arrived";
+        return outcome;
+      }
       outcome.ok = true;
       settle_graft();
       return outcome;

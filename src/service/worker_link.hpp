@@ -68,10 +68,11 @@ struct WorkerSessionOptions {
 /// records out as batched `records` frames (up to `record_batch` settled
 /// records per frame, bounded by the flush deadline), closed by a
 /// `spans` frame carrying the shard's worker-side timeline (execute/
-/// serialize/frame spans, ao-profile/1 payload) and a `store` frame
-/// carrying the shard's full serialized result store (or a `shard-error`
-/// frame after the spans; the worker stays alive for the next task either
-/// way). `ping` frames (the registry's liveness probes) are answered with
+/// serialize/frame spans, ao-profile/1 payload) and a `done <records>`
+/// frame counting the entry lines sent (or a `shard-error` frame after the
+/// spans; the worker stays alive for the next task either way). The worker
+/// keeps no result cache: each record is on the wire once it settles.
+/// `ping` frames (the registry's liveness probes) are answered with
 /// `pong` carrying this worker's current clock reading — the daemon pairs
 /// it with the ping round-trip to estimate the clock offset that aligns
 /// shipped spans. Returns the process exit code: 0 after a `bye` frame or
@@ -84,15 +85,13 @@ int run_worker_session(std::istream& in, std::ostream& out,
 struct RemoteShardOutcome {
   std::size_t shard_index = 0;
   bool ok = false;
-  /// True when the connection itself broke (the worker must be retired);
-  /// false for a shard that failed cleanly over a healthy connection.
+  /// True when the connection itself broke (the worker must be retired):
+  /// a read or write failed, an unknown frame arrived, or the `done` count
+  /// disagreed with the lines received. False for a shard that failed
+  /// cleanly over a healthy connection.
   bool connection_lost = false;
   std::string error;
-  std::size_t records = 0;  ///< entry lines received incrementally
-  std::string store;        ///< the final `store` frame payload ("" if lost)
-  /// Every entry line received via `records` frames — the partial-merge
-  /// fallback when the worker died before its `store` frame.
-  std::vector<std::string> lines;
+  std::size_t records = 0;  ///< entry lines received via `records` frames
   /// Worker-origin spans grafted onto the daemon profiler (0 when the
   /// worker shipped none or no profiler was attached).
   std::size_t worker_spans = 0;
@@ -112,9 +111,10 @@ struct ShardGraft {
 };
 
 /// Runs one shard on a checked-out remote worker: writes the `task` frame,
-/// forwards each incoming entry line to `on_record` (live streaming), and
-/// returns when the worker's `store` / `shard-error` frame arrives or the
-/// connection dies. Blocking; the caller owns the streams exclusively.
+/// forwards each incoming entry line to `on_record` (the caller settles it
+/// there), and returns when the worker's `done` / `shard-error` frame
+/// arrives or the connection dies. Blocking; the caller owns the streams
+/// exclusively.
 ///
 /// With `profiler` set the whole conversation records a `transport` span
 /// (inheriting the calling thread's open scope — the driver's shard span),

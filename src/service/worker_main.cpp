@@ -4,16 +4,18 @@
 //   ao_worker --request <file> --groups <i,j,...> --store <file>
 //     Local batch mode, spawned by the service's WorkerPool on the same
 //     machine: expand exactly those campaign jobs, run them, write-through
-//     every record into the named store (which the service tails and
-//     merges). stdout stays silent; errors go to stderr and the exit code.
+//     every record into the named store (which the service tails, settling
+//     each line as it reads it). stdout stays silent; errors go to stderr
+//     and the exit code.
 //
 //   ao_worker --connect <endpoint> [--name <id>]
 //     Remote mode: connect to a campaign daemon — a unix socket path, or
 //     host:port for a daemon listening with --tcp on another machine —
 //     announce with a `worker` hello, then serve `task` frames until the
-//     daemon says bye: records stream back as frames and each shard closes
-//     with its worker-side span timeline (`spans` frame — the daemon grafts
-//     it into the campaign profile) and its full result store, all over the
+//     daemon says bye: records stream back as frames (the daemon settles
+//     each as it arrives) and each shard closes with its worker-side span
+//     timeline (`spans` frame — the daemon grafts it into the campaign
+//     profile) and a `done` frame counting the records sent, all over the
 //     socket. No shared filesystem anywhere. Heartbeat pings are answered
 //     with this process's monotonic clock reading, which the daemon uses to
 //     align shipped spans onto its own timeline.

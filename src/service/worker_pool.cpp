@@ -26,8 +26,7 @@ std::string run_shard(const CampaignRequest& request,
     orchestrator::ResultCache cache;
     // The store is a streaming exchange file: the service tails it by byte
     // offset while this shard runs, so it must stay strictly append-only —
-    // no automatic rewrites. Evicted entries remain in the append log and
-    // are recovered by the service's merge_store().
+    // no automatic rewrites. The service settles every line it reads.
     cache.set_compaction_policy(0.0);
     cache.persist_to(store_path);
 

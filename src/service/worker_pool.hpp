@@ -31,7 +31,7 @@ std::string run_shard(const CampaignRequest& request,
 ///    environments without the binary).
 ///
 /// Either way every shard produces an independent result store the caller
-/// tails for streaming and merges (conflict-free, by CacheKey) afterwards.
+/// tails, settling each line (deduplicated by CacheKey) as it reads it.
 class WorkerPool {
  public:
   struct ShardTask {

@@ -40,7 +40,8 @@
 
 // Deterministic chaos suite: an in-process daemon plus scripted frame
 // workers whose connections die at scripted points of the conversation —
-// after hello, mid-records, mid-store-frame — proving the resilience
+// after hello, mid-records, before `done`, or whose `done` count lies —
+// proving the resilience
 // layer end to end: heartbeat retirement, failure-domain rescheduling
 // under a retry budget, deadline/abort cancellation, and bounded
 // backpressure. Every synchronization is an event (promise/future,
@@ -141,44 +142,37 @@ std::map<std::uint64_t, std::string> entries_by_key(
 
 // ------------------------------------------------------------ chaos actors --
 
-/// Where a scripted worker kills its connection.
+/// Where a scripted worker breaks its conversation.
 enum class KillPoint {
-  kMidRecords,     ///< streams half its records frames, then the socket dies
-  kMidStoreFrame,  ///< streams every record, dies halfway through `store`
+  kMidRecords,      ///< streams half its records frames, then the socket dies
+  kBeforeDone,      ///< streams every record, dies before its `done` frame
+  kMiscountedDone,  ///< every record, a `done` count one too high, then dies
 };
 
-struct ShardResult {
-  std::vector<std::string> lines;  ///< store entry lines, settle order
-  std::string store;               ///< serialize_store() over the shard
-};
-
-/// Computes a task's records and store exactly like ao_worker does, so the
+/// Computes a task's entry lines exactly like ao_worker does, so the
 /// scripted deaths below interrupt byte-identical genuine traffic — and the
 /// retried shard reproduces the exact same entry lines, which is what the
 /// daemon's replay dedup is up against.
-ShardResult run_task_locally(const RemoteTask& task) {
+std::vector<std::string> run_task_locally(const RemoteTask& task) {
   orchestrator::Campaign campaign = task.request.to_campaign();
   orchestrator::JobQueue queue;
   campaign.expand_subset(queue, task.groups);
-  orchestrator::ResultCache cache(std::max<std::size_t>(4096, queue.total()));
   orchestrator::CampaignScheduler::Options options;
   options.concurrency = 1;
-  orchestrator::CampaignScheduler scheduler(task.request.options(), options,
-                                            &cache);
+  orchestrator::CampaignScheduler scheduler(task.request.options(), options);
   const std::uint64_t fp =
       orchestrator::options_fingerprint(task.request.options());
-  ShardResult result;
+  std::vector<std::string> lines;
   scheduler.run(queue, [&](const orchestrator::ExperimentJob& job,
                            const orchestrator::MeasurementRecord& record,
                            bool /*from_cache*/) {
-    result.lines.push_back(orchestrator::format_store_entry(
+    lines.push_back(orchestrator::format_store_entry(
         orchestrator::key_for_job(job, fp), record));
   });
-  result.store = cache.serialize_store();
-  return result;
+  return lines;
 }
 
-/// A worker that dies at a scripted point of its first task, then fulfils
+/// A worker that fails at a scripted point of its first task, then fulfils
 /// `died`. The socket is shut down (not merely closed) so the daemon's next
 /// read observes the break exactly where the script put it.
 void run_doomed_worker(int fd, const std::string& name, KillPoint kill,
@@ -206,20 +200,16 @@ void run_doomed_worker(int fd, const std::string& name, KillPoint kill,
         if (!task.has_value()) {
           break;
         }
-        const ShardResult result = run_task_locally(*task);
-        if (kill == KillPoint::kMidRecords) {
-          for (std::size_t i = 0; i < result.lines.size() / 2; ++i) {
-            write_frame(stream, {kFrameRecords, result.lines[i]});
-          }
-        } else {
-          for (const auto& line : result.lines) {
-            write_frame(stream, {kFrameRecords, line});
-          }
-          // Half a store frame: the daemon reads `frame-truncated` and must
-          // retire the endpoint, not trust the partial payload.
-          const std::string encoded = encode_frame({kFrameStore, result.store});
-          stream.write(encoded.data(),
-                       static_cast<std::streamsize>(encoded.size() / 2));
+        const std::vector<std::string> lines = run_task_locally(*task);
+        const std::size_t sent = kill == KillPoint::kMidRecords
+                                     ? lines.size() / 2
+                                     : lines.size();
+        for (std::size_t i = 0; i < sent; ++i) {
+          write_frame(stream, {kFrameRecords, lines[i]});
+        }
+        if (kill == KillPoint::kMiscountedDone) {
+          // Read before the break below: the count alone must retire it.
+          write_frame(stream, {kFrameDone, std::to_string(sent + 1)});
         }
         stream.flush();
         ::shutdown(fd, SHUT_RDWR);
@@ -267,11 +257,11 @@ void run_healthy_worker(int fd, const std::string& name,
       gate.wait_for(std::chrono::seconds(20));
     }
     first_task = false;
-    const ShardResult result = run_task_locally(*task);
-    for (const auto& line : result.lines) {
+    const std::vector<std::string> lines = run_task_locally(*task);
+    for (const auto& line : lines) {
       write_frame(stream, {kFrameRecords, line});
     }
-    write_frame(stream, {kFrameStore, result.store});
+    write_frame(stream, {kFrameDone, std::to_string(lines.size())});
   }
 }
 
@@ -320,33 +310,39 @@ struct ChaosFleet {
 
 // --------------------------------------------------- chaos: rescheduling --
 
-// A worker endpoint dies mid-records. The shard must be retried on the
-// OTHER endpoint (failure-domain rescheduling), the records the dead worker
-// already streamed must not appear twice, and the merged store must be
-// bit-identical to a single-process run of the same campaign.
-TEST(Chaos, WorkerDyingMidRecordsIsRescheduledWithoutDuplicates) {
+/// Runs the 20-record campaign against a store-backed daemon whose doomed
+/// worker fails its first shard at `kill`. The shard must be retried on the
+/// OTHER endpoint (failure-domain rescheduling); records the doomed attempt
+/// already settled must reach neither the client nor the store twice; and
+/// the settled records must be bit-identical to a single-process run.
+void expect_rescheduled_without_duplicates(KillPoint kill) {
   std::signal(SIGPIPE, SIG_IGN);
-  const auto dir = temp_dir("midrec");
+  const auto dir = temp_dir("rescheduled");
+  const auto shard_dir = dir / "shards";
+  std::filesystem::create_directory(shard_dir);
   CampaignService::Config config;
-  config.shard_dir = dir.string();
+  config.shard_dir = shard_dir.string();
+  config.store_path = (dir / "chaos.store").string();
   config.remote_only = true;  // a silent local fallback would mask the retry
   config.remote_wait_ms = 20000;
   CampaignService service(std::move(config));
-  ChaosFleet fleet(service, KillPoint::kMidRecords);
+  ChaosFleet fleet(service, kill);
   ASSERT_TRUE(wait_until([&] { return service.workers().idle_count() == 2; }));
 
   const auto lines = serve_lines(service, nine_kind_block(2, 2));
   ASSERT_TRUE(starts_with(lines.back(), "done campaign ")) << lines.back();
+  // Each of the 20 keys settled once, however often the retry replayed it.
+  EXPECT_NE(lines.back().find(" records 20 merged 20 "), std::string::npos)
+      << lines.back();
   EXPECT_NE(lines.back().find("shards 2 remote 2"), std::string::npos)
       << lines.back();
-  // The dead worker's half-streamed records were replayed by the retry and
-  // deduplicated: exactly the campaign's 20 unique records reach the client.
   EXPECT_EQ(count_prefixed(lines, "record "), 20u);
   EXPECT_TRUE(any_line_contains(lines, " lost worker doomed rescheduling"))
       << "expected a lost-worker event";
   EXPECT_TRUE(any_line_contains(lines, " retry worker healthy"))
       << "expected the shard to be retried on the surviving endpoint";
-  EXPECT_TRUE(std::filesystem::is_empty(dir));  // all transport, no files
+  EXPECT_TRUE(std::filesystem::is_empty(shard_dir));  // no files, only frames
+  EXPECT_EQ(service.cache().store_entries(), 20u);  // no duplicate line
 
   // The retry shows up in stats; the registry reports liveness ages.
   const auto stat_lines =
@@ -364,39 +360,24 @@ TEST(Chaos, WorkerDyingMidRecordsIsRescheduledWithoutDuplicates) {
   std::filesystem::remove_all(dir);
 }
 
-// A worker endpoint dies inside the store frame itself — after every record
-// was streamed. The truncated store must be discarded (never half-merged),
-// the shard retried, and the final merge still bit-identical.
-TEST(Chaos, WorkerDyingMidStoreFrameYieldsABitIdenticalMerge) {
-  std::signal(SIGPIPE, SIG_IGN);
-  const auto dir = temp_dir("midstore");
-  CampaignService::Config config;
-  config.shard_dir = dir.string();
-  config.remote_only = true;
-  config.remote_wait_ms = 20000;
-  CampaignService service(std::move(config));
-  ChaosFleet fleet(service, KillPoint::kMidStoreFrame);
-  ASSERT_TRUE(wait_until([&] { return service.workers().idle_count() == 2; }));
+// The doomed worker dies having streamed half its records: the retry
+// replays them, and only the other half is new.
+TEST(Chaos, WorkerDyingMidRecordsIsRescheduledWithoutDuplicates) {
+  expect_rescheduled_without_duplicates(KillPoint::kMidRecords);
+}
 
-  const auto lines = serve_lines(service, nine_kind_block(2, 2));
-  ASSERT_TRUE(starts_with(lines.back(), "done campaign ")) << lines.back();
-  // Here the doomed worker streamed its FULL record set before dying, so
-  // the retry replays every line of that shard: the dedup must still hold
-  // the client stream at exactly 20.
-  EXPECT_EQ(count_prefixed(lines, "record "), 20u);
-  EXPECT_TRUE(any_line_contains(lines, " lost worker doomed rescheduling"));
-  EXPECT_TRUE(any_line_contains(lines, " retry worker healthy"));
+// The doomed worker streams every record and dies before `done`: without
+// the count nothing proves the shard complete, so it is retried, and the
+// retry's replay of every line must settle nothing twice.
+TEST(Chaos, WorkerDyingBeforeItsDoneFrameIsRescheduledWithoutDuplicates) {
+  expect_rescheduled_without_duplicates(KillPoint::kBeforeDone);
+}
 
-  serve_lines(service, "shutdown\n");
-  fleet.join();
-
-  CampaignService single({});
-  const auto single_lines = serve_lines(single, nine_kind_block(2, 1));
-  ASSERT_TRUE(starts_with(single_lines.back(), "done campaign "));
-  auto chaos_entries = entries_by_key(service.cache());
-  ASSERT_EQ(chaos_entries.size(), 20u);
-  EXPECT_EQ(chaos_entries, entries_by_key(single.cache()));
-  std::filesystem::remove_all(dir);
+// A `done` count that disagrees with the lines received is a broken
+// conversation, like a lost connection: the endpoint is retired and the
+// shard retried elsewhere.
+TEST(Chaos, DoneCountDisagreeingWithTheLinesSentRetiresTheEndpoint) {
+  expect_rescheduled_without_duplicates(KillPoint::kMiscountedDone);
 }
 
 // The ISSUE's acceptance criterion: killing a worker under --remote-only

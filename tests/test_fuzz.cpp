@@ -225,7 +225,7 @@ bool structured_frame_error(const std::string& error) {
 
 TEST(FrameFuzz, MutatedFramesFailStructurallyNeverCrash) {
   util::Xoshiro256 rng(31337);
-  const char* types[] = {"records", "store", "spans", "shard-error"};
+  const char* types[] = {"records", "done", "spans", "shard-error"};
   for (int round = 0; round < 400; ++round) {
     std::string payload;
     const std::size_t size = rng.next_below(512);

@@ -1506,30 +1506,6 @@ TEST(ResultCachePersistence, AutoCompactionSparesAStoreThatWasNeverLoaded) {
   std::remove(path.c_str());
 }
 
-TEST(ResultCachePersistence, MergeStorePropagatesToTheWriteThroughStore) {
-  const std::string shard_path = temp_store("merge_shard");
-  const std::string service_path = temp_store("merge_service");
-  const auto entries = sample_entries();
-  {
-    ResultCache shard;  // a worker's independent store
-    shard.persist_to(shard_path);
-    for (const auto& [name, entry] : entries) {
-      shard.insert(entry.first, entry.second);
-    }
-  }
-  {
-    ResultCache service;  // the service's persistent warm cache
-    service.persist_to(service_path);
-    EXPECT_EQ(service.merge_store(shard_path), entries.size());
-    EXPECT_EQ(service.size(), entries.size());
-  }
-  // Unlike load(), the merge landed in the service's own store.
-  ResultCache cold;
-  EXPECT_EQ(cold.load(service_path), entries.size());
-  std::remove(shard_path.c_str());
-  std::remove(service_path.c_str());
-}
-
 // The wire twin of the disk store: serialize_store() must be byte-for-byte
 // what save() writes — the shared framing constants and the single
 // store_digest() definition are what keep the disk and socket codecs from
@@ -1551,10 +1527,11 @@ TEST(ResultCachePersistence, SerializeStoreMatchesSaveByteForByte) {
   std::remove(path.c_str());
 }
 
-// merge_buffer() is merge_store() minus the filesystem: same entries, same
-// stats, same write-through propagation — asserted byte-for-byte on the
-// receiving caches' own stores.
-TEST(ResultCachePersistence, MergeBufferMatchesMergeStore) {
+// merge_buffer() ingests a serialized store into a persistent cache: every
+// entry is retained, and each one the attached store lacks is appended — in
+// buffer order, so the receiving store ends up byte-for-byte the file save()
+// writes for the source.
+TEST(ResultCachePersistence, MergeBufferPropagatesToTheWriteThroughStore) {
   ResultCache shard;
   for (std::size_t i = 0; i < 6; ++i) {
     shard.insert(gemm_key(soc::kAllChipModels[i % 4],
@@ -1563,19 +1540,27 @@ TEST(ResultCachePersistence, MergeBufferMatchesMergeStore) {
   }
   const std::string shard_path = temp_store("merge_src");
   EXPECT_EQ(shard.save(shard_path), 6u);
-  const std::string buffer = shard.serialize_store();
 
-  const std::string via_store_path = temp_store("merge_via_store");
-  const std::string via_buffer_path = temp_store("merge_via_buffer");
-  ResultCache via_store;
-  via_store.persist_to(via_store_path);
-  EXPECT_EQ(via_store.merge_store(shard_path), 6u);
-  ResultCache via_buffer;
-  via_buffer.persist_to(via_buffer_path);
-  EXPECT_EQ(via_buffer.merge_buffer(buffer), 6u);
-
-  EXPECT_EQ(via_store.stats().loaded, via_buffer.stats().loaded);
-  EXPECT_EQ(via_buffer.stats().load_rejected, 0u);
+  const std::string service_path = temp_store("merge_service");
+  {
+    ResultCache service;
+    service.persist_to(service_path);
+    EXPECT_EQ(service.merge_buffer(shard.serialize_store()), 6u);
+    EXPECT_EQ(service.size(), 6u);
+    EXPECT_EQ(service.stats().loaded, 6u);
+    EXPECT_EQ(service.stats().load_rejected, 0u);
+    EXPECT_EQ(service.store_entries(), 6u);
+  }
+  const auto file_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+  };
+  EXPECT_EQ(file_bytes(service_path), file_bytes(shard_path));
+  // Unlike load(), the merge landed in the receiving cache's own store.
+  ResultCache cold;
+  EXPECT_EQ(cold.load(service_path), 6u);
   const auto bits = [](ResultCache& cache) {
     std::map<std::uint64_t, std::string> out;
     for (const auto& [key, record] : cache.entries()) {
@@ -1583,18 +1568,9 @@ TEST(ResultCachePersistence, MergeBufferMatchesMergeStore) {
     }
     return out;
   };
-  EXPECT_EQ(bits(via_store), bits(via_buffer));
-  // Both merges propagated identically into their own write-through stores.
-  const auto file_bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-  };
-  EXPECT_EQ(file_bytes(via_store_path), file_bytes(via_buffer_path));
+  EXPECT_EQ(bits(cold), bits(shard));
   std::remove(shard_path.c_str());
-  std::remove(via_store_path.c_str());
-  std::remove(via_buffer_path.c_str());
+  std::remove(service_path.c_str());
 }
 
 TEST(ResultCachePersistence, MergeBufferRejectsCorruptionLikeTheDiskPath) {

@@ -142,7 +142,7 @@ TEST(WireFrame, RoundTripsBinaryPayloadsBackToBack) {
   binary.push_back('\xff');
   binary += "@frame1 looks like a header but is payload";
   const Frame first{"records", binary};
-  const Frame second{"store", ""};
+  const Frame second{"done", ""};
 
   std::stringstream wire;
   write_frame(wire, first);
@@ -1686,7 +1686,7 @@ ao_cache_hits_total 0
 # HELP ao_records_streamed_total Measurement records streamed to clients.
 # TYPE ao_records_streamed_total counter
 ao_records_streamed_total 26
-# HELP ao_merged_entries_total Store entries merged from shard results.
+# HELP ao_merged_entries_total Distinct shard records settled into the warm cache.
 # TYPE ao_merged_entries_total counter
 ao_merged_entries_total 6
 # HELP ao_remote_shards_total Shards executed on remote workers.
@@ -2015,14 +2015,12 @@ TEST(WorkerSession, RecordsCoalesceUpToTheBatchBound) {
   ASSERT_EQ(streamed.size(), 6u);
 
   // The conversation still closes with spans (carrying the flush spans)
-  // and the authoritative store, which merges to exactly those entries.
+  // and `done`, whose count is the entry lines the records frames carried.
   ASSERT_GE(frames.size(), 4u);
   EXPECT_EQ(frames[frames.size() - 2].type, kFrameSpans);
   EXPECT_NE(frames[frames.size() - 2].payload.find("flush"),
             std::string::npos);
-  EXPECT_EQ(frames.back().type, kFrameStore);
-  orchestrator::ResultCache merged;
-  EXPECT_EQ(merged.merge_buffer(frames.back().payload), 6u);
+  EXPECT_EQ(frames.back(), (Frame{kFrameDone, "6"}));
 
   // An unbounded batch coalesces the whole shard into one frame; the wire
   // bytes are the same lines in the same order, just split differently.
