@@ -58,37 +58,6 @@ RecordKind expected_record_kind(JobKind kind) {
   throw util::InvalidArgument("unknown JobKind");
 }
 
-/// Upper bound on format_store_entry(key, record).size(), mirroring it
-/// piece for piece: the "entry " prefix, six key tokens (each at most 16
-/// hex digits plus its separator space), the record tokens, the digest
-/// separator and the 16-digit digest.
-std::size_t entry_size_bound(const MeasurementRecord& record) {
-  return std::strlen(kStoreEntryPrefix) + 6 * 17 +
-         serialized_record_size_bound(record) +
-         std::strlen(kStoreDigestSeparator) + 16;
-}
-
-/// Appends the entry line for (key, record) to `line` — no newline.
-void append_entry(std::string& line, const CacheKey& key,
-                  const MeasurementRecord& record) {
-  const std::size_t start = line.size();
-  line += kStoreEntryPrefix;
-  for (const std::uint64_t field :
-       {static_cast<std::uint64_t>(key.kind),
-        static_cast<std::uint64_t>(key.chip),
-        static_cast<std::uint64_t>(key.impl),
-        static_cast<std::uint64_t>(key.n), key.payload_fingerprint,
-        key.options_fingerprint}) {
-    util::append_hex_u64(line, field);
-    line += ' ';
-  }
-  append_serialized_record(line, record);
-  const std::size_t payload_length = line.size() - start;
-  line += kStoreDigestSeparator;
-  util::append_hex_u64(line,
-                       store_digest(line.data() + start, payload_length));
-}
-
 /// Writes `path` through a sibling temp file renamed into place, so a reader
 /// (or a crash) never observes a half-written store.
 template <typename WriteFn>
@@ -110,22 +79,11 @@ void write_replacing(const std::string& path, WriteFn&& write) {
   }
 }
 
-}  // namespace
-
-std::uint64_t store_digest(const void* data, std::size_t size) {
-  return util::fnv1a_bytes(data, size);
-}
-
-std::string format_store_entry(const CacheKey& key,
-                               const MeasurementRecord& record) {
-  std::string line;
-  line.reserve(entry_size_bound(record));
-  append_entry(line, key, record);
-  return line;
-}
-
-std::optional<std::pair<CacheKey, MeasurementRecord>> parse_store_entry(
-    std::string_view line) {
+/// The digest and key half of parse_store_entry(): checks the line's digest
+/// and decodes its six key tokens. `record_tokens` receives what follows
+/// them, up to the digest separator.
+std::optional<CacheKey> verified_entry_key(std::string_view line,
+                                           std::string_view& record_tokens) {
   if (!line.starts_with(kStoreEntryPrefix)) {
     return std::nullopt;
   }
@@ -168,15 +126,66 @@ std::optional<std::pair<CacheKey, MeasurementRecord>> parse_store_entry(
   key.n = static_cast<std::size_t>(n);
   key.payload_fingerprint = payload_fp;
   key.options_fingerprint = options_fp;
+  record_tokens = rest;
+  return key;
+}
 
+/// The read-back check of a line whose full shape was checked when it first
+/// entered the store: its digest matches and its six key tokens name `key`.
+/// The record tokens are not decoded.
+bool entry_line_names(std::string_view line, const CacheKey& key) {
+  std::string_view rest;
+  const std::optional<CacheKey> named = verified_entry_key(line, rest);
+  return named.has_value() && *named == key;
+}
+
+}  // namespace
+
+std::uint64_t store_digest(const void* data, std::size_t size) {
+  return util::fnv1a_bytes(data, size);
+}
+
+std::string format_store_entry(const CacheKey& key,
+                               const MeasurementRecord& record) {
+  // Reserved once, for the upper bound on the line: the "entry " prefix, six
+  // key tokens (each at most 16 hex digits plus its separator space), the
+  // record tokens, the digest separator and the 16-digit digest.
+  std::string line;
+  line.reserve(std::strlen(kStoreEntryPrefix) + 6 * 17 +
+               serialized_record_size_bound(record) +
+               std::strlen(kStoreDigestSeparator) + 16);
+  line += kStoreEntryPrefix;
+  for (const std::uint64_t field :
+       {static_cast<std::uint64_t>(key.kind),
+        static_cast<std::uint64_t>(key.chip),
+        static_cast<std::uint64_t>(key.impl),
+        static_cast<std::uint64_t>(key.n), key.payload_fingerprint,
+        key.options_fingerprint}) {
+    util::append_hex_u64(line, field);
+    line += ' ';
+  }
+  append_serialized_record(line, record);
+  const std::size_t payload_length = line.size();
+  line += kStoreDigestSeparator;
+  util::append_hex_u64(line, store_digest(line.data(), payload_length));
+  return line;
+}
+
+std::optional<std::pair<CacheKey, MeasurementRecord>> parse_store_entry(
+    std::string_view line) {
+  std::string_view rest;
+  const std::optional<CacheKey> key = verified_entry_key(line, rest);
+  if (!key.has_value()) {
+    return std::nullopt;
+  }
   // The record tokens end at the first newline, as a getline of the
   // remainder would end them.
   auto record = deserialize_record(rest.substr(0, rest.find('\n')));
   if (!record.has_value() ||
-      record_kind(*record) != expected_record_kind(key.kind)) {
+      record_kind(*record) != expected_record_kind(key->kind)) {
     return std::nullopt;
   }
-  return std::pair{key, std::move(*record)};
+  return std::pair{*key, std::move(*record)};
 }
 
 std::string store_header_line() {
@@ -280,7 +289,7 @@ ResultCache::ResultCache(std::size_t capacity)
 
 ResultCache::~ResultCache() = default;
 
-std::optional<MeasurementRecord> ResultCache::lookup(const CacheKey& key) {
+std::optional<std::string> ResultCache::lookup_entry(const CacheKey& key) {
   {
     std::lock_guard lock(mutex_);
     const auto it = index_.find(key);
@@ -292,20 +301,35 @@ std::optional<MeasurementRecord> ResultCache::lookup(const CacheKey& key) {
   }
   // LRU miss: the store is the second level. The read runs with no cache
   // lock held; a concurrent lookup of the same key may read it too, and
-  // both promote the same bits.
-  std::optional<Entry> stored = read_through(key, nullptr);
+  // both promote the same bytes.
+  std::optional<std::string> stored = read_through(key);
   std::lock_guard lock(mutex_);
   if (!stored.has_value()) {
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
-  retain_locked(key, stored->second);
-  return std::move(stored->second);
+  retain_locked(key, *stored);
+  return stored;
 }
 
-std::optional<ResultCache::Entry> ResultCache::read_through(
-    const CacheKey& key, std::string* line_out) const {
+std::optional<MeasurementRecord> ResultCache::lookup(const CacheKey& key) {
+  const std::optional<std::string> line = lookup_entry(key);
+  if (!line.has_value()) {
+    return std::nullopt;
+  }
+  // A retained line was checked on the way in; only a store line forged
+  // with a valid digest over a malformed record fails here, and the caller
+  // re-measures it like any miss.
+  auto entry = parse_store_entry(*line);
+  if (!entry.has_value()) {
+    return std::nullopt;
+  }
+  return std::move(entry->second);
+}
+
+std::optional<std::string> ResultCache::read_through(
+    const CacheKey& key) const {
   const auto located = store_index_->locate(key);
   if (!located.has_value()) {
     return std::nullopt;
@@ -313,14 +337,9 @@ std::optional<ResultCache::Entry> ResultCache::read_through(
   // The ref and the file come from one revision, so a compaction racing
   // this read cannot move the bytes under it: what fails here is corrupt.
   std::string line;
-  if (located->file->read(located->ref, line)) {
-    auto entry = parse_store_entry(line);
-    if (entry.has_value() && entry->first == key) {
-      if (line_out != nullptr) {
-        *line_out = std::move(line);
-      }
-      return entry;
-    }
+  if (located->file->read(located->ref, line) &&
+      entry_line_names(line, key)) {
+    return line;
   }
   // Forget the line, so the re-measured record is appended and indexed in
   // its place. Counted once, by whichever reader removed it.
@@ -335,10 +354,10 @@ void ResultCache::count_rejected(std::size_t lines) const {
   stats_.load_rejected += lines;
 }
 
-void ResultCache::retain_locked(const CacheKey& key, MeasurementRecord record) {
+void ResultCache::retain_locked(const CacheKey& key, std::string line) {
   const auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->second = std::move(record);
+    it->second->second = std::move(line);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
@@ -347,20 +366,16 @@ void ResultCache::retain_locked(const CacheKey& key, MeasurementRecord record) {
     lru_.pop_back();
     ++stats_.evictions;
   }
-  lru_.emplace_front(key, std::move(record));
+  lru_.emplace_front(key, std::move(line));
   index_[key] = lru_.begin();
   ++stats_.insertions;
 }
 
 void ResultCache::append_if_absent(const CacheKey& key,
-                                   const MeasurementRecord& record) {
+                                   const std::string& line) {
   if (store_index_->generation() == 0 || store_index_->find(key)) {
     return;  // detached, or the store already holds this key
   }
-  // Formatted before io_mutex_ is taken, so concurrent inserts format in
-  // parallel and only the write itself is serialized.
-  std::string line = format_store_entry(key, record);
-  line += '\n';
   std::lock_guard io(io_mutex_);
   // Re-checked under the write lock: a concurrent insert of the same key
   // may have appended it meanwhile.
@@ -372,10 +387,11 @@ void ResultCache::append_if_absent(const CacheKey& key,
   // offset is known without asking the stream.
   const std::uint64_t offset = store_bytes_;
   persist_out_.write(line.data(), static_cast<std::streamsize>(line.size()));
+  persist_out_.put('\n');
   persist_out_.flush();
-  store_bytes_ += line.size();
+  store_bytes_ += line.size() + 1;
   ++store_entries_;
-  store_index_->add(key, offset, line.size() - 1);
+  store_index_->add(key, offset, line.size());
   if (compact_min_live_ratio_ > 0.0 &&
       store_entries_ >= compact_min_entries_ &&
       static_cast<double>(store_index_->size()) <
@@ -385,13 +401,17 @@ void ResultCache::append_if_absent(const CacheKey& key,
 }
 
 void ResultCache::insert(const CacheKey& key, const MeasurementRecord& record) {
-  {
-    std::lock_guard lock(mutex_);
-    retain_locked(key, record);
-  }
-  // insert() returns only after the entry is flushed — the service tails
-  // shard stores live, so a published record must be durable on return.
-  append_if_absent(key, record);
+  insert_entry(key, format_store_entry(key, record));
+}
+
+void ResultCache::insert_entry(const CacheKey& key, std::string line) {
+  // insert_entry() returns only after the entry is flushed — the service
+  // tails shard stores live, so a published record must be durable on
+  // return. The append reads this call's own bytes, which then move into
+  // the LRU.
+  append_if_absent(key, line);
+  std::lock_guard lock(mutex_);
+  retain_locked(key, std::move(line));
 }
 
 bool ResultCache::contains(const CacheKey& key) const {
@@ -411,8 +431,19 @@ void ResultCache::clear() {
 }
 
 std::vector<ResultCache::Entry> ResultCache::entries() const {
-  std::lock_guard lock(mutex_);
-  return {lru_.begin(), lru_.end()};
+  std::vector<Line> lines;
+  {
+    std::lock_guard lock(mutex_);
+    lines.assign(lru_.begin(), lru_.end());
+  }
+  std::vector<Entry> out;
+  out.reserve(lines.size());
+  for (const Line& line : lines) {
+    if (auto entry = parse_store_entry(line.second)) {
+      out.push_back(std::move(*entry));
+    }
+  }
+  return out;
 }
 
 CacheStats ResultCache::stats() const {
@@ -465,9 +496,7 @@ std::size_t ResultCache::compact_locked() {
     for (const StoreRef& ref : all.refs) {
       // Copied verbatim, after the same check a read-through makes: a line
       // corrupted on disk since it was indexed is dropped, not carried on.
-      const auto entry =
-          all.file->read(ref, line) ? parse_store_entry(line) : std::nullopt;
-      if (!entry.has_value() || !(entry->first == ref.key)) {
+      if (!all.file->read(ref, line) || !entry_line_names(line, ref.key)) {
         ++rejected;
         continue;
       }
@@ -506,7 +535,7 @@ std::string ResultCache::serialize_locked() const {
   out += '\n';
   // Least recent first: reloading replays insertions in recency order.
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    append_entry(out, it->first, it->second);
+    out += it->second;
     out += '\n';
   }
   return out;
@@ -514,8 +543,8 @@ std::string ResultCache::serialize_locked() const {
 
 std::size_t ResultCache::serialize_size_hint_locked() const {
   std::size_t bound = store_header_line().size() + 1;
-  for (const Entry& entry : lru_) {
-    bound += entry_size_bound(entry.second) + 1;
+  for (const Line& line : lru_) {
+    bound += line.second.size() + 1;
   }
   return bound;
 }
@@ -580,18 +609,19 @@ std::size_t ResultCache::load_stream(std::istream& in, bool write_through) {
     return 0;
   }
   std::size_t loaded = 0;
-  std::vector<Entry> to_append;
+  std::vector<Line> to_append;
   {
     std::lock_guard lock(mutex_);
     while (std::getline(in, line)) {
       if (line.empty()) {
         continue;
       }
-      if (auto entry = parse_store_entry(line)) {
-        retain_locked(entry->first, entry->second);
+      // The full shape check: these bytes enter the cache here.
+      if (const auto entry = parse_store_entry(line)) {
         if (write_through) {
-          to_append.push_back(std::move(*entry));
+          to_append.emplace_back(entry->first, line);
         }
+        retain_locked(entry->first, std::move(line));
         ++loaded;
       } else {
         ++stats_.load_rejected;
@@ -601,7 +631,7 @@ std::size_t ResultCache::load_stream(std::istream& in, bool write_through) {
   }
   // merge_buffer propagation: appended after the LRU lock is released, each
   // entry only if the store lacks its key.
-  for (const Entry& entry : to_append) {
+  for (const Line& entry : to_append) {
     append_if_absent(entry.first, entry.second);
   }
   return loaded;
@@ -725,10 +755,8 @@ std::optional<ResultCache::QueryPage> ResultCache::query(
     std::string line;
     for (const StoreRef& ref : selection.refs) {
       ++page.entries_read;
-      const auto parsed = selection.file->read(ref, line)
-                              ? parse_store_entry(line)
-                              : std::nullopt;
-      if (!parsed.has_value() || !(parsed->first == ref.key)) {
+      if (!selection.file->read(ref, line) ||
+          !entry_line_names(line, ref.key)) {
         // Corrupt on disk since it was indexed: drop it as lookup() would,
         // and cut the page again without it.
         if (store_index_->erase(ref, selection.generation)) {
@@ -755,17 +783,12 @@ std::optional<std::string> ResultCache::fetch_entry(const CacheKey& key) const {
     std::lock_guard lock(mutex_);
     const auto it = index_.find(key);
     if (it != index_.end()) {
-      // Serve from memory without touching recency: the entry line is a
-      // pure function of (key, record), so this is bit-identical to the
-      // line the store holds for the same entry.
-      return format_store_entry(key, it->second->second);
+      // Serve from memory without touching recency: the retained line is
+      // the line the store holds for the same entry.
+      return it->second->second;
     }
   }
-  std::string line;
-  if (!read_through(key, &line).has_value()) {
-    return std::nullopt;
-  }
-  return line;
+  return read_through(key);
 }
 
 }  // namespace ao::orchestrator

@@ -112,7 +112,10 @@ std::string store_header_line();
 /// Thread-safe LRU cache of finished measurements — any MeasurementRecord
 /// alternative, keyed by CacheKey. Repeated campaigns and overlapping sweeps
 /// service already-measured points from here instead of re-running the
-/// simulator.
+/// simulator. The LRU retains each measurement as its store entry line (no
+/// newline), checked once on the way in: a warm read hands those bytes
+/// around (lookup_entry(), fetch_entry(), serialize_store()) and only a
+/// caller that reads record fields pays for a parse (lookup(), entries()).
 ///
 /// Thread-safety contract (docs/orchestrator.md#thread-safety): every
 /// public method may be called concurrently from any number of threads —
@@ -146,19 +149,28 @@ class ResultCache {
   explicit ResultCache(std::size_t capacity = 4096);
   ~ResultCache();
 
-  /// Returns the cached record and refreshes its recency, or nullopt. On an
-  /// LRU miss with a store attached, the key's newest indexed line is read
-  /// back (one pread), its digest, key and record shape checked exactly as
-  /// parse_store_entry() checks them, and the record promoted into the LRU:
-  /// a hit, with nothing appended. A corrupt line counts in
-  /// stats().load_rejected, leaves the index (so the re-measured record's
-  /// insert() appends a replacement) and is a miss.
+  /// Returns the cached entry line (no newline) and refreshes its recency,
+  /// or nullopt. On an LRU miss with a store attached, the key's newest
+  /// indexed line is read back (one pread), checked by digest and key — its
+  /// digest matches and its six key tokens name `key`; its record shape was
+  /// checked when the line entered the store — and promoted into the LRU:
+  /// a hit, with nothing appended. A line that fails
+  /// the check counts in stats().load_rejected, leaves the index (so the
+  /// re-measured record's insert() appends a replacement) and is a miss.
+  std::optional<std::string> lookup_entry(const CacheKey& key);
+
+  /// lookup_entry(), parsed: the record behind the entry line.
   std::optional<MeasurementRecord> lookup(const CacheKey& key);
 
   /// Inserts (or refreshes) a record, evicting the least recently used
-  /// entry when full. In write-through mode the entry is also appended to
-  /// the backing file — unless the store already holds the key.
+  /// entry when full: formats its entry line once and insert_entry()s it.
   void insert(const CacheKey& key, const MeasurementRecord& record);
+
+  /// Inserts an entry line the caller has checked (parse_store_entry()
+  /// accepted it and it names `key`; no newline). In write-through mode the
+  /// same bytes are appended to the backing file — unless the store already
+  /// holds the key.
+  void insert_entry(const CacheKey& key, std::string line);
 
   /// True when the key is retained in memory (the store is not consulted).
   bool contains(const CacheKey& key) const;
@@ -167,8 +179,8 @@ class ResultCache {
   /// Drops every in-memory entry; a write-through backing file is untouched.
   void clear();
 
-  /// Snapshot of the retained entries, most recently used first — the
-  /// tests inspect stores through this.
+  /// Snapshot of the retained entries, parsed, most recently used first —
+  /// the tests inspect stores through this.
   std::vector<Entry> entries() const;
 
   CacheStats stats() const;
@@ -197,8 +209,8 @@ class ResultCache {
   /// costs a single allocation, not one per appended entry.
   std::string serialize_store() const;
 
-  /// Upper bound on serialize_store().size(), computed from token counts
-  /// without formatting anything (see serialized_record_size_bound()).
+  /// Upper bound on serialize_store().size(): the header plus the retained
+  /// lines' lengths, each with its newline (so, in fact, the exact size).
   /// serialize_store() reserves exactly this, so `hint >= size` is the
   /// single-allocation invariant the regression tests probe.
   std::size_t serialize_size_hint() const;
@@ -266,10 +278,10 @@ class ResultCache {
                                  const std::string& cursor,
                                  std::string* error_code) const;
 
-  /// The newest store entry line for `key`: formatted from memory when the
+  /// The newest store entry line for `key`: copied from memory when the
   /// key is retained (without perturbing recency), else read out of the
-  /// indexed store (checked like lookup(), not promoted). nullopt when
-  /// neither holds it. The `follow` replay path reads through this.
+  /// indexed store (checked like lookup_entry(), not promoted). nullopt
+  /// when neither holds it. The `follow` replay path reads through this.
   std::optional<std::string> fetch_entry(const CacheKey& key) const;
 
   /// Store revision counter: stamped on attach, bumped by every rewrite of
@@ -287,17 +299,19 @@ class ResultCache {
   void set_profiler(obs::TimelineProfiler* profiler) { profiler_ = profiler; }
 
  private:
+  /// One retained measurement: its key and its entry line.
+  using Line = std::pair<CacheKey, std::string>;
+
   /// LRU bookkeeping under mutex_: inserts or refreshes `key`, evicting the
   /// least recently used entry when full.
-  void retain_locked(const CacheKey& key, MeasurementRecord record);
-  /// Write-through half of insert(): appends (key, record) to the attached
+  void retain_locked(const CacheKey& key, std::string line);
+  /// Write-through half of insert_entry(): appends `line` to the attached
   /// store unless the index already holds the key. Takes io_mutex_ only.
-  void append_if_absent(const CacheKey& key, const MeasurementRecord& record);
-  /// Reads `key`'s indexed line back and parses it; a corrupt line is
-  /// dropped from the index and counted. `line_out` receives the verbatim
-  /// line. No lock held across the read.
-  std::optional<Entry> read_through(const CacheKey& key,
-                                    std::string* line_out) const;
+  void append_if_absent(const CacheKey& key, const std::string& line);
+  /// Reads `key`'s indexed line back and checks it by digest and key; a
+  /// line that fails is dropped from the index and counted. No lock held
+  /// across the read.
+  std::optional<std::string> read_through(const CacheKey& key) const;
   /// Counts lines found corrupt after they were indexed.
   void count_rejected(std::size_t lines) const;
   /// compact() under io_mutex_.
@@ -313,8 +327,8 @@ class ResultCache {
   mutable std::mutex mutex_;     ///< LRU list, index, stats
   mutable std::mutex io_mutex_;  ///< the store file and its metadata below
   std::size_t capacity_;
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash> index_;
+  std::list<Line> lru_;  ///< front = most recently used
+  std::unordered_map<CacheKey, std::list<Line>::iterator, CacheKeyHash> index_;
   /// Mutable: the const readers (fetch_entry(), query()) count the corrupt
   /// lines they find.
   mutable CacheStats stats_;

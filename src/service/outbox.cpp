@@ -1,6 +1,7 @@
 #include "service/outbox.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 namespace ao::service {
@@ -124,12 +125,18 @@ std::ostream::int_type OutboxStream::LineBuf::overflow(int_type ch) {
 
 std::streamsize OutboxStream::LineBuf::xsputn(const char* s,
                                               std::streamsize n) {
-  for (std::streamsize i = 0; i < n; ++i) {
-    if (s[i] == '\n') {
-      deliver();
-    } else {
-      line_.push_back(s[i]);
+  // Each run up to the next newline is appended in one call.
+  const char* const end = s + n;
+  while (s != end) {
+    const auto* newline = static_cast<const char*>(
+        std::memchr(s, '\n', static_cast<std::size_t>(end - s)));
+    if (newline == nullptr) {
+      line_.append(s, end);
+      break;
     }
+    line_.append(s, newline);
+    deliver();
+    s = newline + 1;
   }
   return n;
 }

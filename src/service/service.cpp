@@ -706,78 +706,133 @@ void CampaignService::run_campaign(const CampaignRequest& request,
   // conflicting campaign in the queue wakes up.
 }
 
+CampaignService::WarmPass CampaignService::serve_warm(
+    const std::vector<ExperimentJob>& jobs, std::uint64_t options_fp,
+    std::size_t expected_records, const orchestrator::StopFn& should_stop,
+    CampaignJournal* journal, KeySet* seen, std::ostream& out) {
+  obs::TimelineProfiler::Scope schedule(&profiler_, obs::Phase::kSchedule,
+                                        obs::TimelineProfiler::kInheritParent,
+                                        "warm");
+  WarmPass pass;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (should_stop) {
+      pass.stop_code = should_stop();
+      if (!pass.stop_code.empty()) {
+        break;
+      }
+    }
+    const orchestrator::CacheKey key =
+        orchestrator::key_for_job(jobs[i], options_fp);
+    const std::optional<std::string> entry = cache_.lookup_entry(key);
+    if (!entry.has_value()) {
+      pass.pending.push_back(i);
+      continue;
+    }
+    if (seen != nullptr) {
+      seen->insert(key);
+    }
+    journal_append(journal, key);
+    out << "record " << *entry << '\n';
+    ++pass.hits;
+    out << "progress " << pass.hits << "/" << expected_records << '\n';
+  }
+  out.flush();
+  return pass;
+}
+
+void CampaignService::report_stopped(const std::string& code, std::uint64_t id,
+                                     std::size_t streamed,
+                                     std::size_t expected_records,
+                                     std::uint64_t root_span,
+                                     std::ostream& out) {
+  const std::uint64_t now = profiler_.now();
+  profiler_.record(obs::Phase::kAbort, now, now, root_span, code);
+  note_cancelled(code);
+  out << code << " campaign " << id << '\n';
+  out << "error " << code << " campaign " << id << " records " << streamed
+      << " of " << expected_records << " streamed before stop\n";
+}
+
 void CampaignService::run_in_process(
     const CampaignRequest& request,
     const std::shared_ptr<const std::vector<ExperimentJob>>& compiled,
     std::uint64_t id, std::size_t expected_records, std::uint64_t root_span,
     const orchestrator::StopFn& should_stop, CampaignJournal* journal,
     std::ostream& out) {
-  JobQueue queue;
-  orchestrator::push_jobs(queue, *compiled);
-
   const std::uint64_t options_fp =
       orchestrator::options_fingerprint(request.options());
-  std::mutex out_mutex;  // workers stream concurrently
-  std::size_t streamed = 0;
-  orchestrator::CampaignOutputs outputs;
-  SchedulerLease lease(*this, request);
-  // Per-job `execute` spans, parented under this campaign's root (worker
-  // threads carry no inherited scope). The sink is cleared before the lease
-  // returns the scheduler to the pool — the next campaign sets its own.
-  lease.scheduler().set_profile_sink(&profiler_, root_span);
-  struct SinkGuard {
-    CampaignScheduler& scheduler;
-    ~SinkGuard() { scheduler.set_profile_sink(nullptr); }
-  } sink_guard{lease.scheduler()};
-  try {
-    outputs = lease.scheduler().run(
-        queue, [&](const ExperimentJob& job, const MeasurementRecord& record,
-                   bool /*from_cache*/) {
-          // Record encoding + streamed write — a `serialize` span nested
-          // under the job's `execute` span (the callback runs inside it).
-          obs::TimelineProfiler::Scope serialize(
-              &profiler_, obs::Phase::kSerialize,
-              obs::TimelineProfiler::kInheritParent, "record");
-          const orchestrator::CacheKey key =
-              orchestrator::key_for_job(job, options_fp);
-          const std::string entry =
-              orchestrator::format_store_entry(key, record);
-          // Journaled under the stream's lock, so a `follow` replays the
-          // records in the order this stream wrote them.
-          std::lock_guard lock(out_mutex);
-          journal_append(journal, key);
-          out << "record " << entry << '\n';
-          ++streamed;
-          out << "progress " << streamed << "/" << expected_records << '\n';
-          out.flush();
-        },
-        should_stop);
-  } catch (const orchestrator::CampaignStopped& e) {
-    // The stop predicate fired between jobs: settled records kept their
-    // cache entries, so a resubmit completes only the remainder.
-    const std::uint64_t now = profiler_.now();
-    profiler_.record(obs::Phase::kAbort, now, now, root_span, e.code());
-    note_cancelled(e.code());
+  // Cached points stream first, as the bytes the cache holds; only the
+  // rest reach a scheduler. A fully warm replay leases none.
+  const WarmPass warm = serve_warm(*compiled, options_fp, expected_records,
+                                   should_stop, journal, nullptr, out);
+  std::size_t streamed = warm.hits;
+  std::string stop_code = warm.stop_code;
+  std::size_t executed = 0;
+  std::size_t scheduler_hits = 0;
+  if (stop_code.empty() && !warm.pending.empty()) {
+    JobQueue queue;
+    orchestrator::push_job_subset(queue, *compiled, warm.pending);
+    std::mutex out_mutex;  // workers stream concurrently
+    SchedulerLease lease(*this, request);
+    // Per-job `execute` spans, parented under this campaign's root (worker
+    // threads carry no inherited scope). The sink is cleared before the
+    // lease returns the scheduler to the pool — the next campaign sets its
+    // own.
+    lease.scheduler().set_profile_sink(&profiler_, root_span);
+    struct SinkGuard {
+      CampaignScheduler& scheduler;
+      ~SinkGuard() { scheduler.set_profile_sink(nullptr); }
+    } sink_guard{lease.scheduler()};
+    try {
+      const orchestrator::CampaignOutputs outputs = lease.scheduler().run(
+          queue, [&](const ExperimentJob& job, const MeasurementRecord& record,
+                     bool /*from_cache*/) {
+            // Record encoding + streamed write — a `serialize` span nested
+            // under the job's `execute` span (the callback runs inside it).
+            obs::TimelineProfiler::Scope serialize(
+                &profiler_, obs::Phase::kSerialize,
+                obs::TimelineProfiler::kInheritParent, "record");
+            const orchestrator::CacheKey key =
+                orchestrator::key_for_job(job, options_fp);
+            const std::string entry =
+                orchestrator::format_store_entry(key, record);
+            // Journaled under the stream's lock, so a `follow` replays the
+            // records in the order this stream wrote them.
+            std::lock_guard lock(out_mutex);
+            journal_append(journal, key);
+            out << "record " << entry << '\n';
+            ++streamed;
+            out << "progress " << streamed << "/" << expected_records << '\n';
+            out.flush();
+          },
+          should_stop);
+      executed = outputs.stats.jobs_executed;
+      scheduler_hits = outputs.stats.cache_hits;
+    } catch (const orchestrator::CampaignStopped& e) {
+      // The stop predicate fired between jobs: settled records kept their
+      // cache entries, so a resubmit completes only the remainder.
+      stop_code = e.code();
+    } catch (const std::exception& e) {
+      // The scheduler is poisoned only for this run; the next campaign gets
+      // a fresh run() on the same pool.
+      out << "error exec-failed campaign " << id << " failed: "
+          << one_line(e.what()) << '\n';
+      return;
+    }
+  }
+  if (!stop_code.empty()) {
     count({{Metric::kRecordsStreamedTotal, streamed}});
-    out << e.code() << " campaign " << id << '\n';
-    out << "error " << e.code() << " campaign " << id << " records "
-        << streamed << " of " << expected_records << " streamed before stop\n";
-    return;
-  } catch (const std::exception& e) {
-    // The scheduler is poisoned only for this run; the next campaign gets a
-    // fresh run() on the same pool.
-    out << "error exec-failed campaign " << id << " failed: "
-        << one_line(e.what()) << '\n';
+    report_stopped(stop_code, id, streamed, expected_records, root_span, out);
     return;
   }
 
+  const std::size_t hits = warm.hits + scheduler_hits;
   count({{Metric::kCampaignsTotal, 1},
          {Metric::kRecordsStreamedTotal, streamed},
-         {Metric::kJobsExecutedTotal, outputs.stats.jobs_executed},
-         {Metric::kCacheHitsTotal, outputs.stats.cache_hits}});
+         {Metric::kJobsExecutedTotal, executed},
+         {Metric::kCacheHitsTotal, hits}});
   out << "done campaign " << id << " records " << streamed << " executed "
-      << outputs.stats.jobs_executed << " hits " << outputs.stats.cache_hits
-      << '\n';
+      << executed << " hits " << hits << '\n';
 }
 
 void CampaignService::run_sharded(
@@ -791,50 +846,42 @@ void CampaignService::run_sharded(
   const std::uint64_t options_fp =
       orchestrator::options_fingerprint(request.options());
 
-  // Warm-cache serving + shard planning are scheduling work — one `schedule`
-  // span (nested under the campaign root, still open on this thread).
+  // Serve every job the warm cache already holds before planning shards: a
+  // sharded rerun streams its repeated points instantly and only the
+  // missing jobs cost a worker. Every key this campaign has streamed goes
+  // into `seen`: a shard retried after its worker died — or rerun on the
+  // local pool — replays records its first attempt already shipped; the set
+  // keeps the client's record stream and the store exactly-once (identical
+  // keys carry bit-identical records).
+  KeySet seen;
+  const WarmPass warm = serve_warm(jobs, options_fp, expected_records,
+                                   should_stop, journal, &seen, out);
+  std::size_t streamed = warm.hits;
+  if (!warm.stop_code.empty()) {
+    count({{Metric::kRecordsStreamedTotal, streamed}});
+    report_stopped(warm.stop_code, id, streamed, expected_records, root_span,
+                   out);
+    return;
+  }
+  const std::vector<std::size_t>& pending = warm.pending;
+  std::size_t merged = 0;
+
+  // Shard planning is scheduling work — one `schedule` span (nested under
+  // the campaign root, still open on this thread).
   obs::TimelineProfiler::Scope schedule(&profiler_, obs::Phase::kSchedule,
                                         obs::TimelineProfiler::kInheritParent,
                                         "plan-shards");
 
-  // Serve every job the warm cache already holds before planning shards: a
-  // sharded rerun streams its repeated points instantly and only the
-  // missing jobs cost a worker.
-  std::size_t streamed = 0;
-  std::size_t warm_hits = 0;
-  std::size_t merged = 0;
-  // Every key this campaign has streamed. A shard retried after its worker
-  // died — or rerun on the local pool — replays records its first attempt
-  // already shipped; the set keeps the client's record stream and the store
-  // exactly-once (identical keys carry bit-identical records).
-  std::unordered_set<orchestrator::CacheKey, orchestrator::CacheKeyHash> seen;
-  std::vector<std::size_t> pending;  // job indices the workers must run
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const orchestrator::CacheKey key =
-        orchestrator::key_for_job(jobs[i], options_fp);
-    const std::optional<MeasurementRecord> hit = cache_.lookup(key);
-    if (hit.has_value()) {
-      seen.insert(key);
-      journal_append(journal, key);
-      out << "record " << orchestrator::format_store_entry(key, *hit) << '\n';
-      ++streamed;
-      ++warm_hits;
-      out << "progress " << streamed << "/" << expected_records << '\n';
-    } else {
-      pending.push_back(i);
-    }
-  }
-  out.flush();
-
   // The one settlement point of a shard record, on both transports: the
-  // entry line a worker shipped is parsed once, inserted into the warm
-  // cache (which writes it through to the daemon store), journaled and
-  // streamed. Returns false for a malformed line or an already settled key.
-  // All client writes synchronize on out_mutex — remote shard drivers
-  // settle concurrently — and so does `seen`.
+  // entry line a worker shipped is parsed once — the trust boundary — and
+  // the same bytes are inserted into the warm cache (which writes them
+  // through to the daemon store), journaled and streamed. Returns false for
+  // a malformed line or an already settled key. All client writes
+  // synchronize on out_mutex — remote shard drivers settle concurrently —
+  // and so does `seen`.
   std::mutex out_mutex;
   const SettleFn settle = [&](const std::string& line) {
-    auto parsed = orchestrator::parse_store_entry(line);
+    const auto parsed = orchestrator::parse_store_entry(line);
     if (!parsed.has_value()) {
       return false;
     }
@@ -842,7 +889,7 @@ void CampaignService::run_sharded(
     if (!seen.insert(parsed->first).second) {
       return false;
     }
-    cache_.insert(parsed->first, parsed->second);
+    cache_.insert_entry(parsed->first, line);
     journal_append(journal, parsed->first);
     out << "record " << line << '\n';
     ++streamed;
@@ -1015,7 +1062,7 @@ void CampaignService::run_sharded(
   count({{Metric::kCampaignsTotal, 1},
          {Metric::kCampaignsShardedTotal, 1},
          {Metric::kRecordsStreamedTotal, streamed},
-         {Metric::kCacheHitsTotal, warm_hits},
+         {Metric::kCacheHitsTotal, warm.hits},
          {Metric::kMergedEntriesTotal, merged},
          {Metric::kRemoteShardsTotal, remote_executed},
          {Metric::kShardRetriesTotal, retries}});
@@ -1027,16 +1074,11 @@ void CampaignService::run_sharded(
   if (!stop_code.empty()) {
     // Cancelled mid-campaign: everything streamed/merged so far is real and
     // kept (the warm cache makes a resubmit finish only the remainder).
-    const std::uint64_t now = profiler_.now();
-    profiler_.record(obs::Phase::kAbort, now, now, root_span, stop_code);
-    note_cancelled(stop_code);
-    out << stop_code << " campaign " << id << '\n';
-    out << "error " << stop_code << " campaign " << id << " records "
-        << streamed << " of " << expected_records << " streamed before stop\n";
+    report_stopped(stop_code, id, streamed, expected_records, root_span, out);
     return;
   }
   out << "done campaign " << id << " records " << streamed << " merged "
-      << merged << " hits " << warm_hits << " shards " << tasks.size();
+      << merged << " hits " << warm.hits << " shards " << tasks.size();
   if (remote) {
     out << " remote " << remote_executed;
   }

@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -197,6 +198,33 @@ class CampaignService {
       std::size_t shard_count, std::size_t expected_records,
       std::uint64_t root_span, const orchestrator::StopFn& should_stop,
       CampaignJournal* journal, std::ostream& out);
+  /// The keys a campaign has streamed (run_sharded's exactly-once set).
+  using KeySet =
+      std::unordered_set<orchestrator::CacheKey, orchestrator::CacheKeyHash>;
+  /// What the warm pass leaves for an execution path.
+  struct WarmPass {
+    std::vector<std::size_t> pending;  ///< job indices the cache lacks
+    std::size_t hits = 0;              ///< records streamed from the cache
+    std::string stop_code;  ///< non-empty: the campaign stopped mid-pass
+  };
+  /// The warm pass both execution paths start with, outside any scheduler:
+  /// every job whose entry line the warm cache (or the store behind it)
+  /// holds streams verbatim as a `record` line, with its journal entry and
+  /// `progress` line; the other jobs' indices are returned as pending.
+  /// `should_stop` is polled before each job, as the scheduler polls it; a
+  /// stop ends the pass with its code. Streamed keys also go into `seen`
+  /// when it is given. Recorded as one `schedule` span labelled `warm`.
+  WarmPass serve_warm(const std::vector<orchestrator::ExperimentJob>& jobs,
+                      std::uint64_t options_fp, std::size_t expected_records,
+                      const orchestrator::StopFn& should_stop,
+                      CampaignJournal* journal, KeySet* seen,
+                      std::ostream& out);
+  /// Ends a campaign stopped by `code` (an abort or an expired deadline):
+  /// the `abort` span, the cancellation count, and the `<code> campaign`
+  /// event and `error` reply reporting how many records it streamed.
+  void report_stopped(const std::string& code, std::uint64_t id,
+                      std::size_t streamed, std::size_t expected_records,
+                      std::uint64_t root_span, std::ostream& out);
   /// run_sharded's settlement point for one shipped entry line: settles it
   /// into the warm cache and the client stream, and returns false for a
   /// malformed line or a key the campaign already settled. Locks the

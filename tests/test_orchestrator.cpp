@@ -24,6 +24,7 @@
 #include "orchestrator/record.hpp"
 #include "orchestrator/result_cache.hpp"
 #include "orchestrator/scheduler.hpp"
+#include "orchestrator/store_index.hpp"
 #include "precision/precision_study.hpp"
 #include "stream/cpu_stream.hpp"
 #include "temp_dir.hpp"
@@ -1119,6 +1120,85 @@ TEST(Campaign, EvictedPointsAreReadThroughTheStoreNotReexecuted) {
   const std::string after((std::istreambuf_iterator<char>(after_in)),
                           std::istreambuf_iterator<char>());
   EXPECT_EQ(after, before);
+  std::remove(path.c_str());
+}
+
+/// Overwrites the bytes of the file at `path` from `offset` on.
+void overwrite_at(const std::string& path, std::uint64_t offset,
+                  const std::string& bytes) {
+  std::fstream io(path, std::ios::in | std::ios::out | std::ios::binary);
+  io.seekp(static_cast<std::streamoff>(offset));
+  io.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// A read-back is checked by digest and key, not parsed: a line whose digest
+// is intact but whose key tokens name another key is rejected like a line
+// with one flipped record byte. Each counts once in load_rejected, and the
+// campaign re-measures both points bit for bit.
+TEST(Campaign, ReadBackRejectsARekeyedLineAndAFlippedRecordByte) {
+  const std::string path = temp_store("read_back_check");
+  Campaign campaign;
+  campaign.chips({soc::ChipModel::kM1})
+      .sizes({})
+      .sme_gemm({32, 48}, 13)
+      .concurrency(1);
+  CampaignResult first;
+  std::vector<ResultCache::Entry> stored;
+  {
+    ResultCache cache;  // process 1
+    cache.persist_to(path);
+    campaign.cache(&cache);
+    first = campaign.run();
+    stored = cache.entries();
+  }
+  ASSERT_EQ(stored.size(), 2u);
+  const CacheKey rekeyed_key = stored[0].first;
+  const CacheKey flipped_key = stored[1].first;
+
+  ResultCache cache(/*capacity=*/1);  // process 2: attached, never loaded
+  cache.persist_to(path);
+  const auto rekeyed_ref = cache.store_index().find(rekeyed_key);
+  const auto flipped_ref = cache.store_index().find(flipped_key);
+  ASSERT_TRUE(rekeyed_ref.has_value());
+  ASSERT_TRUE(flipped_ref.has_value());
+
+  // The same record under another key, in a line of the same length: a
+  // well-formed line with an intact digest, at the indexed key's offset.
+  std::string rekeyed_line;
+  CacheKey other = rekeyed_key;
+  for (std::uint64_t bit = 1;
+       bit != 0 && rekeyed_line.size() != rekeyed_ref->length; bit <<= 1) {
+    other.payload_fingerprint = rekeyed_key.payload_fingerprint ^ bit;
+    rekeyed_line = format_store_entry(other, stored[0].second);
+  }
+  ASSERT_EQ(rekeyed_line.size(), rekeyed_ref->length);
+  ASSERT_TRUE(parse_store_entry(rekeyed_line).has_value());
+  overwrite_at(path, rekeyed_ref->offset, rekeyed_line);
+
+  // One flipped byte in the last record token before the digest.
+  std::string flipped_line(flipped_ref->length, '\0');
+  {
+    std::ifstream in(path, std::ios::binary);
+    in.seekg(static_cast<std::streamoff>(flipped_ref->offset));
+    in.read(flipped_line.data(), flipped_ref->length);
+  }
+  flipped_line[flipped_line.rfind(kStoreDigestSeparator) - 1] ^= 0x1;
+  overwrite_at(path, flipped_ref->offset, flipped_line);
+
+  campaign.cache(&cache);
+  const auto second = campaign.run();
+  EXPECT_EQ(second.stats.cache_hits, 0u);
+  EXPECT_EQ(second.stats.jobs_executed, 2u);
+  EXPECT_EQ(cache.stats().load_rejected, 2u);
+  EXPECT_EQ(first.sme, second.sme);
+  // Both re-measured lines were appended and indexed in the bad ones' place.
+  EXPECT_EQ(cache.store_entries(), 4u);
+  EXPECT_GT(cache.store_index().find(rekeyed_key)->offset,
+            rekeyed_ref->offset);
+  EXPECT_GT(cache.store_index().find(flipped_key)->offset,
+            flipped_ref->offset);
+  EXPECT_EQ(campaign.run().stats.cache_hits, 2u);
+  EXPECT_EQ(cache.stats().load_rejected, 2u);  // counted once each
   std::remove(path.c_str());
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <thread>
 #include <vector>
@@ -385,6 +387,173 @@ TEST(CampaignService, RepeatedCampaignIsServedFromTheWarmCache) {
   EXPECT_EQ(executed, 0u);  // every point came from the warm cache
   EXPECT_EQ(hits, 20u);
   EXPECT_EQ(count_prefixed(second, "record "), 20u);
+}
+
+/// The `record` lines of a session, sorted: a campaign's record set (stream
+/// order is not a contract).
+std::vector<std::string> sorted_records(const std::vector<std::string>& lines) {
+  std::vector<std::string> records;
+  for (const auto& line : lines) {
+    if (starts_with(line, "record ")) {
+      records.push_back(line);
+    }
+  }
+  std::sort(records.begin(), records.end());
+  return records;
+}
+
+/// "done campaign <id> records <n> executed <e> hits <h>" -> {e, h}.
+std::pair<std::size_t, std::size_t> executed_and_hits(const std::string& done) {
+  std::istringstream in(done);
+  std::string word;
+  std::size_t records = 0;
+  std::size_t executed = 0;
+  std::size_t hits = 0;
+  in >> word >> word >> word >> word >> records >> word >> executed >> word >>
+      hits;
+  return {executed, hits};
+}
+
+// A fully warm in-process replay is served by the warm pass alone: the
+// cold run's records byte for byte, no scheduler and so no `execute` span,
+// and one `schedule` span labelled `warm` for the pass.
+TEST(CampaignService, FullyWarmInProcessReplayStreamsTheColdRecordSet) {
+  CampaignService service({});
+  const auto cold = serve_lines(service, nine_kind_block(2, 1));
+  const auto warm = serve_lines(service, nine_kind_block(2, 1));
+  ASSERT_TRUE(starts_with(warm.back(), "done campaign ")) << warm.back();
+  EXPECT_EQ(executed_and_hits(warm.back()),
+            (std::pair<std::size_t, std::size_t>{0, 20}));
+  EXPECT_EQ(sorted_records(warm), sorted_records(cold));
+  EXPECT_EQ(sorted_records(warm).size(), 20u);
+
+  const auto timelines = service.timelines();
+  ASSERT_EQ(timelines.size(), 2u);
+  std::size_t executes = 0;
+  std::size_t warm_spans = 0;
+  for (const obs::Span& span : timelines.back().spans) {
+    executes += span.phase == obs::Phase::kExecute ? 1 : 0;
+    warm_spans +=
+        span.phase == obs::Phase::kSchedule && span.label == "warm" ? 1 : 0;
+  }
+  EXPECT_EQ(executes, 0u);
+  EXPECT_EQ(warm_spans, 1u);
+}
+
+// A partly warm campaign streams its cached points from the warm pass and
+// runs only the rest on a scheduler: every job is either executed or a hit,
+// and the record set is the one a cold run of the whole campaign streams.
+TEST(CampaignService, PartlyWarmInProcessCampaignExecutesOnlyTheRest) {
+  const std::string narrow =
+      "begin narrow\nchips m1\nimpls cpu-single,gpu-mps\nsizes 32\n"
+      "repetitions 2\nprecision 24 5\nsme 32 13\nrun\n";
+  const std::string wide =
+      "begin wide\nchips m1,m3\nimpls cpu-single,gpu-mps\nsizes 32,48\n"
+      "repetitions 2\nprecision 24 5\nsme 32 13\nrun\n";
+  CampaignService fresh({});
+  const auto reference = serve_lines(fresh, wide);
+  ASSERT_TRUE(starts_with(reference.back(), "done campaign "));
+
+  CampaignService service({});
+  serve_lines(service, narrow);
+  const auto lines = serve_lines(service, wide);
+  ASSERT_TRUE(starts_with(lines.back(), "done campaign ")) << lines.back();
+  const auto [executed, hits] = executed_and_hits(lines.back());
+  const std::size_t jobs = sorted_records(reference).size();
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(executed, 0u);
+  EXPECT_EQ(executed + hits, jobs);
+  EXPECT_EQ(sorted_records(lines), sorted_records(reference));
+}
+
+/// A session sink that passes bytes through until the first `record` line
+/// and holds that write until open(): a client that stopped reading
+/// mid-stream.
+class RecordGate : public std::streambuf {
+ public:
+  bool holding() {
+    std::lock_guard lock(mutex_);
+    return holding_;
+  }
+  void open() {
+    {
+      std::lock_guard lock(mutex_);
+      open_ = true;
+    }
+    opened_.notify_all();
+  }
+  std::vector<std::string> lines() {
+    std::lock_guard lock(mutex_);
+    std::vector<std::string> out;
+    std::istringstream in(text_);
+    std::string line;
+    while (std::getline(in, line)) {
+      out.push_back(line);
+    }
+    return out;
+  }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      const char c = traits_type::to_char_type(ch);
+      xsputn(&c, 1);
+    }
+    return traits_type::not_eof(ch);
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    std::unique_lock lock(mutex_);
+    if (!open_ && std::string_view(s, static_cast<std::size_t>(n))
+                      .starts_with("record ")) {
+      holding_ = true;
+      opened_.wait(lock, [this] { return open_; });
+    }
+    text_.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable opened_;
+  bool open_ = false;
+  bool holding_ = false;
+  std::string text_;
+};
+
+// An abort that lands while the warm pass streams ends the campaign as a
+// stop between scheduler jobs does: the `aborted campaign` event and the
+// `error` reply close the stream, and no `done` line is written.
+TEST(CampaignService, AbortDuringTheWarmPassEndsTheStream) {
+  CampaignService::Config config;
+  config.outbox_capacity = 4;  // 40 data lines cannot all queue
+  CampaignService service(std::move(config));
+  ASSERT_TRUE(starts_with(serve_lines(service, nine_kind_block(2, 1)).back(),
+                          "done campaign "));
+
+  RecordGate gate;
+  std::ostream session_out(&gate);
+  std::istringstream session_in(nine_kind_block(2, 1));
+  std::thread session([&] { service.serve(session_in, session_out); });
+  // The first warm record is held at the client: the pass is under way and
+  // blocks on the full outbox before it can finish.
+  ASSERT_TRUE(wait_until([&] { return gate.holding(); }));
+  const auto reply = serve_lines(service, "abort ninekinds\n");
+  EXPECT_EQ(reply, std::vector<std::string>{"ok abort ninekinds cancelled 1"});
+  gate.open();
+  session.join();
+
+  const auto lines = gate.lines();
+  ASSERT_GE(lines.size(), 3u);
+  ASSERT_TRUE(starts_with(lines.front(), "ok campaign 2 ")) << lines.front();
+  EXPECT_EQ(lines[lines.size() - 2], "aborted campaign 2");
+  EXPECT_TRUE(starts_with(lines.back(), "error aborted campaign 2 records "))
+      << lines.back();
+  EXPECT_EQ(count_prefixed(lines, "done campaign "), 0u);
+  EXPECT_LT(count_prefixed(lines, "record "), 20u);
+  const auto stats = serve_lines(service, "stats\n");
+  EXPECT_TRUE(any_of(stats.begin(), stats.end(), [](const std::string& line) {
+    return line.find(" aborted 1 ") != std::string::npos;
+  }));
 }
 
 // ------------------------------------------------------------ shard planner --
@@ -1650,10 +1819,12 @@ TEST(CampaignService, StatsPhaseAndMetricsTranscriptIsPinned) {
   ASSERT_FALSE(queued.empty());
   EXPECT_TRUE(starts_with(queued.back(), "error aborted campaign "));
 
+  // schedule: one `expand` span per campaign (the queued one included), one
+  // `warm` span per campaign that ran, and the sharded run's `plan-shards`.
   const std::string expected = R"(stats-phase campaign count 3
 stats-phase queue-wait count 3
 stats-phase admission count 3
-stats-phase schedule count 4
+stats-phase schedule count 6
 stats-phase shard count 2
 stats-phase execute count 20
 stats-phase serialize count 20
@@ -1838,7 +2009,7 @@ ao_phase_duration_ns_bucket{phase="schedule",le="1000000000"} <t>
 ao_phase_duration_ns_bucket{phase="schedule",le="10000000000"} <t>
 ao_phase_duration_ns_bucket{phase="schedule",le="+Inf"} <t>
 ao_phase_duration_ns_sum{phase="schedule"} <t>
-ao_phase_duration_ns_count{phase="schedule"} 4
+ao_phase_duration_ns_count{phase="schedule"} 6
 ao_phase_duration_ns_bucket{phase="serialize",le="1000"} <t>
 ao_phase_duration_ns_bucket{phase="serialize",le="10000"} <t>
 ao_phase_duration_ns_bucket{phase="serialize",le="100000"} <t>
