@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace ao::obs {
 
@@ -163,11 +162,23 @@ std::uint64_t TimelineProfiler::record(Phase phase, std::uint64_t start_ns,
   return id;
 }
 
-std::uint64_t TimelineProfiler::adopt(Span span) {
-  span.id = next_id_.fetch_add(1);
-  const std::uint64_t id = span.id;
-  append(std::move(span));
-  return id;
+std::uint64_t TimelineProfiler::reserve_ids(std::size_t count) {
+  return next_id_.fetch_add(count);
+}
+
+void TimelineProfiler::adopt(std::vector<Span> spans) {
+  ThreadBuffer& buffer = local_buffer();
+  std::lock_guard lock(buffer.mutex);
+  buffer.spans.insert(buffer.spans.end(),
+                      std::make_move_iterator(spans.begin()),
+                      std::make_move_iterator(spans.end()));
+  if (buffer.spans.size() > kMaxSpansPerThread) {
+    const std::size_t excess = buffer.spans.size() - kMaxSpansPerThread;
+    buffer.spans.erase(buffer.spans.begin(),
+                       buffer.spans.begin() +
+                           static_cast<std::ptrdiff_t>(excess));
+    buffer.dropped += excess;
+  }
 }
 
 std::vector<Span> TimelineProfiler::snapshot() const {
@@ -183,8 +194,17 @@ std::vector<Span> TimelineProfiler::snapshot() const {
 }
 
 std::vector<Span> TimelineProfiler::drain() {
-  std::vector<Span> out;
   std::lock_guard lock(buffers_mutex_);
+  // One allocation of the exact total (spans recorded between the count and
+  // the move only grow it): a campaign's drained timeline is the largest
+  // span vector the service holds.
+  std::size_t total = 0;
+  for (const auto& buffer : buffers_) {
+    std::lock_guard buffer_lock(buffer->mutex);
+    total += buffer->spans.size();
+  }
+  std::vector<Span> out;
+  out.reserve(total);
   std::erase_if(buffers_, [&](const std::shared_ptr<ThreadBuffer>& buffer) {
     std::lock_guard buffer_lock(buffer->mutex);
     out.insert(out.end(), std::make_move_iterator(buffer->spans.begin()),
@@ -306,26 +326,33 @@ std::map<Phase, PhaseStats> phase_stats(const std::vector<Span>& spans) {
   return out;
 }
 
-std::vector<Span> span_subtree(const std::vector<Span>& spans,
-                               std::uint64_t root) {
+std::vector<Span> split_subtree(std::vector<Span>& spans,
+                                std::uint64_t root) {
   // Parents always carry smaller ids than their children, so one ascending
-  // pass over id-sorted spans reaches the whole subtree.
-  std::vector<const Span*> ordered;
-  ordered.reserve(spans.size());
+  // pass reaches the whole subtree, and the members it has found so far form
+  // an ascending id list to binary-search each parent in.
+  std::vector<std::uint64_t> members;
   for (const Span& span : spans) {
-    ordered.push_back(&span);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Span* a, const Span* b) { return a->id < b->id; });
-  std::unordered_set<std::uint64_t> members{root};
-  std::vector<Span> out;
-  for (const Span* span : ordered) {
-    if (span->id == root || members.count(span->parent) != 0) {
-      members.insert(span->id);
-      out.push_back(*span);
+    if (span.id == root ||
+        std::binary_search(members.begin(), members.end(), span.parent)) {
+      members.push_back(span.id);
     }
   }
-  return out;
+  std::vector<Span> subtree;
+  subtree.reserve(members.size());
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (std::binary_search(members.begin(), members.end(), spans[i].id)) {
+      subtree.push_back(std::move(spans[i]));
+    } else {
+      if (kept != i) {
+        spans[kept] = std::move(spans[i]);
+      }
+      ++kept;
+    }
+  }
+  spans.resize(kept);
+  return subtree;
 }
 
 std::string timeline_json(std::uint64_t campaign_id, const std::string& name,

@@ -138,21 +138,24 @@ class TimelineProfiler {
   };
 
   /// Records one span measured manually — for intervals whose start and end
-  /// live on different threads (a local shard observed from the tail loop).
+  /// live on different threads, or that settle piecewise (a shard attempt's
+  /// merge window).
   /// Returns the span's id.
   std::uint64_t record(Phase phase, std::uint64_t start_ns,
                        std::uint64_t end_ns,
                        std::uint64_t parent = kInheritParent,
                        std::string label = {});
 
-  /// Appends a span measured by *another* profiler (a worker timeline
-  /// shipped over the wire), allocating it a fresh id here and returning
-  /// it. `span.parent`, timestamps and origin are taken as given — the
-  /// caller has already re-parented and clock-aligned them (see
-  /// obs::graft_spans). Adopting a foreign timeline in its own id order
-  /// preserves the topological id invariant: each span's remapped parent
-  /// was adopted earlier and thus carries a smaller id.
-  std::uint64_t adopt(Span span);
+  /// Reserves `count` consecutive span ids and returns the first — the ids
+  /// a foreign timeline is adopted under.
+  std::uint64_t reserve_ids(std::size_t count);
+
+  /// Appends spans measured by *another* profiler (a worker timeline
+  /// shipped over the wire) under one buffer lock. Ids, parents,
+  /// timestamps and origins are taken as given: the caller has given them
+  /// ids from reserve_ids() in their own topological order, re-parented and
+  /// clock-aligned them (see obs::graft_spans).
+  void adopt(std::vector<Span> spans);
 
   /// Every completed span, sorted by id (parents before children).
   std::vector<Span> snapshot() const;
@@ -194,11 +197,12 @@ class TimelineProfiler {
 /// Per-phase aggregates over `spans` (nearest-rank percentiles).
 std::map<Phase, PhaseStats> phase_stats(const std::vector<Span>& spans);
 
-/// The spans reachable from `root` (inclusive), in id order. Requires the
-/// profiler's id invariant (parents before children in id order), which one
-/// ascending pass exploits.
-std::vector<Span> span_subtree(const std::vector<Span>& spans,
-                               std::uint64_t root);
+/// Moves the spans reachable from `root` (inclusive) out of `spans` and
+/// returns them; both keep their id order. `spans` must be sorted by id
+/// (drain() and snapshot() return it so): the profiler's id invariant,
+/// parents before children, then lets one ascending pass find the subtree.
+/// This is how the service untangles concurrent campaigns' timelines.
+std::vector<Span> split_subtree(std::vector<Span>& spans, std::uint64_t root);
 
 /// One campaign's timeline as a JSON artifact (schema "ao-profile/1",
 /// documented in docs/observability.md#artifact-schema): campaign identity,

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
-#include <sstream>
-#include <unordered_map>
+#include <string_view>
+
+#include "util/hex.hpp"
 
 namespace ao::obs {
 namespace {
@@ -17,7 +18,7 @@ void append_flattened(std::string& out, const std::string& text) {
 /// Strict uint64 token parse. istream >> uint64 accepts a leading '-' and
 /// wraps the value modulo 2^64; a wire decoder must reject that, not let a
 /// negative id scramble parent remapping silently.
-bool parse_u64(const std::string& token, std::uint64_t& out) {
+bool parse_u64(std::string_view token, std::uint64_t& out) {
   const char* first = token.data();
   const char* last = first + token.size();
   const auto [ptr, ec] = std::from_chars(first, last, out);
@@ -32,12 +33,23 @@ std::string encode_spans(const std::string& origin,
   out += "\norigin ";
   append_flattened(out, origin);
   out += '\n';
+  // Appended in place: a shard's timeline is thousands of lines.
+  const auto append_u64 = [&out](std::uint64_t value) {
+    char digits[20];
+    const auto end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+    out.append(digits, end);
+  };
   for (const Span& span : spans) {
-    out += "span " + std::to_string(span.id) + ' ' +
-           std::to_string(span.parent) + ' ';
+    out += "span ";
+    append_u64(span.id);
+    out += ' ';
+    append_u64(span.parent);
+    out += ' ';
     out += phase_name(span.phase);
-    out += ' ' + std::to_string(span.start_ns) + ' ' +
-           std::to_string(span.duration_ns);
+    out += ' ';
+    append_u64(span.start_ns);
+    out += ' ';
+    append_u64(span.duration_ns);
     if (!span.label.empty()) {
       out += ' ';
       append_flattened(out, span.label);
@@ -56,45 +68,57 @@ std::optional<std::vector<Span>> decode_spans(const std::string& payload,
     }
     return std::nullopt;
   };
-  std::istringstream in(payload);
-  std::string line;
-  if (!std::getline(in, line) || line != kSpanPayloadVersion) {
-    return fail("span payload version mismatch: " + line);
+  // Views into the payload, one line at a time: a shard's timeline is
+  // thousands of lines, and the daemon decodes every one.
+  std::string_view rest = payload;
+  const auto next_line = [&](std::string_view& line) {
+    if (rest.empty()) {
+      return false;
+    }
+    const std::size_t newline = rest.find('\n');
+    line = rest.substr(0, newline);
+    rest.remove_prefix(newline == std::string_view::npos ? rest.size()
+                                                         : newline + 1);
+    return true;
+  };
+  std::string_view line;
+  if (!next_line(line) || line != kSpanPayloadVersion) {
+    return fail("span payload version mismatch: " + std::string(line));
   }
-  if (!std::getline(in, line) || line.rfind("origin ", 0) != 0) {
+  if (!next_line(line) || !line.starts_with("origin ")) {
     return fail("span payload missing origin line");
   }
   if (origin != nullptr) {
     *origin = line.substr(7);
   }
   std::vector<Span> spans;
-  while (std::getline(in, line)) {
+  while (next_line(line)) {
     if (line.empty()) {
       continue;
     }
-    std::istringstream fields(line);
-    std::string tag;
-    std::string id_text;
-    std::string parent_text;
-    std::string phase_text;
-    std::string start_text;
-    std::string duration_text;
+    std::string_view fields = line;
+    const std::string_view tag = util::next_token(fields);
+    const std::string_view id_text = util::next_token(fields);
+    const std::string_view parent_text = util::next_token(fields);
+    const std::string_view phase_text = util::next_token(fields);
+    const std::string_view start_text = util::next_token(fields);
+    const std::string_view duration_text = util::next_token(fields);
     Span span;
-    fields >> tag >> id_text >> parent_text >> phase_text >> start_text >>
-        duration_text;
-    if (!fields || tag != "span" || !parse_u64(id_text, span.id) ||
+    if (tag != "span" || !parse_u64(id_text, span.id) ||
         !parse_u64(parent_text, span.parent) ||
         !parse_u64(start_text, span.start_ns) ||
         !parse_u64(duration_text, span.duration_ns)) {
-      return fail("malformed span line: " + line);
+      return fail("malformed span line: " + std::string(line));
     }
     const auto phase = phase_from_name(phase_text);
     if (!phase.has_value()) {
-      return fail("unknown span phase: " + phase_text);
+      return fail("unknown span phase: " + std::string(phase_text));
     }
     span.phase = *phase;
-    if (fields.get() == ' ') {
-      std::getline(fields, span.label);
+    // The label is the rest of the line after the one space that follows
+    // the duration.
+    if (fields.starts_with(' ')) {
+      span.label = fields.substr(1);
     }
     spans.push_back(std::move(span));
   }
@@ -111,10 +135,11 @@ std::size_t graft_spans(TimelineProfiler& profiler, std::vector<Span> spans,
   if (window_end < window_start) {
     window_end = window_start;
   }
-  // Worker id order is a topological order of the worker's own span tree;
-  // adopting in that order keeps parents ahead of children here too.
-  std::sort(spans.begin(), spans.end(),
-            [](const Span& a, const Span& b) { return a.id < b.id; });
+  // Worker id order is a topological order of the worker's own span tree.
+  const auto by_id = [](const Span& a, const Span& b) { return a.id < b.id; };
+  if (!std::is_sorted(spans.begin(), spans.end(), by_id)) {
+    std::sort(spans.begin(), spans.end(), by_id);
+  }
   std::int64_t offset = offset_ns;
   if (!has_offset) {
     // No heartbeat estimate for this endpoint yet: start-align the worker
@@ -135,25 +160,33 @@ std::size_t graft_spans(TimelineProfiler& profiler, std::vector<Span> spans,
     }
     return static_cast<std::uint64_t>(value);
   };
-  std::unordered_map<std::uint64_t, std::uint64_t> remapped;
-  remapped.reserve(spans.size());
-  for (Span& span : spans) {
+  // Consecutive fresh ids in that order keep parents ahead of children
+  // here too. Walking backwards, the spans before `i` still carry worker
+  // ids, so each parent is found by binary search among them.
+  const std::uint64_t first = profiler.reserve_ids(spans.size());
+  for (std::size_t i = spans.size(); i-- > 0;) {
+    Span& span = spans[i];
+    const auto earlier = spans.begin() + static_cast<std::ptrdiff_t>(i);
+    const auto mapped = std::lower_bound(
+        spans.begin(), earlier, span.parent,
+        [](const Span& s, std::uint64_t id) { return s.id < id; });
+    span.parent = mapped != earlier && mapped->id == span.parent
+                      ? first + static_cast<std::uint64_t>(
+                                    mapped - spans.begin())
+                      : parent;
     const std::int64_t aligned =
         static_cast<std::int64_t>(span.start_ns) - offset;
-    Span adopted;
-    adopted.start_ns = clamp(aligned, window_start);
-    adopted.duration_ns =
-        clamp(aligned + static_cast<std::int64_t>(span.duration_ns),
-              adopted.start_ns) -
-        adopted.start_ns;
-    const auto mapped = remapped.find(span.parent);
-    adopted.parent = mapped != remapped.end() ? mapped->second : parent;
-    adopted.phase = span.phase;
-    adopted.label = std::move(span.label);
-    adopted.origin = origin;
-    remapped.emplace(span.id, profiler.adopt(std::move(adopted)));
+    const std::uint64_t start = clamp(aligned, window_start);
+    span.duration_ns =
+        clamp(aligned + static_cast<std::int64_t>(span.duration_ns), start) -
+        start;
+    span.start_ns = start;
+    span.id = first + i;
+    span.origin = origin;
   }
-  return spans.size();
+  const std::size_t count = spans.size();
+  profiler.adopt(std::move(spans));
+  return count;
 }
 
 }  // namespace ao::obs

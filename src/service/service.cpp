@@ -2,20 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <thread>
-#include <unordered_set>
+#include <type_traits>
 #include <vector>
 
 #include "orchestrator/store_index.hpp"
 #include "service/shard_planner.hpp"
 #include "service/worker_link.hpp"
-#include "service/worker_pool.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
@@ -71,41 +68,6 @@ struct SettleWindow {
     if (records != 0) {
       profiler.record(obs::Phase::kMerge, first_ns, last_ns, parent, label);
     }
-  }
-};
-
-/// Incremental reader over one shard's write-through store: consumes the
-/// complete lines appended since the last poll (a half-flushed tail line is
-/// left for the next round), skipping the version header.
-struct StoreTail {
-  std::string path;
-  std::streamoff offset = 0;
-  std::size_t shard_index = 0;
-  SettleWindow settled;  ///< records this shard settled so far
-
-  template <typename LineFn>
-  void poll(LineFn&& on_line) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return;  // the worker has not created the store yet
-    }
-    in.seekg(offset);
-    std::ostringstream chunk;
-    chunk << in.rdbuf();
-    const std::string buffered = chunk.str();
-    std::size_t pos = 0;
-    for (;;) {
-      const std::size_t newline = buffered.find('\n', pos);
-      if (newline == std::string::npos) {
-        break;
-      }
-      const std::string line = buffered.substr(pos, newline - pos);
-      pos = newline + 1;
-      if (!line.empty() && line != orchestrator::store_header_line()) {
-        on_line(line);
-      }
-    }
-    offset += static_cast<std::streamoff>(pos);
   }
 };
 
@@ -466,31 +428,27 @@ void CampaignService::finish_campaign_profile(std::uint64_t root_span,
   std::vector<obs::Span> spans = profiler_.drain();
   std::lock_guard lock(profile_mutex_);
   // Re-adopt the orphan pool: spans drained by earlier finishes while this
-  // campaign was still running live there.
-  spans.insert(spans.end(), orphan_spans_.begin(), orphan_spans_.end());
-  std::sort(spans.begin(), spans.end(),
-            [](const obs::Span& a, const obs::Span& b) { return a.id < b.id; });
-  std::vector<obs::Span> mine = obs::span_subtree(spans, root_span);
+  // campaign was still running live there. Both lists are in id order.
+  if (!orphan_spans_.empty()) {
+    const auto middle = spans.insert(
+        spans.end(), std::make_move_iterator(orphan_spans_.begin()),
+        std::make_move_iterator(orphan_spans_.end()));
+    std::inplace_merge(
+        spans.begin(), middle, spans.end(),
+        [](const obs::Span& a, const obs::Span& b) { return a.id < b.id; });
+  }
+  std::vector<obs::Span> mine = obs::split_subtree(spans, root_span);
 
-  // Everything outside this campaign's subtree belongs to a concurrent
-  // campaign that has not finished yet — keep it (newest first under the
-  // cap) for that campaign's own finish.
-  std::unordered_set<std::uint64_t> mine_ids;
-  mine_ids.reserve(mine.size());
-  for (const obs::Span& span : mine) {
-    mine_ids.insert(span.id);
+  // Everything left belongs to a concurrent campaign that has not finished
+  // yet — keep it (newest first under the cap) for that campaign's own
+  // finish, in a vector of its own size: the drained one held this
+  // campaign's spans too.
+  if (spans.size() > kMaxOrphanSpans) {
+    spans.erase(spans.begin(), spans.end() - static_cast<std::ptrdiff_t>(
+                                                 kMaxOrphanSpans));
   }
-  orphan_spans_.clear();
-  for (obs::Span& span : spans) {
-    if (mine_ids.count(span.id) == 0) {
-      orphan_spans_.push_back(std::move(span));
-    }
-  }
-  if (orphan_spans_.size() > kMaxOrphanSpans) {
-    orphan_spans_.erase(orphan_spans_.begin(),
-                        orphan_spans_.end() -
-                            static_cast<std::ptrdiff_t>(kMaxOrphanSpans));
-  }
+  spans.shrink_to_fit();
+  orphan_spans_ = std::move(spans);
 
   // Feed the per-phase duration histograms of the `metrics` exposition
   // and the `stats-phase` lines — incremental, so a scrape between two
@@ -672,8 +630,8 @@ void CampaignService::run_campaign(const CampaignRequest& request,
       open_journal(id, request.name);
 
   // The cooperative stop hook the execution paths poll wherever stopping is
-  // safe: between scheduler jobs, between remote shards, around the local
-  // fallback. It never interrupts a measurement mid-flight.
+  // safe: between scheduler jobs and between shards. It never interrupts a
+  // measurement mid-flight.
   const orchestrator::StopFn should_stop = [this, cancel] {
     return cancel_code(*cancel);
   };
@@ -849,10 +807,10 @@ void CampaignService::run_sharded(
   // Serve every job the warm cache already holds before planning shards: a
   // sharded rerun streams its repeated points instantly and only the
   // missing jobs cost a worker. Every key this campaign has streamed goes
-  // into `seen`: a shard retried after its worker died — or rerun on the
-  // local pool — replays records its first attempt already shipped; the set
-  // keeps the client's record stream and the store exactly-once (identical
-  // keys carry bit-identical records).
+  // into `seen`: a shard retried after its endpoint died replays records
+  // its first attempt already shipped; the set keeps the client's record
+  // stream and the store exactly-once (identical keys carry bit-identical
+  // records).
   KeySet seen;
   const WarmPass warm = serve_warm(jobs, options_fp, expected_records,
                                    should_stop, journal, &seen, out);
@@ -872,13 +830,12 @@ void CampaignService::run_sharded(
                                         obs::TimelineProfiler::kInheritParent,
                                         "plan-shards");
 
-  // The one settlement point of a shard record, on both transports: the
-  // entry line a worker shipped is parsed once — the trust boundary — and
-  // the same bytes are inserted into the warm cache (which writes them
-  // through to the daemon store), journaled and streamed. Returns false for
-  // a malformed line or an already settled key. All client writes
-  // synchronize on out_mutex — remote shard drivers settle concurrently —
-  // and so does `seen`.
+  // The one settlement point of a shard record: the entry line a worker
+  // shipped is parsed once — the trust boundary — and the same bytes are
+  // inserted into the warm cache (which writes them through to the daemon
+  // store), journaled and streamed. Returns false for a malformed line or an
+  // already settled key. All client writes synchronize on out_mutex — shard
+  // drivers settle concurrently — and so does `seen`.
   std::mutex out_mutex;
   const SettleFn settle = [&](const std::string& line) {
     const auto parsed = orchestrator::parse_store_entry(line);
@@ -928,15 +885,13 @@ void CampaignService::run_sharded(
   const std::vector<std::vector<std::size_t>>& shard_groups =
       memoized == nullptr ? planned : *memoized;
 
-  // Shard work lists: campaign job indices per non-empty shard. Which
-  // transport runs them — remote workers over frames, or local workers
-  // over tailed disk stores — is decided below; the plan is the same.
-  std::vector<WorkerPool::ShardTask> tasks;
+  // Shard work lists: campaign job indices per non-empty shard.
+  std::vector<ShardTask> tasks;
   for (std::size_t shard = 0; shard < shard_groups.size(); ++shard) {
     if (shard_groups[shard].empty()) {
       continue;
     }
-    WorkerPool::ShardTask task;
+    ShardTask task;
     task.shard_index = shard;
     for (const std::size_t pending_index : shard_groups[shard]) {
       task.groups.push_back(pending[pending_index]);
@@ -945,132 +900,24 @@ void CampaignService::run_sharded(
   }
   schedule.close();
 
-  std::size_t remote_executed = 0;
-  std::size_t retries = 0;
-  std::string failure;
-  bool remote = false;
-  std::vector<WorkerPool::ShardTask> local_tasks = tasks;
-  if (!tasks.empty() &&
-      (config_.remote_only || registry_.idle_count() > 0)) {
-    // Remote transport: connected `ao_worker --connect` processes ship
-    // their records over their sockets — no shared filesystem. Falls back
-    // to the local path (returns false) when every worker was snatched by a
-    // concurrent campaign, unless remote_only forbids it.
-    std::vector<WorkerPool::ShardTask> leftover;
-    remote = run_shards_remote(request, tasks, root_span, should_stop, settle,
-                               out_mutex, &remote_executed, &retries,
-                               &leftover, &failure, out);
-    if (remote) {
-      if (config_.remote_only) {
-        // Leftover shards may not touch this host; report them (unless the
-        // campaign was cancelled — then the cancel is the story).
-        if (!leftover.empty() && failure.empty() &&
-            (!should_stop || should_stop().empty())) {
-          failure = "shard " + std::to_string(leftover.front().shard_index) +
-                    " never ran (no healthy remote worker left; remote-only)";
-        }
-        local_tasks.clear();
-      } else {
-        // Shards that produced nothing remotely (a stale dead endpoint, a
-        // worker lost before its first record) rerun on the local pool —
-        // a flaky worker farm degrades to the local transport instead of
-        // failing a campaign this daemon could run itself.
-        local_tasks = std::move(leftover);
-      }
-    }
+  ShardRun run;
+  if (!tasks.empty()) {
+    run = run_shards(request, tasks, root_span, should_stop, settle,
+                     out_mutex, out);
   }
-  // Cancellation observed between the transports: leftover shards stay
-  // unrun — the local pool has no mid-flight stop hook, so the check
-  // happens before it launches anything.
-  std::string stop_code = should_stop ? should_stop() : std::string{};
-  if (!stop_code.empty()) {
-    local_tasks.clear();
-  }
-  if (!local_tasks.empty()) {
-    // Local transport: spawned processes (or threads) write per-shard disk
-    // stores the service tails. The campaign id keeps concurrent sharded
-    // campaigns' scratch files apart even when they share a name.
-    const std::string base =
-        config_.shard_dir + "/" + request.name + "-c" + std::to_string(id);
-    std::vector<StoreTail> tails;
-    for (WorkerPool::ShardTask& task : local_tasks) {
-      task.store_path =
-          base + "-shard" + std::to_string(task.shard_index) + ".aocache";
-      std::remove(task.store_path.c_str());  // never tail a stale store
-      tails.push_back({task.store_path, 0, task.shard_index, {}});
-      out << "shard " << task.shard_index << " start local\n";
-    }
-    out.flush();
-    const auto drain = [&] {
-      for (StoreTail& tail : tails) {
-        tail.poll([&](const std::string& line) {
-          if (settle(line)) {
-            tail.settled.note(profiler_.now());
-          }
-        });
-      }
-    };
-
-    WorkerPool pool(config_.worker_binary);
-    const std::uint64_t shards_start_ns = profiler_.now();
-    pool.start(request, base + ".request", local_tasks);
-    while (pool.busy()) {
-      drain();
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    const std::vector<WorkerPool::ShardOutcome> outcomes = pool.wait();
-    const std::uint64_t shards_end_ns = profiler_.now();
-    drain();  // the final records written between the last poll and exit
-    // One `shard` span per local shard, measured manually: the pool's
-    // workers run in their own processes, so start/end are observed from
-    // this tail loop, not from inside the shard. Each shard's records
-    // settled as the tail read them (a failed shard's finished points are
-    // real measurements and stay), so its `merge` span is that window.
-    for (const StoreTail& tail : tails) {
-      profiler_.record(obs::Phase::kShard, shards_start_ns, shards_end_ns,
-                       root_span,
-                       "shard-" + std::to_string(tail.shard_index) + " local");
-      tail.settled.record_merge(profiler_, root_span, "store");
-    }
-    for (const auto& outcome : outcomes) {
-      std::size_t records = 0;
-      for (const StoreTail& tail : tails) {
-        if (tail.shard_index == outcome.shard_index) {
-          records = tail.settled.records;
-        }
-      }
-      if (outcome.exit_code == 0) {
-        out << "shard " << outcome.shard_index << " done records " << records
-            << " worker local\n";
-      } else {
-        out << "shard " << outcome.shard_index << " error exit "
-            << outcome.exit_code;
-        if (!outcome.error.empty()) {
-          out << ' ' << one_line(outcome.error);
-        }
-        out << '\n';
-        if (failure.empty()) {
-          failure = "shard " + std::to_string(outcome.shard_index) +
-                    " failed (exit " + std::to_string(outcome.exit_code) +
-                    ")" + (outcome.error.empty() ? "" : ": " + outcome.error);
-        }
-      }
-    }
-    out.flush();
-  }
-
   count({{Metric::kCampaignsTotal, 1},
          {Metric::kCampaignsShardedTotal, 1},
          {Metric::kRecordsStreamedTotal, streamed},
          {Metric::kCacheHitsTotal, warm.hits},
          {Metric::kMergedEntriesTotal, merged},
-         {Metric::kRemoteShardsTotal, remote_executed},
-         {Metric::kShardRetriesTotal, retries}});
-  if (!failure.empty()) {
-    out << "error exec-failed campaign " << id << " " << one_line(failure)
+         {Metric::kRemoteShardsTotal, run.remote_executed},
+         {Metric::kShardRetriesTotal, run.retries}});
+  if (!run.failure.empty()) {
+    out << "error exec-failed campaign " << id << " " << one_line(run.failure)
         << '\n';
     return;
   }
+  const std::string stop_code = should_stop ? should_stop() : std::string{};
   if (!stop_code.empty()) {
     // Cancelled mid-campaign: everything streamed/merged so far is real and
     // kept (the warm cache makes a resubmit finish only the remainder).
@@ -1079,46 +926,51 @@ void CampaignService::run_sharded(
   }
   out << "done campaign " << id << " records " << streamed << " merged "
       << merged << " hits " << warm.hits << " shards " << tasks.size();
-  if (remote) {
-    out << " remote " << remote_executed;
+  if (run.leased) {
+    out << " remote " << run.remote_executed;
   }
   out << '\n';
 }
 
-bool CampaignService::run_shards_remote(
-    const CampaignRequest& request,
-    const std::vector<WorkerPool::ShardTask>& tasks, std::uint64_t root_span,
-    const orchestrator::StopFn& should_stop, const SettleFn& settle,
-    std::mutex& out_mutex, std::size_t* remote_executed,
-    std::size_t* retries_used, std::vector<WorkerPool::ShardTask>* leftover,
-    std::string* failure, std::ostream& out) {
+CampaignService::ShardRun CampaignService::run_shards(
+    const CampaignRequest& request, const std::vector<ShardTask>& tasks,
+    std::uint64_t root_span, const orchestrator::StopFn& should_stop,
+    const SettleFn& settle, std::mutex& out_mutex, std::ostream& out) {
+  ShardRun run;
   // Retire endpoints that stopped answering before handing out leases: a
   // worker that died while parked must not cost a shard its first attempt.
   registry_.heartbeat();
 
-  // Check out one lease per shard when possible; fewer leases simply run
-  // the task list sequentially per worker. remote_only waits for the first
-  // worker to connect (a launch race is normal operations); otherwise only
-  // already-idle workers are taken.
+  // One lease per shard when possible; fewer leases simply run the task
+  // list sequentially per worker. remote_only waits for the first worker to
+  // connect (a launch race is normal operations); otherwise only
+  // already-idle workers are taken, and none means local endpoints.
   std::vector<std::unique_ptr<WorkerRegistry::Lease>> leases;
-  auto first = registry_.acquire(config_.remote_only ? config_.remote_wait_ms
-                                                     : 0);
-  if (first == nullptr) {
-    if (!config_.remote_only) {
-      return false;  // all workers got snatched; run the shards locally
-    }
-    *failure = "no remote workers connected (remote-only mode; waited " +
-               std::to_string(config_.remote_wait_ms) + " ms)";
-    return true;
-  }
-  leases.push_back(std::move(first));
-  while (leases.size() < tasks.size()) {
-    auto lease = registry_.acquire(0);
+  for (int wait_ms = config_.remote_only ? config_.remote_wait_ms : 0;
+       leases.size() < tasks.size(); wait_ms = 0) {
+    auto lease = registry_.acquire(wait_ms);
     if (lease == nullptr) {
       break;
     }
     leases.push_back(std::move(lease));
   }
+  if (leases.empty() && config_.remote_only) {
+    run.failure = "no remote workers connected (remote-only mode; waited " +
+                  std::to_string(config_.remote_wait_ms) + " ms)";
+    return run;
+  }
+  std::size_t locals = leases.empty() ? tasks.size() : 0;
+
+  // Local endpoints with no worker binary are threads on this profiler's
+  // clock, and a child process reads the same steady clock the default
+  // profiler does — either way their span timestamps need no alignment.
+  WorkerSessionOptions local_options;
+  if (config_.worker_binary.empty()) {
+    local_options.clock = config_.profile_clock;
+  }
+  const bool local_clock_shared =
+      config_.worker_binary.empty() || !config_.profile_clock;
+  std::atomic<std::size_t> next_local{0};
 
   // Shared work state, guarded by work_mutex: the undispatched work list
   // (a shard enters more than once only after its endpoint died), the
@@ -1136,30 +988,37 @@ bool CampaignService::run_shards_remote(
   std::vector<char> settled(tasks.size(), 0);
   std::vector<RemoteShardOutcome> outcomes(tasks.size());
 
-  // One driver per leased worker drains the work list. A driver whose
-  // endpoint dies requeues the shard (budget permitting), retires the lease
-  // and exits — the retry runs on a DIFFERENT worker: a surviving driver,
-  // or a fresh lease from the round loop below.
-  const auto drive = [&](WorkerRegistry::Lease* lease) {
+  // One driver per endpoint drains the work list; it returns true once the
+  // list is empty (or the campaign stopped). A driver whose endpoint dies
+  // requeues the shard (budget permitting), retires the endpoint and
+  // returns false — the retry runs on a DIFFERENT endpoint: a surviving
+  // driver, a fresh local endpoint, or a fresh lease from the round loop
+  // below.
+  const auto drive = [&](auto& endpoint) {
+    constexpr bool kRemote = std::is_same_v<
+        std::remove_reference_t<decltype(endpoint)>, WorkerRegistry::Lease>;
     for (;;) {
       if (should_stop && !should_stop().empty()) {
-        return;  // cancelled: leave the remaining work unrun
+        return true;  // cancelled: leave the remaining work unrun
       }
       Work item;
       {
         std::lock_guard lock(work_mutex);
         if (work.empty()) {
-          return;
+          return true;
         }
         item = work.front();
         work.pop_front();
       }
       const std::size_t i = item.task;
+      const std::string shard_label = "shard-" +
+                                      std::to_string(tasks[i].shard_index) +
+                                      " worker " + endpoint.name();
       {
         std::lock_guard lock(out_mutex);
         out << "shard " << tasks[i].shard_index
             << (item.attempt == 0 ? " start" : " retry") << " worker "
-            << lease->name() << '\n';
+            << endpoint.name() << '\n';
         out.flush();
       }
       if (item.attempt != 0) {
@@ -1167,51 +1026,46 @@ bool CampaignService::run_shards_remote(
         // shard was re-dispatched (the attempt's own time is its `shard`
         // span, as always).
         const std::uint64_t now = profiler_.now();
-        profiler_.record(obs::Phase::kRetry, now, now, root_span,
-                         "shard-" + std::to_string(tasks[i].shard_index) +
-                             " worker " + lease->name());
+        profiler_.record(obs::Phase::kRetry, now, now, root_span, shard_label);
       }
-      // One `shard` span per remote round-trip, parented explicitly under
-      // the campaign root (this driver thread has no inherited scope); the
+      // One `shard` span per round-trip, parented explicitly under the
+      // campaign root (this driver thread has no inherited scope); the
       // conversation's `transport` span nests under it inside
       // run_remote_shard.
-      obs::TimelineProfiler::Scope shard_span(
-          &profiler_, obs::Phase::kShard, root_span,
-          "shard-" + std::to_string(tasks[i].shard_index) + " worker " +
-              lease->name());
+      obs::TimelineProfiler::Scope shard_span(&profiler_, obs::Phase::kShard,
+                                              root_span, shard_label);
       // The graft context stamps this endpoint's name on the worker spans
-      // its `spans` frame ships and aligns their clocks with the registry's
-      // heartbeat offset estimate (start-aligned when none exists yet).
+      // its `spans` frame ships and aligns their clocks: a remote worker by
+      // the registry's heartbeat offset estimate (start-aligned when none
+      // exists yet), a local one by the clock it shares with this daemon.
       ShardGraft graft;
-      graft.origin = lease->name();
-      graft.has_clock_offset = lease->clock_offset(&graft.clock_offset_ns);
-      // Each entry settles the moment its frame arrives, under a
-      // `serialize` span nested in the conversation's transport span.
+      graft.origin = endpoint.name();
+      if constexpr (kRemote) {
+        graft.has_clock_offset = endpoint.clock_offset(&graft.clock_offset_ns);
+      } else {
+        graft.has_clock_offset = local_clock_shared;
+      }
+      // Each entry settles the moment its frame arrives; the attempt's
+      // `merge` span covers the window they settled in.
       SettleWindow window;
       const auto on_record = [&](const std::string& line) {
-        obs::TimelineProfiler::Scope serialize(
-            &profiler_, obs::Phase::kSerialize,
-            obs::TimelineProfiler::kInheritParent, "record");
         if (settle(line)) {
           window.note(profiler_.now());
         }
       };
       RemoteShardOutcome outcome = run_remote_shard(
-          lease->in(), lease->out(), request, tasks[i].shard_index,
+          endpoint.in(), endpoint.out(), request, tasks[i].shard_index,
           tasks[i].groups, on_record, &profiler_, &graft);
       shard_span.close();
       window.record_merge(profiler_, root_span, "wire");
       if (!outcome.connection_lost) {
         // Done, or a clean shard-error over a healthy connection: the shard
-        // is settled either way and this worker keeps serving.
-        if (outcome.ok) {
-          lease->note_shard_done();
-        }
+        // is settled either way and this endpoint keeps serving.
         {
           std::lock_guard lock(out_mutex);
           if (outcome.ok) {
             out << "shard " << outcome.shard_index << " done records "
-                << outcome.records << " worker " << lease->name() << '\n';
+                << outcome.records << " worker " << endpoint.name() << '\n';
           } else {
             out << "shard " << outcome.shard_index << " error "
                 << one_line(outcome.error) << '\n';
@@ -1219,6 +1073,12 @@ bool CampaignService::run_shards_remote(
           out.flush();
         }
         std::lock_guard lock(work_mutex);
+        if constexpr (kRemote) {
+          if (outcome.ok) {
+            endpoint.note_shard_done();
+            ++run.remote_executed;
+          }
+        }
         settled[i] = 1;
         outcomes[i] = std::move(outcome);
         continue;
@@ -1231,7 +1091,7 @@ bool CampaignService::run_shards_remote(
         std::lock_guard lock(work_mutex);
         if (retries_left > 0) {
           --retries_left;
-          ++*retries_used;
+          ++run.retries;
           work.push_back({i, item.attempt + 1});
           retrying = true;
         } else {
@@ -1242,25 +1102,44 @@ bool CampaignService::run_shards_remote(
       {
         std::lock_guard lock(out_mutex);
         out << "shard " << tasks[i].shard_index << " lost worker "
-            << lease->name()
+            << endpoint.name()
             << (retrying ? " rescheduling" : " retry-budget-exhausted")
             << '\n';
         out.flush();
       }
-      lease->mark_failed();
-      return;  // this endpoint (and driver) is done
+      endpoint.mark_failed();
+      return false;  // this endpoint is done
     }
   };
 
-  // Rounds: run the current leases to completion, then — when dead
-  // endpoints left requeued work and no driver survived — lease whatever
-  // healthy workers remain and go again. No healthy worker left ends the
-  // loop with the work unrun (it surfaces through `leftover`).
+  // Rounds: run the current endpoints to completion, then — when dead
+  // endpoints left requeued work — lease whatever healthy remote workers
+  // remain, or spawn fresh local endpoints, and go again. Local endpoints
+  // live inside their driver threads: each spawns, answers the hello and is
+  // reaped there, in parallel with its siblings, and a driver whose local
+  // endpoint died replaces it while work is left.
   for (;;) {
+    run.leased = run.leased || !leases.empty();
     std::vector<std::thread> drivers;
-    drivers.reserve(leases.size());
-    for (auto& lease_ptr : leases) {
-      drivers.emplace_back(drive, lease_ptr.get());
+    drivers.reserve(leases.size() + locals);
+    for (auto& lease : leases) {
+      drivers.emplace_back([&drive, &lease] { drive(*lease); });
+    }
+    for (; locals > 0; --locals) {
+      drivers.emplace_back([&] {
+        for (;;) {
+          LocalEndpoint endpoint(config_.worker_binary,
+                                 "local-" + std::to_string(next_local++),
+                                 local_options);
+          if (drive(endpoint)) {
+            return;
+          }
+          std::lock_guard lock(work_mutex);
+          if (work.empty()) {
+            return;
+          }
+        }
+      });
     }
     for (std::thread& driver : drivers) {
       driver.join();
@@ -1283,44 +1162,38 @@ bool CampaignService::run_shards_remote(
       leases.push_back(std::move(lease));
     }
     if (leases.empty()) {
-      break;  // nobody left to run the remaining shards
+      if (config_.remote_only) {
+        break;  // nobody left to run the remaining shards
+      }
+      locals = remaining;
     }
   }
 
   // Every record that arrived is settled; what remains is each shard's
-  // verdict. Shards never dispatched, or still requeued when the drivers
-  // ran out (or the campaign was cancelled), land in `leftover`: the caller
-  // decides what happens next.
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (!settled[i]) {
-      leftover->push_back(tasks[i]);
-      continue;
-    }
+  // verdict (a cancelled campaign's unrun shards are the cancel's story).
+  for (std::size_t i = 0; i < tasks.size() && run.failure.empty(); ++i) {
     const RemoteShardOutcome& outcome = outcomes[i];
-    if (outcome.ok) {
-      ++*remote_executed;
-    } else if (outcome.connection_lost) {
-      // Every attempt's endpoint died and the retry budget is spent. Under
-      // remote_only that is a structured failure — never a hang, never a
-      // local run; otherwise the local pool gets the shard (the `seen` set
-      // keeps its replayed records off the client stream).
-      if (!config_.remote_only) {
-        leftover->push_back(tasks[i]);
-      } else if (failure->empty()) {
-        *failure = "shard " + std::to_string(outcome.shard_index) +
-                   " failed (retry budget exhausted): " +
-                   one_line(outcome.error);
+    if (!settled[i]) {
+      if (!should_stop || should_stop().empty()) {
+        run.failure =
+            "shard " + std::to_string(tasks[i].shard_index) +
+            " never ran (no healthy remote worker left; remote-only)";
       }
-    } else if (failure->empty()) {
+    } else if (outcome.connection_lost) {
+      // Every attempt's endpoint died and the retry budget is spent: a
+      // structured failure — never a hang.
+      run.failure = "shard " + std::to_string(outcome.shard_index) +
+                    " failed (retry budget exhausted): " +
+                    one_line(outcome.error);
+    } else if (!outcome.ok) {
       // The shard itself failed — a shard-error frame over a healthy
-      // connection. A clean failure is deterministic, so rerunning it (on
-      // any transport) would only fail again with a worse diagnostic:
-      // report the real error.
-      *failure = "shard " + std::to_string(outcome.shard_index) +
-                 " failed: " + one_line(outcome.error);
+      // connection. A clean failure is deterministic, so rerunning it would
+      // only fail again with a worse diagnostic: report the real error.
+      run.failure = "shard " + std::to_string(outcome.shard_index) +
+                    " failed: " + one_line(outcome.error);
     }
   }
-  return true;
+  return run;
 }
 
 // ----------------------------------------------------------- read path ----

@@ -22,7 +22,6 @@
 #include "service/campaign_queue.hpp"
 #include "service/outbox.hpp"
 #include "service/protocol.hpp"
-#include "service/worker_pool.hpp"
 #include "service/worker_registry.hpp"
 
 namespace ao::service {
@@ -42,18 +41,18 @@ namespace ao::service {
 /// within a priority — and per-client quotas bound queue depth and
 /// concurrency (quota violations get structured `error` replies).
 ///
-/// Requests with `shards > 1` are partitioned by the ShardPlanner and run
-/// over one of two transports:
-///  - **remote workers** (preferred when any are connected, mandatory with
+/// Requests with `shards > 1` are partitioned by the ShardPlanner, and every
+/// shard runs over one transport, the frame conversation
+/// (docs/service.md#wire-format-frames): a `task` frame out, `records`
+/// frames back, closed by a `done` frame counting them. Its endpoints are
+///  - **remote workers** (preferred when any are idle, mandatory with
 ///    `remote_only`): `ao_worker --connect` processes — on this machine or
 ///    any other — that announced themselves with a `worker` hello and sit
-///    parked in the WorkerRegistry. Each shard is shipped as a `task` frame
-///    and the worker streams `records` frames back, closed by a `done`
-///    frame counting them; no shared filesystem anywhere
-///    (docs/service.md#wire-format-frames).
-///  - **local workers**: WorkerPool-spawned `ao_worker` processes (or
-///    in-process threads) exchanging results through per-shard disk stores
-///    the service tails.
+///    parked in the WorkerRegistry; no shared filesystem anywhere.
+///  - **local endpoints** (when no remote worker is idle, or for what the
+///    remote workers left, unless `remote_only`): campaign-private
+///    `ao_worker --stdio-frames` children (or threads) on socketpairs,
+///    spawned for the campaign and reaped before its last line.
 /// Either way each record settles once, as it arrives: into the warm cache
 /// (and its store), the follow journal and the client stream, deduplicated
 /// by CacheKey — so the settled result is bit-identical to a
@@ -70,14 +69,14 @@ class CampaignService {
     /// When set: the warm cache loads this store at startup and
     /// write-throughs (and auto-compacts) every new point to it.
     std::string store_path;
-    /// Directory for per-campaign shard stores and worker request files.
-    std::string shard_dir = ".";
-    /// Path of the `ao_worker` binary; "" runs shards in-process.
+    /// Path of the `ao_worker` binary local shard endpoints exec
+    /// (`--stdio-frames`); "" runs each local endpoint's worker session on a
+    /// thread.
     std::string worker_binary;
     /// Never run shards locally: every sharded campaign waits up to
     /// `remote_wait_ms` for a connected remote worker and fails otherwise.
-    /// Off, shards prefer remote workers when any are idle and fall back
-    /// to the local WorkerPool when none are.
+    /// Off, shards prefer remote workers when any are idle and run on local
+    /// endpoints when none are.
     bool remote_only = false;
     /// How long a remote-only sharded campaign waits for its first remote
     /// worker before failing.
@@ -154,7 +153,7 @@ class CampaignService {
   /// session thread and the `abort` command. `abort <name>` flips `abort`
   /// and cancels the outbox; the deadline is an absolute instant on the
   /// profiler clock, checked wherever the campaign can stop cooperatively
-  /// (queue wait, between scheduler jobs, between remote shards).
+  /// (queue wait, between scheduler jobs, between shards).
   struct CancelState {
     std::uint64_t id = 0;
     std::string name;
@@ -230,27 +229,35 @@ class CampaignService {
   /// malformed line or a key the campaign already settled. Locks the
   /// campaign's stream mutex itself.
   using SettleFn = std::function<bool(const std::string& entry_line)>;
-  /// Runs the planned shard tasks on checked-out remote workers (one driver
-  /// thread per lease draining a shared work queue), handing every entry
+  /// One planned shard: its index and the campaign job indices it runs.
+  struct ShardTask {
+    std::size_t shard_index = 0;
+    std::vector<std::size_t> groups;
+  };
+  /// What running a campaign's shards leaves for its verdict.
+  struct ShardRun {
+    bool leased = false;  ///< a registry worker took part (`remote <n>`)
+    std::size_t remote_executed = 0;  ///< shards registry workers completed
+    std::size_t retries = 0;          ///< retry budget spent
+    std::string failure;  ///< "" = every shard settled, or the campaign stopped
+  };
+  /// Runs the planned shard tasks over frame conversations, one driver
+  /// thread per endpoint draining a shared work queue, handing every entry
   /// line to `settle` as its frame arrives; shard events go to `out` under
-  /// `out_mutex`. Returns false when no worker could be leased and local
-  /// fallback is allowed; true when remote execution happened (or
-  /// remote-only failed), with `remote_executed` (shards a worker
-  /// completed), `retries_used` and `failure` updated. A shard whose
+  /// `out_mutex`. The endpoints are idle remote workers (waited for up to
+  /// `remote_wait_ms` under remote_only) or, when none is idle and
+  /// remote_only is off, local endpoints, one per task. A shard whose
   /// endpoint dies mid-conversation is re-dispatched to a *different*
-  /// worker while the request's per-campaign retry budget lasts; `settle`
-  /// drops the records a retry replays. Shards that exhausted the budget
-  /// (or never ran) land in `leftover`: the caller reruns them locally —
-  /// or, under remote_only, reports them as a structured failure.
-  bool run_shards_remote(const CampaignRequest& request,
-                         const std::vector<WorkerPool::ShardTask>& tasks,
-                         std::uint64_t root_span,
-                         const orchestrator::StopFn& should_stop,
-                         const SettleFn& settle, std::mutex& out_mutex,
-                         std::size_t* remote_executed,
-                         std::size_t* retries_used,
-                         std::vector<WorkerPool::ShardTask>* leftover,
-                         std::string* failure, std::ostream& out);
+  /// endpoint — a surviving driver, a fresh lease, or a fresh local
+  /// endpoint — while the request's per-campaign retry budget lasts;
+  /// `settle` drops the records a retry replays. Every endpoint is released
+  /// (local ones reaped) before this returns.
+  ShardRun run_shards(const CampaignRequest& request,
+                      const std::vector<ShardTask>& tasks,
+                      std::uint64_t root_span,
+                      const orchestrator::StopFn& should_stop,
+                      const SettleFn& settle, std::mutex& out_mutex,
+                      std::ostream& out);
 
   /// Settles one finished campaign's telemetry: drains the profiler, pulls
   /// the root's subtree out (spans of still-running concurrent campaigns go

@@ -16,7 +16,11 @@
 namespace ao::service {
 namespace {
 
-int make_unix_socket() { return ::socket(AF_UNIX, SOCK_STREAM, 0); }
+// Every socket the service opens is close-on-exec: a spawned shard worker
+// must not inherit the daemon's listeners or client connections.
+int make_unix_socket() {
+  return ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+}
 
 bool fill_address(const std::string& path, sockaddr_un& addr) {
   if (path.empty() || path.size() >= sizeof(addr.sun_path)) {
@@ -123,7 +127,7 @@ UnixServerSocket::~UnixServerSocket() {
 int UnixServerSocket::accept_fd() {
   ssize_t fd;
   do {
-    fd = ::accept(fd_, nullptr, nullptr);
+    fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
   } while (fd < 0 && errno == EINTR);
   return static_cast<int>(fd);
 }
@@ -139,7 +143,7 @@ void set_nodelay(int fd) {
 }  // namespace
 
 TcpServerSocket::TcpServerSocket(std::uint16_t port)
-    : port_(port), fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    : port_(port), fd_(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
   if (fd_ < 0) {
     throw util::Error("cannot create TCP socket");
   }
@@ -167,7 +171,7 @@ TcpServerSocket::~TcpServerSocket() {
 int TcpServerSocket::accept_fd() {
   ssize_t fd;
   do {
-    fd = ::accept(fd_, nullptr, nullptr);
+    fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
   } while (fd < 0 && errno == EINTR);
   if (fd >= 0) {
     set_nodelay(static_cast<int>(fd));
@@ -186,7 +190,8 @@ int connect_tcp(const std::string& host, std::uint16_t port) {
   }
   int fd = -1;
   for (const addrinfo* it = results; it != nullptr; it = it->ai_next) {
-    fd = ::socket(it->ai_family, it->ai_socktype, it->ai_protocol);
+    fd = ::socket(it->ai_family, it->ai_socktype | SOCK_CLOEXEC,
+                  it->ai_protocol);
     if (fd < 0) {
       continue;
     }

@@ -1,11 +1,21 @@
 #include "service/worker_link.hpp"
 
+#include <fcntl.h>
+#include <sys/prctl.h>
+#include <sys/socket.h>
+#include <sys/syscall.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <csignal>
 #include <iostream>
 #include <istream>
 #include <mutex>
 #include <ostream>
 #include <sstream>
+#include <system_error>
 
 #include "obs/span_codec.hpp"
 #include "orchestrator/campaign.hpp"
@@ -16,6 +26,11 @@
 
 namespace ao::service {
 
+namespace {
+
+/// Parses a "1,2,3" index list: parse_u64_token() numbers joined by single
+/// commas (no empty list, no empty or overflowing item) — the `groups` line
+/// of a task payload.
 bool parse_index_csv(const std::string& csv, std::vector<std::size_t>& out) {
   out.clear();
   for (std::size_t begin = 0;;) {
@@ -31,8 +46,6 @@ bool parse_index_csv(const std::string& csv, std::vector<std::size_t>& out) {
     begin = comma + 1;
   }
 }
-
-namespace {
 
 std::string join_index_csv(const std::vector<std::size_t>& values) {
   std::string out;
@@ -149,14 +162,10 @@ void execute_task(const RemoteTask& task, std::ostream& out,
     scheduler.run(queue, [&](const orchestrator::ExperimentJob& job,
                              const orchestrator::MeasurementRecord& record,
                              bool /*from_cache*/) {
-      // The callback runs inside the job's `execute` span, so both scopes
-      // nest under it.
-      obs::TimelineProfiler::Scope serialize(
-          &profiler, obs::Phase::kSerialize,
-          obs::TimelineProfiler::kInheritParent, "record");
+      // Formatting runs inside the job's `execute` span, which times it;
+      // a span per record would cost more memory than it tells.
       const std::string line = orchestrator::format_store_entry(
           orchestrator::key_for_job(job, options_fp), record);
-      serialize.close();
       std::lock_guard lock(out_mutex);
       batcher.add(line);
     });
@@ -407,6 +416,91 @@ RemoteShardOutcome run_remote_shard(
       outcome.error = "unexpected frame type from worker: " + frame->type;
       return outcome;
     }
+  }
+}
+
+LocalEndpoint::LocalEndpoint(const std::string& worker_binary,
+                             std::string name,
+                             const WorkerSessionOptions& options)
+    : name_(std::move(name)) {
+  int fds[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    stream_ = std::make_unique<SocketStream>(-1);
+    stream_->setstate(std::ios::badbit);  // dead: every conversation fails
+    return;
+  }
+  stream_ = std::make_unique<SocketStream>(fds[0]);
+  if (!worker_binary.empty()) {
+    // Everything the child needs is built before fork(): between fork and
+    // exec a multithreaded parent's child may only make async-signal-safe
+    // calls.
+    const char* argv[] = {worker_binary.c_str(), "--stdio-frames", "--name",
+                          name_.c_str(), nullptr};
+    const long max_fd = ::sysconf(_SC_OPEN_MAX);
+    const pid_t daemon = ::getpid();
+    pid_ = ::fork();
+    if (pid_ == 0) {
+      // Dies with the thread that spawned it (and so with the daemon)
+      // instead of finishing a shard nobody will read; that thread reaps it
+      // before it exits.
+      if (::prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 || ::getppid() != daemon) {
+        _exit(127);
+      }
+      // The child's end becomes stdin/stdout (dup2 clears close-on-exec;
+      // F_DUPFD first moves it off 0/1 should it sit there), and no other
+      // daemon fd — store files, listeners, client connections — survives
+      // into the worker.
+      const int end = ::fcntl(fds[1], F_DUPFD, 3);
+      if (end < 0 || ::dup2(end, 0) < 0 || ::dup2(end, 1) < 0) {
+        _exit(127);
+      }
+#ifdef SYS_close_range
+      if (::syscall(SYS_close_range, 3U, ~0U, 0U) != 0)
+#endif
+      {
+        for (long fd = 3; fd < max_fd; ++fd) {
+          ::close(static_cast<int>(fd));
+        }
+      }
+      ::execv(argv[0], const_cast<char* const*>(argv));
+      _exit(127);
+    }
+    ::close(fds[1]);
+  } else {
+    try {
+      thread_ = std::thread([fd = fds[1], name = name_, options] {
+        SocketStream stream(fd);
+        run_worker_session(stream, stream, name, options);
+      });
+    } catch (const std::system_error&) {
+      ::close(fds[1]);
+    }
+  }
+  std::string hello;
+  if (pid_ < 0 && !thread_.joinable()) {
+    stream_->setstate(std::ios::badbit);  // nothing spawned: nobody to ask
+  } else if (std::getline(*stream_, hello) && hello.rfind("worker ", 0) == 0) {
+    *stream_ << "ok worker " << name_ << '\n';
+    stream_->flush();
+  } else {
+    stream_->setstate(std::ios::badbit);
+    failed_ = true;
+  }
+}
+
+LocalEndpoint::~LocalEndpoint() {
+  if (!failed_) {
+    write_frame(*stream_, {kFrameBye, {}});
+  } else if (pid_ > 0) {
+    ::kill(pid_, SIGKILL);  // its stream position is unknowable
+  }
+  stream_.reset();  // closes the daemon's end: a reading worker sees EOF
+  if (pid_ > 0) {
+    while (::waitpid(pid_, nullptr, 0) < 0 && errno == EINTR) {
+    }
+  }
+  if (thread_.joinable()) {
+    thread_.join();
   }
 }
 

@@ -1,14 +1,19 @@
 #pragma once
 
+#include <sys/types.h>
+
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/profiler.hpp"
 #include "service/protocol.hpp"
+#include "service/socket.hpp"
 
 namespace ao::service {
 
@@ -26,11 +31,6 @@ struct RemoteTask {
   std::vector<std::size_t> groups;  ///< campaign group indices
   CampaignRequest request;
 };
-
-/// Parses a "1,2,3" index list: parse_u64_token() numbers joined by single
-/// commas (no empty list, no empty or overflowing item). Shared by the task
-/// payload codec and `ao_worker`'s `--groups` flag.
-bool parse_index_csv(const std::string& csv, std::vector<std::size_t>& out);
 
 /// Serializes a shard assignment into the `task` frame payload:
 /// "shard <i>" and "groups <csv>" lines followed by the request block
@@ -67,8 +67,8 @@ struct WorkerSessionOptions {
 /// waits for the service's ack, then loops — `task` frame in, the shard's
 /// records out as batched `records` frames (up to `record_batch` settled
 /// records per frame, bounded by the flush deadline), closed by a
-/// `spans` frame carrying the shard's worker-side timeline (execute/
-/// serialize/frame spans, ao-profile/1 payload) and a `done <records>`
+/// `spans` frame carrying the shard's worker-side timeline (plan/execute/
+/// flush spans, ao-profile/1 payload) and a `done <records>`
 /// frame counting the entry lines sent (or a `shard-error` frame after the
 /// spans; the worker stays alive for the next task either way). The worker
 /// keeps no result cache: each record is on the wire once it settles.
@@ -129,5 +129,39 @@ RemoteShardOutcome run_remote_shard(
     const std::function<void(const std::string& entry_line)>& on_record,
     obs::TimelineProfiler* profiler = nullptr,
     const ShardGraft* graft = nullptr);
+
+/// A campaign-private shard endpoint on this host: the daemon holds one end
+/// of a socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC); the other end is
+/// fds 0/1 of an `ao_worker --stdio-frames --name <name>` child (every other
+/// fd is closed before exec), or — with an empty `worker_binary` — a thread
+/// running run_worker_session() with `options`. The constructor spawns the
+/// endpoint and answers its hello, so it blocks until the child speaks. A
+/// failed spawn or hello leaves a dead stream: the first shard conversation
+/// over it reports a lost connection, which the caller retries like any
+/// dying endpoint. The destructor says `bye` (after mark_failed(), it
+/// SIGKILLs a child instead), closes the daemon's end and reaps the child or
+/// joins the thread — nothing outlives the endpoint, and a child whose
+/// daemon dies reads EOF and exits.
+class LocalEndpoint {
+ public:
+  LocalEndpoint(const std::string& worker_binary, std::string name,
+                const WorkerSessionOptions& options);
+  ~LocalEndpoint();
+  LocalEndpoint(const LocalEndpoint&) = delete;
+  LocalEndpoint& operator=(const LocalEndpoint&) = delete;
+
+  std::istream& in() { return *stream_; }
+  std::ostream& out() { return *stream_; }
+  const std::string& name() const { return name_; }
+  /// The conversation broke: no `bye`, and a child process is killed.
+  void mark_failed() { failed_ = true; }
+
+ private:
+  std::string name_;
+  std::unique_ptr<SocketStream> stream_;  ///< the daemon's end
+  pid_t pid_ = -1;                        ///< process mode
+  std::thread thread_;                    ///< thread mode
+  bool failed_ = false;
+};
 
 }  // namespace ao::service

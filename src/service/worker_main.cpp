@@ -1,12 +1,5 @@
-// ao_worker: one shard (or a stream of shards) of a service campaign in its
-// own process. Three modes:
-//
-//   ao_worker --request <file> --groups <i,j,...> --store <file>
-//     Local batch mode, spawned by the service's WorkerPool on the same
-//     machine: expand exactly those campaign jobs, run them, write-through
-//     every record into the named store (which the service tails, settling
-//     each line as it reads it). stdout stays silent; errors go to stderr
-//     and the exit code.
+// ao_worker: shards of service campaigns in their own process, served over
+// the frame conversation (docs/service.md#wire-format-frames). Two modes:
 //
 //   ao_worker --connect <endpoint> [--name <id>]
 //     Remote mode: connect to a campaign daemon — a unix socket path, or
@@ -21,32 +14,28 @@
 //     align shipped spans onto its own timeline.
 //
 //   ao_worker --stdio-frames [--name <id>]
-//     The same frame conversation over stdin/stdout — for bridged
-//     transports (e.g. `ssh host ao_worker --stdio-frames` with the far
-//     end socat-ed into the daemon socket) and for driving the worker
-//     loop deterministically in tests.
+//     The same frame conversation over stdin/stdout. The daemon runs its
+//     local shards this way: each is a child on one end of a socketpair
+//     (fds 0/1), exiting on `bye` or when the daemon's end closes. Also for
+//     bridged transports (e.g. `ssh host ao_worker --stdio-frames` with the
+//     far end socat-ed into the daemon socket).
 
 #include <unistd.h>
 
 #include <csignal>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "service/protocol.hpp"
 #include "service/socket.hpp"
 #include "service/worker_link.hpp"
-#include "service/worker_pool.hpp"
 
 namespace {
 
 int usage() {
-  std::cerr << "usage: ao_worker --request <file> --groups <i,j,...> "
-               "--store <file>\n"
-               "       ao_worker --connect <socket-path | host:port> "
+  std::cerr << "usage: ao_worker --connect <socket-path | host:port> "
                "[--name <id>] [--batch <n>] [--batch-flush-ms <ms>]\n"
                "       ao_worker --stdio-frames [--name <id>] [--batch <n>] "
                "[--batch-flush-ms <ms>]\n";
@@ -59,9 +48,6 @@ int main(int argc, char** argv) {
   // A daemon that dies mid-write must surface as a failed write (clean
   // "daemon went away" exit), not a SIGPIPE kill.
   std::signal(SIGPIPE, SIG_IGN);
-  std::string request_path;
-  std::string groups_csv;
-  std::string store_path;
   std::string connect_endpoint;
   std::string name;
   bool stdio_frames = false;
@@ -74,13 +60,7 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (std::strcmp(argv[i], "--request") == 0) {
-      request_path = needs_value("--request");
-    } else if (std::strcmp(argv[i], "--groups") == 0) {
-      groups_csv = needs_value("--groups");
-    } else if (std::strcmp(argv[i], "--store") == 0) {
-      store_path = needs_value("--store");
-    } else if (std::strcmp(argv[i], "--connect") == 0) {
+    if (std::strcmp(argv[i], "--connect") == 0) {
       connect_endpoint = needs_value("--connect");
     } else if (std::strcmp(argv[i], "--name") == 0) {
       name = needs_value("--name");
@@ -120,14 +100,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const int modes = (connect_endpoint.empty() ? 0 : 1) +
-                    (stdio_frames ? 1 : 0) +
-                    (request_path.empty() && groups_csv.empty() &&
-                             store_path.empty()
-                         ? 0
-                         : 1);
-  if (modes != 1) {
-    return usage();
+  if (connect_endpoint.empty() == !stdio_frames) {
+    return usage();  // exactly one mode
   }
 
   if (stdio_frames) {
@@ -135,51 +109,12 @@ int main(int argc, char** argv) {
                                            session_options);
   }
 
-  if (!connect_endpoint.empty()) {
-    const int fd = ao::service::connect_endpoint(connect_endpoint);
-    if (fd < 0) {
-      std::cerr << "ao_worker: cannot connect to " << connect_endpoint
-                << "\n";
-      return 1;
-    }
-    ao::service::SocketStream stream(fd);
-    return ao::service::run_worker_session(stream, stream, name,
-                                           session_options);
-  }
-
-  if (request_path.empty() || groups_csv.empty() || store_path.empty()) {
-    return usage();
-  }
-
-  std::ifstream in(request_path);
-  if (!in) {
-    std::cerr << "ao_worker: cannot read request file " << request_path
-              << "\n";
-    return 2;
-  }
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    lines.push_back(line);
-  }
-  std::string error;
-  const auto request = ao::service::parse_request_lines(lines, &error);
-  if (!request.has_value()) {
-    std::cerr << "ao_worker: malformed request: " << error << "\n";
-    return 2;
-  }
-
-  std::vector<std::size_t> groups;
-  if (!ao::service::parse_index_csv(groups_csv, groups)) {
-    std::cerr << "ao_worker: malformed group list: " << groups_csv << "\n";
-    return 2;
-  }
-
-  const std::string shard_error =
-      ao::service::run_shard(*request, groups, store_path);
-  if (!shard_error.empty()) {
-    std::cerr << "ao_worker: shard failed: " << shard_error << "\n";
+  const int fd = ao::service::connect_endpoint(connect_endpoint);
+  if (fd < 0) {
+    std::cerr << "ao_worker: cannot connect to " << connect_endpoint << "\n";
     return 1;
   }
-  return 0;
+  ao::service::SocketStream stream(fd);
+  return ao::service::run_worker_session(stream, stream, name,
+                                         session_options);
 }

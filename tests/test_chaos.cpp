@@ -11,6 +11,7 @@
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <map>
@@ -310,46 +311,49 @@ struct ChaosFleet {
 
 // --------------------------------------------------- chaos: rescheduling --
 
-/// Runs the 20-record campaign against a store-backed daemon whose doomed
-/// worker fails its first shard at `kill`. The shard must be retried on the
-/// OTHER endpoint (failure-domain rescheduling); records the doomed attempt
-/// already settled must reach neither the client nor the store twice; and
-/// the settled records must be bit-identical to a single-process run.
-void expect_rescheduled_without_duplicates(KillPoint kill) {
-  std::signal(SIGPIPE, SIG_IGN);
-  const auto dir = temp_dir("rescheduled");
-  const auto shard_dir = dir / "shards";
-  std::filesystem::create_directory(shard_dir);
-  CampaignService::Config config;
-  config.shard_dir = shard_dir.string();
-  config.store_path = (dir / "chaos.store").string();
-  config.remote_only = true;  // a silent local fallback would mask the retry
-  config.remote_wait_ms = 20000;
-  CampaignService service(std::move(config));
-  ChaosFleet fleet(service, kill);
-  ASSERT_TRUE(wait_until([&] { return service.workers().idle_count() == 2; }));
+/// The worker named on the first stream line containing `marker`, e.g.
+/// "shard 1 lost worker doomed rescheduling" for " lost worker ".
+std::string worker_after(const std::vector<std::string>& lines,
+                         const std::string& marker) {
+  for (const auto& line : lines) {
+    const std::size_t at = line.find(marker);
+    if (at != std::string::npos) {
+      const std::size_t begin = at + marker.size();
+      return line.substr(begin, line.find(' ', begin) - begin);
+    }
+  }
+  return {};
+}
 
+/// Runs the 20-record campaign on a store-backed `service` one of whose
+/// shard endpoints dies mid-shard. The shard must be retried on ANOTHER
+/// endpoint (failure-domain rescheduling); records the dying attempt already
+/// settled must reach neither the client nor the store twice; and the
+/// settled records must be bit-identical to a single-process run. The lost
+/// and the retrying endpoint's names start with the given prefixes, and the
+/// done line ends with `done_tail`.
+void expect_rescheduled_without_duplicates(CampaignService& service,
+                                           const std::string& lost_prefix,
+                                           const std::string& retry_prefix,
+                                           const std::string& done_tail) {
   const auto lines = serve_lines(service, nine_kind_block(2, 2));
   ASSERT_TRUE(starts_with(lines.back(), "done campaign ")) << lines.back();
   // Each of the 20 keys settled once, however often the retry replayed it.
   EXPECT_NE(lines.back().find(" records 20 merged 20 "), std::string::npos)
       << lines.back();
-  EXPECT_NE(lines.back().find("shards 2 remote 2"), std::string::npos)
-      << lines.back();
+  EXPECT_TRUE(lines.back().ends_with(done_tail)) << lines.back();
   EXPECT_EQ(count_prefixed(lines, "record "), 20u);
-  EXPECT_TRUE(any_line_contains(lines, " lost worker doomed rescheduling"))
+  EXPECT_TRUE(any_line_contains(lines, " rescheduling"))
       << "expected a lost-worker event";
-  EXPECT_TRUE(any_line_contains(lines, " retry worker healthy"))
-      << "expected the shard to be retried on the surviving endpoint";
-  EXPECT_TRUE(std::filesystem::is_empty(shard_dir));  // no files, only frames
+  const std::string lost = worker_after(lines, " lost worker ");
+  const std::string retried = worker_after(lines, " retry worker ");
+  EXPECT_TRUE(starts_with(lost, lost_prefix)) << lost;
+  EXPECT_TRUE(starts_with(retried, retry_prefix))
+      << "expected the shard to be retried on another endpoint: " << retried;
+  EXPECT_NE(lost, retried);
   EXPECT_EQ(service.cache().store_entries(), 20u);  // no duplicate line
-
-  // The retry shows up in stats; the registry reports liveness ages.
-  const auto stat_lines =
-      serve_lines(service, "stats\nstats-worker\nshutdown\n");
-  EXPECT_TRUE(any_line_contains(stat_lines, " shard-retries 1"));
-  EXPECT_TRUE(any_line_contains(stat_lines, " last-seen-ns "));
-  fleet.join();
+  EXPECT_TRUE(any_line_contains(serve_lines(service, "stats\n"),
+                                " shard-retries 1"));
 
   CampaignService single({});
   const auto single_lines = serve_lines(single, nine_kind_block(2, 1));
@@ -357,27 +361,90 @@ void expect_rescheduled_without_duplicates(KillPoint kill) {
   auto chaos_entries = entries_by_key(service.cache());
   ASSERT_EQ(chaos_entries.size(), 20u);
   EXPECT_EQ(chaos_entries, entries_by_key(single.cache()));
+}
+
+/// The remote case: a daemon with a doomed and a healthy scripted worker,
+/// the doomed one failing its first shard at `kill`.
+void expect_remote_rescheduled_without_duplicates(KillPoint kill) {
+  std::signal(SIGPIPE, SIG_IGN);
+  const auto dir = temp_dir("rescheduled");
+  CampaignService::Config config;
+  config.store_path = (dir / "chaos.store").string();
+  config.remote_only = true;  // a silent local run would mask the retry
+  config.remote_wait_ms = 20000;
+  CampaignService service(std::move(config));
+  ChaosFleet fleet(service, kill);
+  ASSERT_TRUE(wait_until([&] { return service.workers().idle_count() == 2; }));
+  expect_rescheduled_without_duplicates(service, "doomed", "healthy",
+                                        " shards 2 remote 2");
+  // The registry reports liveness ages.
+  EXPECT_TRUE(
+      any_line_contains(serve_lines(service, "stats\n"), " last-seen-ns "));
+  serve_lines(service, "shutdown\n");
+  fleet.join();
   std::filesystem::remove_all(dir);
 }
 
 // The doomed worker dies having streamed half its records: the retry
 // replays them, and only the other half is new.
 TEST(Chaos, WorkerDyingMidRecordsIsRescheduledWithoutDuplicates) {
-  expect_rescheduled_without_duplicates(KillPoint::kMidRecords);
+  expect_remote_rescheduled_without_duplicates(KillPoint::kMidRecords);
 }
 
 // The doomed worker streams every record and dies before `done`: without
 // the count nothing proves the shard complete, so it is retried, and the
 // retry's replay of every line must settle nothing twice.
 TEST(Chaos, WorkerDyingBeforeItsDoneFrameIsRescheduledWithoutDuplicates) {
-  expect_rescheduled_without_duplicates(KillPoint::kBeforeDone);
+  expect_remote_rescheduled_without_duplicates(KillPoint::kBeforeDone);
 }
 
 // A `done` count that disagrees with the lines received is a broken
 // conversation, like a lost connection: the endpoint is retired and the
 // shard retried elsewhere.
 TEST(Chaos, DoneCountDisagreeingWithTheLinesSentRetiresTheEndpoint) {
-  expect_rescheduled_without_duplicates(KillPoint::kMiscountedDone);
+  expect_remote_rescheduled_without_duplicates(KillPoint::kMiscountedDone);
+}
+
+// The local case: the daemon's first `ao_worker --stdio-frames` child
+// relays its hello and the next 600 bytes of its frames (one batch-1 record
+// at least, never its whole shard), then is SIGKILLed. Every other child is
+// the real worker, held before its hello until that kill — so the doomed
+// child is the only endpoint that can take the first shard. The shard is
+// retried on another child, a sibling or the fresh one its driver spawns.
+TEST(Chaos, LocalWorkerKilledMidShardIsRetriedWithoutDuplicates) {
+  std::signal(SIGPIPE, SIG_IGN);
+  const auto dir = temp_dir("local_killed");
+  const auto script = dir / "doomed_worker.sh";
+  {
+    const std::string worker = AO_WORKER_BINARY;
+    const std::string first = (dir / "first").string();
+    const std::string relay = (dir / "relay").string();
+    const std::string killed = (dir / "killed").string();
+    std::ofstream out(script);
+    out << "#!/bin/sh\n"
+           "if mkdir " << first << " 2>/dev/null; then\n"
+           "  mkfifo " << relay << "\n"
+           "  exec 3<&0\n"  // a background job's own stdin is /dev/null
+           "  " << worker << " \"$@\" --batch 1 <&3 3<&- >" << relay
+        << " &\n"
+           // One byte per write: the relay forwards as it reads.
+           "  dd bs=1 count=615 status=none <" << relay << "\n"
+           "  kill -9 $!\n"
+           "  { wait $!; } 2>/dev/null\n"
+           "  : >" << killed << "\n"
+           "  exit 0\n"
+           "fi\n"
+           "while [ ! -e " << killed << " ]; do sleep 0.01; done\n"
+           "exec " << worker << " \"$@\"\n";
+  }
+  std::filesystem::permissions(script, std::filesystem::perms::owner_all);
+  CampaignService::Config config;
+  config.store_path = (dir / "chaos.store").string();
+  config.worker_binary = script.string();
+  CampaignService service(std::move(config));
+  expect_rescheduled_without_duplicates(service, "local-", "local-",
+                                        " shards 2");
+  std::filesystem::remove_all(dir);
 }
 
 // The ISSUE's acceptance criterion: killing a worker under --remote-only
@@ -387,7 +454,6 @@ TEST(Chaos, RetryBudgetExhaustionSurfacesAShardErrorNotAHang) {
   std::signal(SIGPIPE, SIG_IGN);
   const auto dir = temp_dir("budget");
   CampaignService::Config config;
-  config.shard_dir = dir.string();
   config.remote_only = true;
   config.remote_wait_ms = 20000;
   CampaignService service(std::move(config));

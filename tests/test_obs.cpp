@@ -274,25 +274,34 @@ TEST(ObsStats, SingleSpanPercentilesAreThatSpan) {
   EXPECT_EQ(merge.max_ns, 42u);
 }
 
-TEST(ObsStats, SubtreeFollowsParentLinks) {
-  // Two campaign trees interleaved by id; subtree must pick exactly one.
-  const std::vector<Span> spans = {
+TEST(ObsStats, SplitSubtreeTakesOneTreeAndKeepsTheRest) {
+  // Two campaign trees interleaved by id; the split must take exactly one
+  // and leave the other in place, both in id order.
+  std::vector<Span> spans = {
       {1, 0, Phase::kCampaign, 0, 10, "a"},
       {2, 0, Phase::kCampaign, 0, 10, "b"},
       {3, 1, Phase::kShard, 0, 5, "a/s0"},
       {4, 2, Phase::kShard, 0, 5, "b/s0"},
       {5, 3, Phase::kTransport, 0, 4, "a/s0/t"},
       {6, 4, Phase::kTransport, 0, 4, "b/s0/t"},
+      {7, 5, Phase::kExecute, 0, 1, "a/s0/t/x"},
   };
-  const auto tree_a = span_subtree(spans, 1);
-  ASSERT_EQ(tree_a.size(), 3u);
+  const auto tree_a = split_subtree(spans, 1);
+  ASSERT_EQ(tree_a.size(), 4u);
   EXPECT_EQ(tree_a[0].id, 1u);
   EXPECT_EQ(tree_a[1].id, 3u);
   EXPECT_EQ(tree_a[2].id, 5u);
-  const auto tree_b = span_subtree(spans, 2);
+  EXPECT_EQ(tree_a[3].label, "a/s0/t/x");
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].label, "b");
+  EXPECT_EQ(spans[1].label, "b/s0");
+  EXPECT_EQ(spans[2].label, "b/s0/t");
+  EXPECT_TRUE(split_subtree(spans, 99).empty());
+  EXPECT_EQ(spans.size(), 3u);
+  const auto tree_b = split_subtree(spans, 2);
   ASSERT_EQ(tree_b.size(), 3u);
   EXPECT_EQ(tree_b[0].label, "b");
-  EXPECT_TRUE(span_subtree(spans, 99).empty());
+  EXPECT_TRUE(spans.empty());
 }
 
 TEST(ObsJson, TimelineJsonCarriesSchemaAndSpans) {
@@ -477,22 +486,26 @@ TEST(ObsGraft, WithoutAnOffsetTheTimelineStartAligns) {
   EXPECT_EQ(spans[2].duration_ns, 2u);
 }
 
-TEST(ObsGraft, AdoptAllocatesFreshTopologicalIds) {
+TEST(ObsGraft, AdoptKeepsReservedTopologicalIds) {
   TimelineProfiler profiler(counter_clock());
   TimelineProfiler::Scope scope(&profiler, Phase::kCampaign, 0, "root");
-  Span foreign;
-  foreign.id = 1;  // collides with the open scope's id on purpose
-  foreign.parent = scope.id();
-  foreign.phase = Phase::kExecute;
-  foreign.origin = "w1";
-  const std::uint64_t adopted = profiler.adopt(foreign);
-  EXPECT_GT(adopted, scope.id());
+  const std::uint64_t first = profiler.reserve_ids(2);
+  EXPECT_GT(first, scope.id());
+  std::vector<Span> foreign(2);
+  foreign[0] = {first, scope.id(), Phase::kExecute, 0, 4, "job", "w1"};
+  foreign[1] = {first + 1, first, Phase::kFlush, 1, 2, "records", "w1"};
+  profiler.adopt(std::move(foreign));
+  TimelineProfiler::Scope later(&profiler, Phase::kMerge);
+  EXPECT_GT(later.id(), first + 1);  // reserved ids are never reissued
+  later.close();
   scope.close();
   const auto spans = profiler.snapshot();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[1].id, adopted);
+  ASSERT_EQ(spans.size(), 4u);
+  EXPECT_EQ(spans[1].id, first);
   EXPECT_EQ(spans[1].parent, spans[0].id);
-  EXPECT_EQ(spans[1].origin, "w1");
+  EXPECT_EQ(spans[2].parent, first);
+  EXPECT_EQ(spans[2].origin, "w1");
+  EXPECT_EQ(spans[3].phase, Phase::kMerge);
 }
 
 // ---------------------------------------------------------------- metrics --

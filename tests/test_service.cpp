@@ -36,7 +36,6 @@
 #include "service/shard_planner.hpp"
 #include "service/socket.hpp"
 #include "service/worker_link.hpp"
-#include "service/worker_pool.hpp"
 #include "temp_dir.hpp"
 
 namespace ao::service {
@@ -661,7 +660,6 @@ TEST(CampaignService, FourShardStoreEqualsTheSingleShardStore) {
     CampaignService::Config config;
     config.store_path =
         (dir / ("shards" + std::to_string(shards) + ".aocache")).string();
-    config.shard_dir = dir.string();
     CampaignService service(config);
     const auto lines = serve_lines(
         service, "begin grid\nchips m1,m2,m3,m4\nimpls cpu-single,gpu-mps\n"
@@ -697,7 +695,6 @@ TEST(CampaignService, TwoShardAneStoreEqualsTheSingleShardStore) {
     CampaignService::Config config;
     config.store_path =
         (dir / ("shards" + std::to_string(shards) + ".aocache")).string();
-    config.shard_dir = dir.string();
     CampaignService service(config);
     const auto lines = serve_lines(
         service, "begin anegrid\nchips m1,m2,m3,m4\nimpls cpu-single\n"
@@ -740,11 +737,8 @@ std::map<std::uint64_t, std::string> entries_by_key(
 // patterns included (serialize_record writes hex bit patterns, so string
 // equality IS bit equality) — to the same campaign run single-process.
 TEST(CampaignService, TwoWorkerShardedRunMatchesSingleProcessBitForBit) {
-  const auto dir = temp_dir("sharded");
-
   CampaignService sharded({/*cache_capacity=*/4096,
                            /*store_path=*/"",
-                           /*shard_dir=*/dir.string(),
                            /*worker_binary=*/""});
   const auto sharded_lines = serve_lines(sharded, nine_kind_block(2, 2));
   ASSERT_TRUE(starts_with(sharded_lines.back(), "done campaign "))
@@ -761,14 +755,10 @@ TEST(CampaignService, TwoWorkerShardedRunMatchesSingleProcessBitForBit) {
   const auto single_entries = entries_by_key(single.cache());
   ASSERT_EQ(sharded_entries.size(), 20u);
   EXPECT_EQ(sharded_entries, single_entries);
-
-  std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignService, RepeatedShardedCampaignIsServedFromTheWarmCache) {
-  const auto dir = temp_dir("warm_sharded");
   CampaignService service({/*cache_capacity=*/4096, /*store_path=*/"",
-                           /*shard_dir=*/dir.string(),
                            /*worker_binary=*/""});
   const auto first = serve_lines(service, nine_kind_block(2, 2));
   ASSERT_TRUE(starts_with(first.back(), "done campaign "));
@@ -780,7 +770,6 @@ TEST(CampaignService, RepeatedShardedCampaignIsServedFromTheWarmCache) {
   EXPECT_NE(second.back().find("merged 0"), std::string::npos);
   EXPECT_NE(second.back().find("hits 20"), std::string::npos);
   EXPECT_NE(second.back().find("shards 0"), std::string::npos);
-  std::filesystem::remove_all(dir);
 }
 
 // The tentpole acceptance criterion: two remote workers connected over
@@ -790,9 +779,7 @@ TEST(CampaignService, RepeatedShardedCampaignIsServedFromTheWarmCache) {
 // bit-identical to the single-process run, with NO shard file ever touching
 // the shared filesystem.
 TEST(CampaignService, RemoteWorkersRunShardsOverSocketsBitIdentical) {
-  const auto dir = temp_dir("remote");
   CampaignService::Config config;
-  config.shard_dir = dir.string();
   config.remote_only = true;  // a local shard run would hide a frame bug
   config.remote_wait_ms = 20000;
   CampaignService service(std::move(config));
@@ -825,9 +812,6 @@ TEST(CampaignService, RemoteWorkersRunShardsOverSocketsBitIdentical) {
   EXPECT_EQ(count_prefixed(lines, "record "), 20u);
   // Per-shard lifecycle events: a start and a done per shard.
   EXPECT_GE(count_prefixed(lines, "shard "), 4u);
-  // The whole exchange happened over the sockets: the shard scratch
-  // directory was never written to.
-  EXPECT_TRUE(std::filesystem::is_empty(dir));
 
   // Shutdown releases the parked workers; every thread drains cleanly and
   // the workers exit 0 off the `bye` frame.
@@ -843,18 +827,15 @@ TEST(CampaignService, RemoteWorkersRunShardsOverSocketsBitIdentical) {
   const auto remote_entries = entries_by_key(service.cache());
   ASSERT_EQ(remote_entries.size(), 20u);
   EXPECT_EQ(remote_entries, entries_by_key(single.cache()));
-  std::filesystem::remove_all(dir);
 }
 
 // A worker that dies while idle is only discovered at checkout (park()
 // never reads the socket). The shard it was handed received nothing, so —
-// without remote_only — it must fall back to the local worker pool and the
-// campaign must still succeed.
+// without remote_only — its retry runs on a local endpoint and the campaign
+// must still succeed.
 TEST(CampaignService, DeadIdleWorkerFallsBackToLocalShards) {
   std::signal(SIGPIPE, SIG_IGN);  // writing the task frame hits a dead peer
-  const auto dir = temp_dir("fallback");
   CampaignService service({/*cache_capacity=*/4096, /*store_path=*/"",
-                           /*shard_dir=*/dir.string(),
                            /*worker_binary=*/""});
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -880,7 +861,6 @@ TEST(CampaignService, DeadIdleWorkerFallsBackToLocalShards) {
 
   serve_lines(service, "shutdown\n");
   server.join();
-  std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignService, RemoteOnlyWithoutWorkersFailsTheCampaignNotTheSession) {
@@ -902,17 +882,110 @@ TEST(CampaignService, RemoteOnlyWithoutWorkersFailsTheCampaignNotTheSession) {
   EXPECT_EQ(count_prefixed(lines, "record "), 0u);
 }
 
-TEST(WorkerPool, ShardFailureIsReportedNotFatal) {
-  const auto dir = temp_dir("failure");
-  CampaignRequest request;  // no chips: run_shard throws inside the worker
-  request.sme_sizes = {32};
-  WorkerPool pool;  // in-process mode
-  pool.start(request, "", {{0, {0}, (dir / "s0.aocache").string()}});
-  const auto outcomes = pool.wait();
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_NE(outcomes[0].exit_code, 0);
-  EXPECT_FALSE(outcomes[0].error.empty());
-  std::filesystem::remove_all(dir);
+// A clean shard failure — a `shard-error` frame over a healthy local
+// endpoint — fails the campaign with the worker's own diagnostic, spends no
+// retry, and leaves the session serving.
+TEST(CampaignService, ShardErrorOverAHealthyLocalEndpointFailsTheCampaign) {
+  CampaignService service({});
+  const auto lines = serve_lines(
+      service,
+      "begin broken\nchips m1,m2\nimpls cpu-single\nsizes 32\n"
+      "precision 4\nworkers 1\nshards 2\nrun\nstats\nping\n");
+  ASSERT_FALSE(lines.empty());
+  EXPECT_EQ(lines.back(), "pong");
+  const auto failed = [&](const std::string& prefix) {
+    return std::any_of(lines.begin(), lines.end(), [&](const auto& line) {
+      return starts_with(line, prefix) &&
+             line.find("study sizes are functional") != std::string::npos;
+    });
+  };
+  EXPECT_TRUE(failed("shard ")) << "expected the shard's error event";
+  EXPECT_TRUE(failed("error exec-failed campaign 1 shard "));
+  EXPECT_EQ(count_prefixed(lines, "done campaign "), 0u);
+  EXPECT_TRUE(std::any_of(lines.begin(), lines.end(), [](const auto& line) {
+    return starts_with(line, "stats ") &&
+           line.find(" shard-retries 0 ") != std::string::npos;
+  }));
+}
+
+// An abort that lands while local endpoints stream a sharded campaign stops
+// it between shards: the `aborted campaign` event and the `error` reply
+// close the stream, and no `done` line is written.
+TEST(CampaignService, AbortDuringALocalShardedCampaignEndsTheStream) {
+  CampaignService::Config config;
+  config.outbox_capacity = 4;  // 40 data lines cannot all queue
+  CampaignService service(std::move(config));
+
+  RecordGate gate;
+  std::ostream session_out(&gate);
+  std::istringstream session_in(nine_kind_block(2, 2));
+  std::thread session([&] { service.serve(session_in, session_out); });
+  // The first shard record is held at the client: the shards are under way
+  // and block on the full outbox before they can finish.
+  ASSERT_TRUE(wait_until([&] { return gate.holding(); }));
+  const auto reply = serve_lines(service, "abort ninekinds\n");
+  EXPECT_EQ(reply, std::vector<std::string>{"ok abort ninekinds cancelled 1"});
+  gate.open();
+  session.join();
+
+  const auto lines = gate.lines();
+  ASSERT_GE(lines.size(), 3u);
+  ASSERT_TRUE(starts_with(lines.front(), "ok campaign 1 ")) << lines.front();
+  EXPECT_EQ(lines[lines.size() - 2], "aborted campaign 1");
+  EXPECT_TRUE(starts_with(lines.back(), "error aborted campaign 1 records "))
+      << lines.back();
+  EXPECT_EQ(count_prefixed(lines, "done campaign "), 0u);
+  EXPECT_LT(count_prefixed(lines, "record "), 20u);
+  // The endpoints were released with the campaign: a resubmit runs on fresh
+  // ones and completes from the settled remainder.
+  const auto rerun = serve_lines(service, nine_kind_block(2, 2));
+  ASSERT_TRUE(starts_with(rerun.back(), "done campaign 2 records 20 "))
+      << rerun.back();
+}
+
+// A spawned local worker holds its socketpair end as stdin/stdout and the
+// daemon's stderr, nothing else: no store file, listening socket or client
+// connection of the daemon leaks into it. The worker binary here is a script
+// that records its open fds and exits without a hello.
+TEST(CampaignService, LocalWorkerChildrenInheritOnlyStdio) {
+  std::signal(SIGPIPE, SIG_IGN);
+  const auto dir = temp_dir("child_fds");
+  const std::string report = (dir / "fds.txt").string();
+  const auto script = dir / "record_fds.sh";
+  {
+    std::ofstream out(script);
+    // `exec sh -c` sheds the script file's own descriptor; the builtin `[`
+    // then probes each fd number without opening anything.
+    out << "#!/bin/sh\n"
+           "exec /bin/sh -c 'fd=0 open=; while [ $fd -lt 1024 ]; do "
+           "[ -e /proc/self/fd/$fd ] && open=\"$open $fd\"; "
+           "fd=$((fd + 1)); done; echo \"$open\" >> \"$1\"' sh "
+        << report << "\n";
+  }
+  std::filesystem::permissions(script, std::filesystem::perms::owner_all);
+  UnixServerSocket listener((dir / "l.sock").string());
+  CampaignService::Config config;
+  config.store_path = (dir / "store.aocache").string();
+  config.worker_binary = script.string();
+  CampaignService service(std::move(config));
+  const auto lines = serve_lines(
+      service,
+      "begin fds\nchips m1,m2\nimpls cpu-single\nsizes 32,48\nworkers 1\n"
+      "shards 2\nretries 0\nrun\n");
+  ASSERT_FALSE(lines.empty());
+  EXPECT_TRUE(starts_with(lines.back(), "error exec-failed campaign 1 "))
+      << lines.back();
+  std::ifstream in(report);
+  std::vector<std::string> seen;
+  for (std::string line; std::getline(in, line);) {
+    seen.push_back(line);
+  }
+  // One line per spawned child: a driver whose endpoint died spawns a
+  // replacement while work is queued, so there may be more than two.
+  EXPECT_GE(seen.size(), 2u);
+  for (const auto& fds : seen) {
+    EXPECT_EQ(fds, " 0 1 2");
+  }
 }
 
 // ----------------------------------------------------------- campaign queue --
@@ -1247,6 +1320,68 @@ TEST(CampaignServiceQueue, ConcurrentDisjointStreamsAreBitIdenticalToSerial) {
   ASSERT_FALSE(record_lines(ane_out.text()).empty());
 }
 
+// Two disjoint campaigns overlap: the sharded one is held at its client
+// while the other runs to `done`, so the first finish drains spans of the
+// still-running campaign, which wait in the orphan pool until their own
+// finish. Each retained timeline must be exactly its campaign's tree.
+TEST(CampaignService, ConcurrentCampaignProfilesHoldExactlyTheirOwnTrees) {
+  CampaignService::Config config;
+  config.outbox_capacity = 2;
+  CampaignService service(std::move(config));
+
+  RecordGate gate;
+  std::ostream held_out(&gate);
+  std::istringstream held_in(
+      "begin held\nchips m1,m2\nimpls cpu-single\nsizes 32,48\nsme 32 13\n"
+      "workers 1\nshards 2\nrun\n");
+  std::thread held([&] { service.serve(held_in, held_out); });
+  ASSERT_TRUE(wait_until([&] { return gate.holding(); }));
+  const auto other = serve_lines(service, ane_block("other", "carol"));
+  ASSERT_TRUE(starts_with(other.back(), "done campaign ")) << other.back();
+  gate.open();
+  held.join();
+  const auto held_lines = gate.lines();
+  ASSERT_TRUE(starts_with(held_lines.back(), "done campaign "))
+      << held_lines.back();
+
+  const auto timelines = service.timelines();
+  ASSERT_EQ(timelines.size(), 2u);
+  EXPECT_EQ(timelines[0].name, "other");
+  EXPECT_EQ(timelines[1].name, "held");
+  std::set<std::uint64_t> all_ids;
+  for (const auto& timeline : timelines) {
+    std::set<std::uint64_t> ids;
+    std::map<obs::Phase, std::size_t> phases;
+    std::map<std::string, std::size_t> origins;
+    for (const obs::Span& span : timeline.spans) {
+      // Id order, parents first: every parent is a member seen before.
+      EXPECT_TRUE(span.phase == obs::Phase::kCampaign
+                      ? span.parent == 0
+                      : ids.count(span.parent) == 1)
+          << timeline.name << " span " << span.id;
+      EXPECT_TRUE(ids.insert(span.id).second);
+      EXPECT_TRUE(all_ids.insert(span.id).second) << "span in both trees";
+      ++phases[span.phase];
+      ++origins[span.origin];
+    }
+    EXPECT_EQ(phases[obs::Phase::kCampaign], 1u) << timeline.name;
+    EXPECT_EQ(phases[obs::Phase::kAdmission], 1u) << timeline.name;
+    EXPECT_EQ(phases[obs::Phase::kQueueWait], 1u) << timeline.name;
+    if (timeline.name == "other") {
+      EXPECT_EQ(phases[obs::Phase::kExecute], 1u);
+      EXPECT_EQ(phases[obs::Phase::kShard], 0u);
+    } else {
+      // Both shards' conversations, with their workers' execute spans
+      // grafted under them: 6 jobs, each executed on a local endpoint.
+      EXPECT_EQ(phases[obs::Phase::kShard], 2u);
+      EXPECT_EQ(phases[obs::Phase::kTransport], 2u);
+      EXPECT_EQ(phases[obs::Phase::kExecute], 6u);
+      EXPECT_EQ(origins["local-0"] + origins["local-1"],
+                timeline.spans.size() - origins[""]);
+    }
+  }
+}
+
 // The `queue` introspection command: waiting campaigns with position,
 // name, client, priority and resource mask, terminated by an aggregate
 // line — without submitting or disturbing anything.
@@ -1299,7 +1434,7 @@ TEST(CampaignService, ShardedRunPersistsMergedEntriesToTheServiceStore) {
   const auto dir = temp_dir("persist");
   const std::string store = (dir / "service.aocache").string();
   {
-    CampaignService service({/*cache_capacity=*/4096, store, dir.string(),
+    CampaignService service({/*cache_capacity=*/4096, store,
                              /*worker_binary=*/""});
     const auto lines = serve_lines(service, nine_kind_block(1, 2));
     ASSERT_TRUE(starts_with(lines.back(), "done campaign "));
@@ -1323,7 +1458,6 @@ obs::TimelineProfiler::ClockFn counter_clock() {
 TEST(CampaignService, ProfileCommandReplaysTheCampaignTimeline) {
   const auto dir = temp_dir("profile");
   CampaignService::Config config;
-  config.shard_dir = dir.string();
   config.profile_dir = dir.string();
   config.profile_clock = counter_clock();
   CampaignService service(std::move(config));
@@ -1430,9 +1564,7 @@ TEST(CampaignService, StatsCarryLifetimePhaseTotals) {
 }
 
 TEST(CampaignService, RemoteShardSpansNestTransportUnderShard) {
-  const auto dir = temp_dir("profile_remote");
   CampaignService::Config config;
-  config.shard_dir = dir.string();
   config.remote_only = true;
   config.remote_wait_ms = 20000;
   config.profile_clock = counter_clock();
@@ -1542,7 +1674,6 @@ TEST(CampaignService, RemoteShardSpansNestTransportUnderShard) {
   serve_lines(service, "shutdown\n");
   server.join();
   worker.join();
-  std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignService, SkewedWorkerClockYieldsNestedByteStableTimelines) {
@@ -1559,10 +1690,8 @@ TEST(CampaignService, SkewedWorkerClockYieldsNestedByteStableTimelines) {
   };
   const auto run_once = [] {
     RunResult result;
-    const auto dir = temp_dir("profile_skew");
     auto ticks = std::make_shared<std::atomic<std::uint64_t>>(0);
     CampaignService::Config config;
-    config.shard_dir = dir.string();
     config.remote_only = true;
     config.remote_wait_ms = 20000;
     config.heartbeat_interval_ns = 1;  // every pre-lease sweep pings
@@ -1671,7 +1800,6 @@ TEST(CampaignService, SkewedWorkerClockYieldsNestedByteStableTimelines) {
     serve_lines(service, "shutdown\n");
     server.join();
     worker.join();
-    std::filesystem::remove_all(dir);
     return result;
   };
 
@@ -1789,7 +1917,6 @@ TEST(CampaignService, StatsPhaseAndMetricsTranscriptIsPinned) {
   const auto dir = temp_dir("transcript");
   CampaignService::Config config;
   config.store_path = (dir / "service.aocache").string();
-  config.shard_dir = dir.string();
   config.profile_clock = counter_clock();
   CampaignService service(std::move(config));
 
@@ -1821,16 +1948,23 @@ TEST(CampaignService, StatsPhaseAndMetricsTranscriptIsPinned) {
 
   // schedule: one `expand` span per campaign (the queued one included), one
   // `warm` span per campaign that ran, and the sharded run's `plan-shards`.
+  // The sharded run's two local endpoints ship their timelines: 6 execute
+  // spans, a plan and a flush span each; the daemon side adds a transport
+  // and three frames (task, records, spans) per shard. Records serialize
+  // only on the in-process run.
   const std::string expected = R"(stats-phase campaign count 3
 stats-phase queue-wait count 3
 stats-phase admission count 3
 stats-phase schedule count 6
 stats-phase shard count 2
-stats-phase execute count 20
+stats-phase execute count 26
 stats-phase serialize count 20
+stats-phase frame count 6
+stats-phase transport count 2
 stats-phase merge count 2
 stats-phase abort count 1
-stats-phase plan count 3
+stats-phase plan count 5
+stats-phase flush count 2
 stats-phase query count 2
 stats campaigns 2 sharded 1 records 26 executed 20 hits 0 merged 6 cache-entries 26 store-entries 26 running 0 queued 0 peak 1 rejected 0 remote-shards 0 workers 0 idle-workers 0 aborted 1 deadline-expired 0 shard-retries 0 outbox-peak <t> outbox-blocked 0 outbox-dropped 0 plan-hits 0 plan-misses 3 plan-entries 3 queries 1 query-records 25 follows 1 stale-cursors 0
 # HELP ao_campaigns_total Campaigns completed since daemon start.
@@ -1954,7 +2088,29 @@ ao_phase_duration_ns_bucket{phase="execute",le="1000000000"} <t>
 ao_phase_duration_ns_bucket{phase="execute",le="10000000000"} <t>
 ao_phase_duration_ns_bucket{phase="execute",le="+Inf"} <t>
 ao_phase_duration_ns_sum{phase="execute"} <t>
-ao_phase_duration_ns_count{phase="execute"} 20
+ao_phase_duration_ns_count{phase="execute"} 26
+ao_phase_duration_ns_bucket{phase="flush",le="1000"} <t>
+ao_phase_duration_ns_bucket{phase="flush",le="10000"} <t>
+ao_phase_duration_ns_bucket{phase="flush",le="100000"} <t>
+ao_phase_duration_ns_bucket{phase="flush",le="1000000"} <t>
+ao_phase_duration_ns_bucket{phase="flush",le="10000000"} <t>
+ao_phase_duration_ns_bucket{phase="flush",le="100000000"} <t>
+ao_phase_duration_ns_bucket{phase="flush",le="1000000000"} <t>
+ao_phase_duration_ns_bucket{phase="flush",le="10000000000"} <t>
+ao_phase_duration_ns_bucket{phase="flush",le="+Inf"} <t>
+ao_phase_duration_ns_sum{phase="flush"} <t>
+ao_phase_duration_ns_count{phase="flush"} 2
+ao_phase_duration_ns_bucket{phase="frame",le="1000"} <t>
+ao_phase_duration_ns_bucket{phase="frame",le="10000"} <t>
+ao_phase_duration_ns_bucket{phase="frame",le="100000"} <t>
+ao_phase_duration_ns_bucket{phase="frame",le="1000000"} <t>
+ao_phase_duration_ns_bucket{phase="frame",le="10000000"} <t>
+ao_phase_duration_ns_bucket{phase="frame",le="100000000"} <t>
+ao_phase_duration_ns_bucket{phase="frame",le="1000000000"} <t>
+ao_phase_duration_ns_bucket{phase="frame",le="10000000000"} <t>
+ao_phase_duration_ns_bucket{phase="frame",le="+Inf"} <t>
+ao_phase_duration_ns_sum{phase="frame"} <t>
+ao_phase_duration_ns_count{phase="frame"} 6
 ao_phase_duration_ns_bucket{phase="merge",le="1000"} <t>
 ao_phase_duration_ns_bucket{phase="merge",le="10000"} <t>
 ao_phase_duration_ns_bucket{phase="merge",le="100000"} <t>
@@ -1976,7 +2132,7 @@ ao_phase_duration_ns_bucket{phase="plan",le="1000000000"} <t>
 ao_phase_duration_ns_bucket{phase="plan",le="10000000000"} <t>
 ao_phase_duration_ns_bucket{phase="plan",le="+Inf"} <t>
 ao_phase_duration_ns_sum{phase="plan"} <t>
-ao_phase_duration_ns_count{phase="plan"} 3
+ao_phase_duration_ns_count{phase="plan"} 5
 ao_phase_duration_ns_bucket{phase="query",le="1000"} <t>
 ao_phase_duration_ns_bucket{phase="query",le="10000"} <t>
 ao_phase_duration_ns_bucket{phase="query",le="100000"} <t>
@@ -2032,6 +2188,17 @@ ao_phase_duration_ns_bucket{phase="shard",le="10000000000"} <t>
 ao_phase_duration_ns_bucket{phase="shard",le="+Inf"} <t>
 ao_phase_duration_ns_sum{phase="shard"} <t>
 ao_phase_duration_ns_count{phase="shard"} 2
+ao_phase_duration_ns_bucket{phase="transport",le="1000"} <t>
+ao_phase_duration_ns_bucket{phase="transport",le="10000"} <t>
+ao_phase_duration_ns_bucket{phase="transport",le="100000"} <t>
+ao_phase_duration_ns_bucket{phase="transport",le="1000000"} <t>
+ao_phase_duration_ns_bucket{phase="transport",le="10000000"} <t>
+ao_phase_duration_ns_bucket{phase="transport",le="100000000"} <t>
+ao_phase_duration_ns_bucket{phase="transport",le="1000000000"} <t>
+ao_phase_duration_ns_bucket{phase="transport",le="10000000000"} <t>
+ao_phase_duration_ns_bucket{phase="transport",le="+Inf"} <t>
+ao_phase_duration_ns_sum{phase="transport"} <t>
+ao_phase_duration_ns_count{phase="transport"} 2
 # EOF
 )";
   EXPECT_EQ(masked_surfaces(serve_lines(service, "stats\nmetrics\n")),
@@ -2235,9 +2402,7 @@ TEST(WorkerSession, FlushDeadlineShipsPartialBatches) {
 // aggressively (whole-shard batches) must leave the daemon's merged cache
 // bit-identical to the single-process run.
 TEST(CampaignService, RemoteBatchedWorkersStayBitIdentical) {
-  const auto dir = temp_dir("remote_batched");
   CampaignService::Config config;
-  config.shard_dir = dir.string();
   config.remote_only = true;
   config.remote_wait_ms = 20000;
   CampaignService service(std::move(config));
@@ -2285,7 +2450,6 @@ TEST(CampaignService, RemoteBatchedWorkersStayBitIdentical) {
   const auto batched_entries = entries_by_key(service.cache());
   ASSERT_EQ(batched_entries.size(), 20u);
   EXPECT_EQ(batched_entries, entries_by_key(single.cache()));
-  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------- follow replay -------
@@ -2352,7 +2516,6 @@ TEST(CampaignService, FollowReplaysTheLiveStreamBitForBit) {
   const auto dir = temp_dir("follow_replay");
   CampaignService::Config config;
   config.store_path = (dir / "follow.aocache").string();
-  config.shard_dir = dir.string();
   CampaignService service(config);
 
   // In process: every GEMM point is functional and verified, and three

@@ -28,7 +28,7 @@ OUT=${3:?usage: bench_hotpath.sh <build-dir> <scratch-dir> <out.json>}
 BUILD_DIR=$(cd "$BUILD_DIR" && pwd)
 TOOLS_DIR=$(cd "$(dirname "$0")" && pwd)
 
-mkdir -p "$SCRATCH/profile" "$SCRATCH/shards"
+mkdir -p "$SCRATCH/profile"
 SOCK="$SCRATCH/ao.sock"
 
 cleanup() {
@@ -40,8 +40,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-"$BUILD_DIR/ao_campaignd" --socket "$SOCK" --shard-dir "$SCRATCH/shards" \
-  --profile-dir "$SCRATCH/profile" &
+"$BUILD_DIR/ao_campaignd" --socket "$SOCK" --profile-dir "$SCRATCH/profile" &
 DAEMON_PID=$!
 for _ in $(seq 100); do [ -S "$SOCK" ] && break; sleep 0.1; done
 [ -S "$SOCK" ] || { echo "bench_hotpath: daemon never bound $SOCK" >&2; exit 1; }
