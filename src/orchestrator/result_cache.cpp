@@ -406,9 +406,9 @@ void ResultCache::insert(const CacheKey& key, const MeasurementRecord& record) {
 
 void ResultCache::insert_entry(const CacheKey& key, std::string line) {
   // insert_entry() returns only after the entry is flushed — the service
-  // tails shard stores live, so a published record must be durable on
-  // return. The append reads this call's own bytes, which then move into
-  // the LRU.
+  // streams a `record` after settling it here, so `follow`, `query` and a
+  // restart find every streamed record in the store. The append reads
+  // this call's own bytes, which then move into the LRU.
   append_if_absent(key, line);
   std::lock_guard lock(mutex_);
   retain_locked(key, std::move(line));

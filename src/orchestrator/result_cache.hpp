@@ -119,15 +119,15 @@ std::string store_header_line();
 ///
 /// Thread-safety contract (docs/orchestrator.md#thread-safety): every
 /// public method may be called concurrently from any number of threads —
-/// the campaign service shares one instance between concurrently executing
-/// scheduler instances. Internally two locks split the work: `mutex_`
+/// the campaign service shares one instance between its concurrently
+/// running campaigns. Internally two locks split the work: `mutex_`
 /// guards the LRU state and is never held across disk I/O, while
 /// `io_mutex_` serializes everything that writes the store file (appends,
 /// rewrites, attach) — so a slow write-through append never stalls another
 /// campaign's lookup(). insert() still returns only after its entry is
-/// flushed to the attached store (the service's shard tailing depends on
-/// that). Keys are content addresses: equal keys carry bit-identical
-/// records.
+/// flushed to the attached store, so a record the service has streamed is
+/// already there for `follow`, `query` and a restart. Keys are content
+/// addresses: equal keys carry bit-identical records.
 ///
 /// The cache can be backed by a versioned on-disk store (the format is
 /// specified in docs/orchestrator.md). persist_to() attaches one: its lines

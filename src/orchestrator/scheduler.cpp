@@ -336,9 +336,9 @@ void CampaignScheduler::set_profile_sink(obs::TimelineProfiler* profiler,
 CampaignOutputs CampaignScheduler::run(JobQueue& queue,
                                        RecordCallback on_record,
                                        StopFn should_stop) {
-  // A scheduler runs one campaign at a time; the multi-tenant service
-  // enforces this by leasing schedulers exclusively, and this guard turns
-  // any future violation into a loud failure instead of corrupted batches.
+  // A scheduler runs one campaign at a time; every campaign the service
+  // runs builds its own, and this guard turns any misuse into a loud
+  // failure instead of corrupted batches.
   AO_REQUIRE(!run_active_.exchange(true, std::memory_order_acq_rel),
              "CampaignScheduler::run() is not reentrant");
   struct RunGuard {

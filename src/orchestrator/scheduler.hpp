@@ -248,9 +248,10 @@ class CampaignScheduler {
   /// service's incremental result feed. `should_stop` (when set) is polled
   /// between jobs: a non-empty code drains the queue without executing and
   /// run() throws CampaignStopped carrying it — jobs already settled kept
-  /// their cache entries, so a resubmit completes only the remainder. A
-  /// scheduler may be reused across sequential run() calls (its SystemPool
-  /// stays warm) but run() itself is not reentrant.
+  /// their cache entries (or whatever `on_record` settled them into), so a
+  /// resubmit completes only the remainder. Sequential run() calls on one
+  /// scheduler measure what a fresh scheduler would (every System lease is
+  /// in boot state), but run() itself is not reentrant.
   CampaignOutputs run(JobQueue& queue, RecordCallback on_record = {},
                       StopFn should_stop = {});
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "orchestrator/result_cache.hpp"
@@ -32,28 +33,33 @@ std::string lowercase(const std::string& s) {
   return out;
 }
 
-bool parse_size_list(const std::string& token, std::vector<std::size_t>& out) {
-  out.clear();
-  for (const std::string& part : split_csv(token)) {
-    std::uint64_t value = 0;
-    if (!parse_u64_token(part, value)) {
-      return false;
-    }
-    out.push_back(static_cast<std::size_t>(value));
-  }
-  return !out.empty();
+/// A list setter's values must be distinct: a repeated value would plan
+/// the same job, and so the same cache key, more than once.
+template <typename T>
+bool distinct_values(std::vector<T> values) {
+  std::sort(values.begin(), values.end());
+  return std::adjacent_find(values.begin(), values.end()) == values.end();
 }
 
-bool parse_int_list(const std::string& token, std::vector<int>& out) {
-  out.clear();
+/// Parses a comma-separated list of distinct unsigned values that fit T.
+/// `out` is assigned only on success, so a rejected line leaves the request
+/// as it was.
+template <typename T>
+bool parse_list(const std::string& token, std::vector<T>& out) {
+  std::vector<T> values;
   for (const std::string& part : split_csv(token)) {
     std::uint64_t value = 0;
-    if (!parse_u64_token(part, value) || value > INT32_MAX) {
+    if (!parse_u64_token(part, value) ||
+        value > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
       return false;
     }
-    out.push_back(static_cast<int>(value));
+    values.push_back(static_cast<T>(value));
   }
-  return !out.empty();
+  if (values.empty() || !distinct_values(values)) {
+    return false;
+  }
+  out = std::move(values);
+  return true;
 }
 
 bool parse_double_token(const std::string& token, double& value) {
@@ -334,8 +340,8 @@ std::optional<std::string> apply_setter(CampaignRequest& request_,
         return "unknown chip: " + part;
       }
     }
-    if (chips.empty()) {
-      return "chips needs a comma-separated list (m1,m2,...)";
+    if (chips.empty() || !distinct_values(chips)) {
+      return "chips needs a comma-separated list of distinct chips (m1,m2,...)";
     }
     request_.chips = std::move(chips);
   } else if (directive == "impls") {
@@ -347,13 +353,14 @@ std::optional<std::string> apply_setter(CampaignRequest& request_,
         return "unknown implementation: " + part;
       }
     }
-    if (impls.empty()) {
-      return "impls needs a comma-separated list (cpu-single,gpu-mps,...)";
+    if (impls.empty() || !distinct_values(impls)) {
+      return "impls needs a comma-separated list of distinct implementations "
+             "(cpu-single,gpu-mps,...)";
     }
     request_.impls = std::move(impls);
   } else if (directive == "sizes") {
-    if (!parse_size_list(arg(1), request_.sizes)) {
-      return "sizes needs a comma-separated list of matrix sizes";
+    if (!parse_list(arg(1), request_.sizes)) {
+      return "sizes needs a comma-separated list of distinct matrix sizes";
     }
   } else if (directive == "repetitions") {
     if (!require_u64(1, u64) || u64 == 0 || u64 > 1000) {
@@ -376,8 +383,8 @@ std::optional<std::string> apply_setter(CampaignRequest& request_,
     }
     request_.functional_n_max = static_cast<std::size_t>(u64);
   } else if (directive == "stream") {
-    if (!parse_int_list(arg(1), request_.stream_threads)) {
-      return "stream needs a comma-separated list of thread counts";
+    if (!parse_list(arg(1), request_.stream_threads)) {
+      return "stream needs a comma-separated list of distinct thread counts";
     }
     if (words.size() > 2) {
       if (!require_u64(2, u64) || u64 == 0) {
@@ -406,8 +413,8 @@ std::optional<std::string> apply_setter(CampaignRequest& request_,
       request_.gpu_stream_elements = static_cast<std::size_t>(u64);
     }
   } else if (directive == "precision") {
-    if (!parse_size_list(arg(1), request_.precision_sizes)) {
-      return "precision needs a comma-separated list of matrix sizes";
+    if (!parse_list(arg(1), request_.precision_sizes)) {
+      return "precision needs a comma-separated list of distinct matrix sizes";
     }
     if (words.size() > 2) {
       if (!require_u64(2, u64)) {
@@ -416,8 +423,8 @@ std::optional<std::string> apply_setter(CampaignRequest& request_,
       request_.precision_seed = u64;
     }
   } else if (directive == "ane") {
-    if (!parse_size_list(arg(1), request_.ane_sizes)) {
-      return "ane needs a comma-separated list of matrix sizes";
+    if (!parse_list(arg(1), request_.ane_sizes)) {
+      return "ane needs a comma-separated list of distinct matrix sizes";
     }
     if (words.size() > 2) {
       const std::string mode = lowercase(arg(2));
@@ -430,8 +437,8 @@ std::optional<std::string> apply_setter(CampaignRequest& request_,
       }
     }
   } else if (directive == "fp64emu") {
-    if (!parse_size_list(arg(1), request_.fp64emu_sizes)) {
-      return "fp64emu needs a comma-separated list of matrix sizes";
+    if (!parse_list(arg(1), request_.fp64emu_sizes)) {
+      return "fp64emu needs a comma-separated list of distinct matrix sizes";
     }
     if (words.size() > 2) {
       if (!require_u64(2, u64)) {
@@ -440,8 +447,8 @@ std::optional<std::string> apply_setter(CampaignRequest& request_,
       request_.fp64emu_seed = u64;
     }
   } else if (directive == "sme") {
-    if (!parse_size_list(arg(1), request_.sme_sizes)) {
-      return "sme needs a comma-separated list of matrix sizes";
+    if (!parse_list(arg(1), request_.sme_sizes)) {
+      return "sme needs a comma-separated list of distinct matrix sizes";
     }
     if (words.size() > 2) {
       if (!require_u64(2, u64)) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <fstream>
 #include <istream>
+#include <map>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -14,7 +15,6 @@
 #include "service/shard_planner.hpp"
 #include "service/worker_link.hpp"
 #include "util/error.hpp"
-#include "util/hash.hpp"
 
 namespace ao::service {
 
@@ -72,51 +72,6 @@ struct SettleWindow {
 };
 
 }  // namespace
-
-/// Checks a scheduler out of the idle pool (or builds one) for exactly one
-/// campaign. Concurrent campaigns each hold their own scheduler — run() is
-/// not reentrant per instance — while sequential campaigns that agree on
-/// options and concurrency reuse a warm SystemPool.
-class CampaignService::SchedulerLease {
- public:
-  SchedulerLease(CampaignService& service, const CampaignRequest& request)
-      : service_(&service) {
-    key_ = orchestrator::options_fingerprint(request.options());
-    key_ = util::fnv1a_mix(key_, request.workers);
-    {
-      std::lock_guard lock(service.scheduler_pool_mutex_);
-      const auto it = service.idle_schedulers_.find(key_);
-      if (it != service.idle_schedulers_.end()) {
-        scheduler_ = std::move(it->second);
-        service.idle_schedulers_.erase(it);
-      }
-    }
-    if (scheduler_ == nullptr) {
-      CampaignScheduler::Options options;
-      options.concurrency = request.workers;
-      scheduler_ = std::make_unique<CampaignScheduler>(request.options(),
-                                                       options,
-                                                       &service.cache_);
-    }
-  }
-
-  ~SchedulerLease() {
-    std::lock_guard lock(service_->scheduler_pool_mutex_);
-    if (service_->idle_schedulers_.size() < kMaxIdle) {
-      service_->idle_schedulers_.emplace(key_, std::move(scheduler_));
-    }
-    // Beyond the cap the scheduler (and its SystemPool) is simply dropped —
-    // bounded memory beats a marginally warmer pool.
-  }
-
-  CampaignScheduler& scheduler() { return *scheduler_; }
-
- private:
-  static constexpr std::size_t kMaxIdle = 8;
-  CampaignService* service_;
-  std::uint64_t key_ = 0;
-  std::unique_ptr<CampaignScheduler> scheduler_;
-};
 
 CampaignService::CampaignService(Config config)
     : config_(std::move(config)),
@@ -720,59 +675,48 @@ void CampaignService::run_in_process(
   const std::uint64_t options_fp =
       orchestrator::options_fingerprint(request.options());
   // Cached points stream first, as the bytes the cache holds; only the
-  // rest reach a scheduler. A fully warm replay leases none.
+  // rest reach a scheduler. A fully warm replay builds none.
   const WarmPass warm = serve_warm(*compiled, options_fp, expected_records,
                                    should_stop, journal, nullptr, out);
   std::size_t streamed = warm.hits;
   std::string stop_code = warm.stop_code;
   std::size_t executed = 0;
-  std::size_t scheduler_hits = 0;
   if (stop_code.empty() && !warm.pending.empty()) {
     JobQueue queue;
     orchestrator::push_job_subset(queue, *compiled, warm.pending);
+    // A fresh scheduler without a cache, as a shard worker runs one: the
+    // warm pass streamed every key the cache holds, and admission never
+    // runs two campaigns that could share a key side by side. Its per-job
+    // `execute` spans are parented under this campaign's root (worker
+    // threads carry no inherited scope).
+    CampaignScheduler scheduler(request.options(), {request.workers});
+    scheduler.set_profile_sink(&profiler_, root_span);
     std::mutex out_mutex;  // workers stream concurrently
-    SchedulerLease lease(*this, request);
-    // Per-job `execute` spans, parented under this campaign's root (worker
-    // threads carry no inherited scope). The sink is cleared before the
-    // lease returns the scheduler to the pool — the next campaign sets its
-    // own.
-    lease.scheduler().set_profile_sink(&profiler_, root_span);
-    struct SinkGuard {
-      CampaignScheduler& scheduler;
-      ~SinkGuard() { scheduler.set_profile_sink(nullptr); }
-    } sink_guard{lease.scheduler()};
+    const orchestrator::RecordCallback on_record =
+        [&](const ExperimentJob& job, const MeasurementRecord& record,
+            bool /*from_cache*/) {
+          // Record encoding + settling — a `serialize` span nested under the
+          // job's `execute` span (the callback runs inside it).
+          obs::TimelineProfiler::Scope serialize(
+              &profiler_, obs::Phase::kSerialize,
+              obs::TimelineProfiler::kInheritParent, "record");
+          const orchestrator::CacheKey key =
+              orchestrator::key_for_job(job, options_fp);
+          const std::string line =
+              orchestrator::format_store_entry(key, record);
+          std::lock_guard lock(out_mutex);
+          settle_record(key, line, journal, streamed, expected_records, out);
+        };
     try {
-      const orchestrator::CampaignOutputs outputs = lease.scheduler().run(
-          queue, [&](const ExperimentJob& job, const MeasurementRecord& record,
-                     bool /*from_cache*/) {
-            // Record encoding + streamed write — a `serialize` span nested
-            // under the job's `execute` span (the callback runs inside it).
-            obs::TimelineProfiler::Scope serialize(
-                &profiler_, obs::Phase::kSerialize,
-                obs::TimelineProfiler::kInheritParent, "record");
-            const orchestrator::CacheKey key =
-                orchestrator::key_for_job(job, options_fp);
-            const std::string entry =
-                orchestrator::format_store_entry(key, record);
-            // Journaled under the stream's lock, so a `follow` replays the
-            // records in the order this stream wrote them.
-            std::lock_guard lock(out_mutex);
-            journal_append(journal, key);
-            out << "record " << entry << '\n';
-            ++streamed;
-            out << "progress " << streamed << "/" << expected_records << '\n';
-            out.flush();
-          },
-          should_stop);
-      executed = outputs.stats.jobs_executed;
-      scheduler_hits = outputs.stats.cache_hits;
+      executed =
+          scheduler.run(queue, on_record, should_stop).stats.jobs_executed;
     } catch (const orchestrator::CampaignStopped& e) {
       // The stop predicate fired between jobs: settled records kept their
       // cache entries, so a resubmit completes only the remainder.
       stop_code = e.code();
     } catch (const std::exception& e) {
-      // The scheduler is poisoned only for this run; the next campaign gets
-      // a fresh run() on the same pool.
+      // Records settled before the failure stay in the cache; the
+      // scheduler dies with this campaign.
       out << "error exec-failed campaign " << id << " failed: "
           << one_line(e.what()) << '\n';
       return;
@@ -784,13 +728,26 @@ void CampaignService::run_in_process(
     return;
   }
 
-  const std::size_t hits = warm.hits + scheduler_hits;
   count({{Metric::kCampaignsTotal, 1},
          {Metric::kRecordsStreamedTotal, streamed},
          {Metric::kJobsExecutedTotal, executed},
-         {Metric::kCacheHitsTotal, hits}});
+         {Metric::kCacheHitsTotal, warm.hits}});
   out << "done campaign " << id << " records " << streamed << " executed "
-      << executed << " hits " << hits << '\n';
+      << executed << " hits " << warm.hits << '\n';
+}
+
+void CampaignService::settle_record(const orchestrator::CacheKey& key,
+                                    const std::string& line,
+                                    CampaignJournal* journal,
+                                    std::size_t& streamed,
+                                    std::size_t expected_records,
+                                    std::ostream& out) {
+  cache_.insert_entry(key, line);
+  journal_append(journal, key);
+  out << "record " << line << '\n';
+  ++streamed;
+  out << "progress " << streamed << "/" << expected_records << '\n';
+  out.flush();
 }
 
 void CampaignService::run_sharded(
@@ -830,12 +787,10 @@ void CampaignService::run_sharded(
                                         obs::TimelineProfiler::kInheritParent,
                                         "plan-shards");
 
-  // The one settlement point of a shard record: the entry line a worker
-  // shipped is parsed once — the trust boundary — and the same bytes are
-  // inserted into the warm cache (which writes them through to the daemon
-  // store), journaled and streamed. Returns false for a malformed line or an
-  // already settled key. All client writes synchronize on out_mutex — shard
-  // drivers settle concurrently — and so does `seen`.
+  // A shard record's entry line is parsed once — the trust boundary — and
+  // its first arrival settles the same bytes. Returns false for a malformed
+  // line or an already settled key. All client writes synchronize on
+  // out_mutex — shard drivers settle concurrently — and so does `seen`.
   std::mutex out_mutex;
   const SettleFn settle = [&](const std::string& line) {
     const auto parsed = orchestrator::parse_store_entry(line);
@@ -846,13 +801,9 @@ void CampaignService::run_sharded(
     if (!seen.insert(parsed->first).second) {
       return false;
     }
-    cache_.insert_entry(parsed->first, line);
-    journal_append(journal, parsed->first);
-    out << "record " << line << '\n';
-    ++streamed;
+    settle_record(parsed->first, line, journal, streamed, expected_records,
+                  out);
     ++merged;
-    out << "progress " << streamed << "/" << expected_records << '\n';
-    out.flush();
     return true;
   };
 

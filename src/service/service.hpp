@@ -6,7 +6,6 @@
 #include <functional>
 #include <initializer_list>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -144,11 +143,6 @@ class CampaignService {
   std::vector<std::string> start_log() const;
 
  private:
-  /// A CampaignScheduler checked out of the idle pool (or freshly built)
-  /// for the duration of one campaign; returned on destruction so its warm
-  /// SystemPool serves the next campaign with the same options/concurrency.
-  class SchedulerLease;
-
   /// One in-flight campaign's cancellation handle, shared between its
   /// session thread and the `abort` command. `abort <name>` flips `abort`
   /// and cancels the outbox; the deadline is an absolute instant on the
@@ -224,8 +218,18 @@ class CampaignService {
   void report_stopped(const std::string& code, std::uint64_t id,
                       std::size_t streamed, std::size_t expected_records,
                       std::uint64_t root_span, std::ostream& out);
-  /// run_sharded's settlement point for one shipped entry line: settles it
-  /// into the warm cache and the client stream, and returns false for a
+  /// The one settle step of a record a campaign executed, in process or on
+  /// a shard: its entry line goes into the warm cache, which writes it
+  /// through to the store before returning, then the key into the journal,
+  /// then the line onto the client stream with its `progress` line
+  /// (`streamed` counts it). The caller holds the campaign's stream lock,
+  /// so a `follow` replays the records in the order the stream wrote them.
+  void settle_record(const orchestrator::CacheKey& key,
+                     const std::string& line, CampaignJournal* journal,
+                     std::size_t& streamed, std::size_t expected_records,
+                     std::ostream& out);
+  /// run_sharded's settlement point for one shipped entry line: parses it
+  /// and settle_record()s its first arrival, and returns false for a
   /// malformed line or a key the campaign already settled. Locks the
   /// campaign's stream mutex itself.
   using SettleFn = std::function<bool(const std::string& entry_line)>;
@@ -316,15 +320,6 @@ class CampaignService {
   WorkerRegistry registry_;
   std::atomic<std::uint64_t> next_campaign_id_{1};
   std::atomic<std::uint64_t> next_worker_id_{1};
-
-  /// Idle schedulers keyed by (options fingerprint, concurrency): a
-  /// campaign checks one out exclusively and returns it, so concurrent
-  /// campaigns never share a scheduler while SystemPools stay warm across
-  /// sequential campaigns that agree on their options.
-  std::mutex scheduler_pool_mutex_;
-  std::multimap<std::uint64_t,
-                std::unique_ptr<orchestrator::CampaignScheduler>>
-      idle_schedulers_;
 
   /// Retained start_log() depth; old entries roll off.
   static constexpr std::size_t kStartLogCapacity = 64;

@@ -117,13 +117,26 @@ TEST(Protocol, BuilderRejectsMalformedSetterLines) {
   EXPECT_TRUE(builder.apply("deadline 86400001").has_value());
   EXPECT_TRUE(builder.apply("deadline soon").has_value());
   EXPECT_TRUE(builder.apply("retries 17").has_value());
-  // The request is still usable after every rejection.
+  // A repeated list value would plan one job, one cache key, twice.
+  for (const char* line :
+       {"chips m1,m3,M1", "impls cpu-single,gpu-mps,CPU-SINGLE",
+        "sizes 32,32,32,32", "stream 1,2,1", "precision 24,24 5", "ane 32,32",
+        "fp64emu 24,48,24", "sme 32,32 13"}) {
+    const auto error = builder.apply(line);
+    ASSERT_TRUE(error.has_value()) << line;
+    EXPECT_EQ(error->code, "bad-directive") << line;
+  }
+  // The request is still usable after every rejection, and no rejected
+  // list reached it.
   EXPECT_FALSE(builder.apply("chips m1").has_value());
   EXPECT_FALSE(builder.apply("sme 32").has_value());
   EXPECT_FALSE(builder.apply("deadline 250").has_value());
   EXPECT_FALSE(builder.apply("retries 0").has_value());
   const CampaignRequest request = builder.take();
   EXPECT_TRUE(request.has_work());
+  EXPECT_TRUE(request.sizes.empty());
+  EXPECT_TRUE(request.stream_threads.empty());
+  EXPECT_TRUE(request.precision_sizes.empty());
 }
 
 TEST(Protocol, ImplNamesMatchTheFigureLegends) {
@@ -449,11 +462,28 @@ TEST(CampaignService, PartlyWarmInProcessCampaignExecutesOnlyTheRest) {
   const std::string wide =
       "begin wide\nchips m1,m3\nimpls cpu-single,gpu-mps\nsizes 32,48\n"
       "repetitions 2\nprecision 24 5\nsme 32 13\nrun\n";
-  CampaignService fresh({});
+  const auto dir = temp_dir("partly_warm");
+  const auto sorted_entries = [](const std::string& path) {
+    std::ifstream in(path);
+    std::vector<std::string> entries;
+    std::string line;
+    while (std::getline(in, line)) {
+      if (starts_with(line, "entry ")) {
+        entries.push_back(line);
+      }
+    }
+    std::sort(entries.begin(), entries.end());
+    return entries;
+  };
+  CampaignService::Config cold_config;
+  cold_config.store_path = (dir / "cold.aocache").string();
+  CampaignService fresh(cold_config);
   const auto reference = serve_lines(fresh, wide);
   ASSERT_TRUE(starts_with(reference.back(), "done campaign "));
 
-  CampaignService service({});
+  CampaignService::Config config;
+  config.store_path = (dir / "warm.aocache").string();
+  CampaignService service(config);
   serve_lines(service, narrow);
   const auto lines = serve_lines(service, wide);
   ASSERT_TRUE(starts_with(lines.back(), "done campaign ")) << lines.back();
@@ -463,6 +493,24 @@ TEST(CampaignService, PartlyWarmInProcessCampaignExecutesOnlyTheRest) {
   EXPECT_GT(executed, 0u);
   EXPECT_EQ(executed + hits, jobs);
   EXPECT_EQ(sorted_records(lines), sorted_records(reference));
+
+  // Each executed record is formatted once and settled as those bytes: every
+  // streamed line is its store entry byte for byte, the store holds one
+  // line per key, and its lines are a cold run's.
+  const auto stored = sorted_entries(config.store_path);
+  const std::set<std::string> stored_set(stored.begin(), stored.end());
+  for (const auto& record : sorted_records(lines)) {
+    EXPECT_EQ(stored_set.count(record.substr(7)), 1u) << record;
+  }
+  std::set<std::uint64_t> keys;
+  for (const auto& entry : stored) {
+    const auto parsed = orchestrator::parse_store_entry(entry);
+    ASSERT_TRUE(parsed.has_value()) << entry;
+    keys.insert(parsed->first.fingerprint());
+  }
+  EXPECT_EQ(keys.size(), stored.size());
+  EXPECT_EQ(stored, sorted_entries(cold_config.store_path));
+  std::filesystem::remove_all(dir);
 }
 
 /// A session sink that passes bytes through until the first `record` line
