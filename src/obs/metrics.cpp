@@ -30,11 +30,11 @@ constexpr std::array<MetricDef, kMetricCount> kMetricTable = {{
     {kCampaignsTotal, "campaigns", "ao_campaigns_total", kCounter, "",
      "Campaigns completed since daemon start."},
     {kCampaignsShardedTotal, "sharded", "ao_campaigns_sharded_total", kCounter,
-     "", "Completed campaigns that ran sharded."},
+     "", "Completed campaigns that ran at least one shard."},
     {kRecordsStreamedTotal, "records", "ao_records_streamed_total", kCounter,
      "", "Measurement records streamed to clients."},
     {kJobsExecutedTotal, "executed", "ao_jobs_executed_total", kCounter, "",
-     "Jobs executed by schedulers (local and worker-side)."},
+     "Entry lines shard workers shipped, retried shards' replays included."},
     {kCacheHitsTotal, "hits", "ao_cache_hits_total", kCounter, "",
      "Jobs served from the warm result cache."},
     {kMergedEntriesTotal, "merged", "ao_merged_entries_total", kCounter, "",

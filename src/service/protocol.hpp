@@ -16,7 +16,8 @@ namespace ao::service {
 /// JobKind the orchestrator schedules: the GEMM grid (when both `impls` and
 /// `sizes` are set), CPU/GPU STREAM, precision, ANE, FP64 emulation, SME and
 /// idle power. `workers` is the per-campaign scheduler concurrency;
-/// `shards` > 1 splits the campaign's jobs across worker processes.
+/// `shards` splits the campaign's jobs across shard endpoints (1: a shard
+/// of one on a local endpoint).
 struct CampaignRequest {
   std::string name = "campaign";
   /// Submitting client identity ("client <id>" line) — the unit the

@@ -22,11 +22,8 @@ using obs::Metric;
 
 namespace {
 
-using orchestrator::CampaignScheduler;
 using orchestrator::ExperimentJob;
 using orchestrator::JobKind;
-using orchestrator::JobQueue;
-using orchestrator::MeasurementRecord;
 
 /// Replies must stay line-oriented; exception text is folded onto one line.
 std::string one_line(std::string text) {
@@ -434,7 +431,7 @@ void CampaignService::run_campaign(const CampaignRequest& request,
   // The campaign's root span: every phase of its lifecycle — admission,
   // queue wait, scheduling, shards, merges — nests under it, by thread-local
   // inheritance on this session thread and by explicit parent id on shard
-  // driver and scheduler worker threads.
+  // driver threads.
   obs::TimelineProfiler::Scope root(&profiler_, obs::Phase::kCampaign,
                                     /*parent=*/0, request.name);
 
@@ -584,26 +581,17 @@ void CampaignService::run_campaign(const CampaignRequest& request,
   const std::shared_ptr<CampaignJournal> journal =
       open_journal(id, request.name);
 
-  // The cooperative stop hook the execution paths poll wherever stopping is
-  // safe: between scheduler jobs and between shards. It never interrupts a
-  // measurement mid-flight.
+  // The cooperative stop hook, polled wherever stopping is safe: before
+  // each job of the warm pass, on each record a shard ships, and between
+  // shards. It never interrupts a measurement mid-flight.
   const orchestrator::StopFn should_stop = [this, cancel] {
     return cancel_code(*cancel);
   };
 
-  // remote_only means sharded requests NEVER execute on this host — even
-  // when the job count collapses the effective shard count to 1, the
-  // single shard still goes to a remote worker (an operator running a
-  // fleet daemon relies on that isolation; docs/operations.md).
-  if (shard_count > 1 ||
-      (config_.remote_only && request.shards > 1 && expected_records != 0)) {
-    run_sharded(request, compiled, plan_cache_key, id,
-                std::max<std::size_t>(1, shard_count), expected_records,
-                root.id(), should_stop, journal.get(), out);
-  } else {
-    run_in_process(request, compiled, id, expected_records, root.id(),
-                   should_stop, journal.get(), out);
-  }
+  // Every campaign runs as shards; a `shards 1` request is a shard of one
+  // on a local endpoint (run_shards decides placement).
+  run_sharded(request, compiled, plan_cache_key, id, shard_count,
+              expected_records, root.id(), should_stop, journal.get(), out);
   {
     // A journal that reaches this point replayed every record the campaign
     // settled; follow replies report it as `complete` (a cancelled campaign
@@ -622,7 +610,7 @@ void CampaignService::run_campaign(const CampaignRequest& request,
 CampaignService::WarmPass CampaignService::serve_warm(
     const std::vector<ExperimentJob>& jobs, std::uint64_t options_fp,
     std::size_t expected_records, const orchestrator::StopFn& should_stop,
-    CampaignJournal* journal, KeySet* seen, std::ostream& out) {
+    CampaignJournal* journal, KeySet& seen, std::ostream& out) {
   obs::TimelineProfiler::Scope schedule(&profiler_, obs::Phase::kSchedule,
                                         obs::TimelineProfiler::kInheritParent,
                                         "warm");
@@ -641,9 +629,7 @@ CampaignService::WarmPass CampaignService::serve_warm(
       pass.pending.push_back(i);
       continue;
     }
-    if (seen != nullptr) {
-      seen->insert(key);
-    }
+    seen.insert(key);
     journal_append(journal, key);
     out << "record " << *entry << '\n';
     ++pass.hits;
@@ -664,76 +650,6 @@ void CampaignService::report_stopped(const std::string& code, std::uint64_t id,
   out << code << " campaign " << id << '\n';
   out << "error " << code << " campaign " << id << " records " << streamed
       << " of " << expected_records << " streamed before stop\n";
-}
-
-void CampaignService::run_in_process(
-    const CampaignRequest& request,
-    const std::shared_ptr<const std::vector<ExperimentJob>>& compiled,
-    std::uint64_t id, std::size_t expected_records, std::uint64_t root_span,
-    const orchestrator::StopFn& should_stop, CampaignJournal* journal,
-    std::ostream& out) {
-  const std::uint64_t options_fp =
-      orchestrator::options_fingerprint(request.options());
-  // Cached points stream first, as the bytes the cache holds; only the
-  // rest reach a scheduler. A fully warm replay builds none.
-  const WarmPass warm = serve_warm(*compiled, options_fp, expected_records,
-                                   should_stop, journal, nullptr, out);
-  std::size_t streamed = warm.hits;
-  std::string stop_code = warm.stop_code;
-  std::size_t executed = 0;
-  if (stop_code.empty() && !warm.pending.empty()) {
-    JobQueue queue;
-    orchestrator::push_job_subset(queue, *compiled, warm.pending);
-    // A fresh scheduler without a cache, as a shard worker runs one: the
-    // warm pass streamed every key the cache holds, and admission never
-    // runs two campaigns that could share a key side by side. Its per-job
-    // `execute` spans are parented under this campaign's root (worker
-    // threads carry no inherited scope).
-    CampaignScheduler scheduler(request.options(), {request.workers});
-    scheduler.set_profile_sink(&profiler_, root_span);
-    std::mutex out_mutex;  // workers stream concurrently
-    const orchestrator::RecordCallback on_record =
-        [&](const ExperimentJob& job, const MeasurementRecord& record,
-            bool /*from_cache*/) {
-          // Record encoding + settling — a `serialize` span nested under the
-          // job's `execute` span (the callback runs inside it).
-          obs::TimelineProfiler::Scope serialize(
-              &profiler_, obs::Phase::kSerialize,
-              obs::TimelineProfiler::kInheritParent, "record");
-          const orchestrator::CacheKey key =
-              orchestrator::key_for_job(job, options_fp);
-          const std::string line =
-              orchestrator::format_store_entry(key, record);
-          std::lock_guard lock(out_mutex);
-          settle_record(key, line, journal, streamed, expected_records, out);
-        };
-    try {
-      executed =
-          scheduler.run(queue, on_record, should_stop).stats.jobs_executed;
-    } catch (const orchestrator::CampaignStopped& e) {
-      // The stop predicate fired between jobs: settled records kept their
-      // cache entries, so a resubmit completes only the remainder.
-      stop_code = e.code();
-    } catch (const std::exception& e) {
-      // Records settled before the failure stay in the cache; the
-      // scheduler dies with this campaign.
-      out << "error exec-failed campaign " << id << " failed: "
-          << one_line(e.what()) << '\n';
-      return;
-    }
-  }
-  if (!stop_code.empty()) {
-    count({{Metric::kRecordsStreamedTotal, streamed}});
-    report_stopped(stop_code, id, streamed, expected_records, root_span, out);
-    return;
-  }
-
-  count({{Metric::kCampaignsTotal, 1},
-         {Metric::kRecordsStreamedTotal, streamed},
-         {Metric::kJobsExecutedTotal, executed},
-         {Metric::kCacheHitsTotal, warm.hits}});
-  out << "done campaign " << id << " records " << streamed << " executed "
-      << executed << " hits " << warm.hits << '\n';
 }
 
 void CampaignService::settle_record(const orchestrator::CacheKey& key,
@@ -762,15 +678,15 @@ void CampaignService::run_sharded(
       orchestrator::options_fingerprint(request.options());
 
   // Serve every job the warm cache already holds before planning shards: a
-  // sharded rerun streams its repeated points instantly and only the
-  // missing jobs cost a worker. Every key this campaign has streamed goes
-  // into `seen`: a shard retried after its endpoint died replays records
-  // its first attempt already shipped; the set keeps the client's record
-  // stream and the store exactly-once (identical keys carry bit-identical
-  // records).
+  // rerun streams its repeated points instantly and only the missing jobs
+  // cost a worker; a fully warm replay plans no shard at all. Every key
+  // this campaign has streamed goes into `seen`: a shard retried after its
+  // endpoint died replays records its first attempt already shipped; the
+  // set keeps the client's record stream and the store exactly-once
+  // (identical keys carry bit-identical records).
   KeySet seen;
   const WarmPass warm = serve_warm(jobs, options_fp, expected_records,
-                                   should_stop, journal, &seen, out);
+                                   should_stop, journal, seen, out);
   std::size_t streamed = warm.hits;
   if (!warm.stop_code.empty()) {
     count({{Metric::kRecordsStreamedTotal, streamed}});
@@ -857,9 +773,10 @@ void CampaignService::run_sharded(
                      out_mutex, out);
   }
   count({{Metric::kCampaignsTotal, 1},
-         {Metric::kCampaignsShardedTotal, 1},
+         {Metric::kCampaignsShardedTotal, tasks.empty() ? 0u : 1u},
          {Metric::kRecordsStreamedTotal, streamed},
          {Metric::kCacheHitsTotal, warm.hits},
+         {Metric::kJobsExecutedTotal, run.executed},
          {Metric::kMergedEntriesTotal, merged},
          {Metric::kRemoteShardsTotal, run.remote_executed},
          {Metric::kShardRetriesTotal, run.retries}});
@@ -888,24 +805,30 @@ CampaignService::ShardRun CampaignService::run_shards(
     std::uint64_t root_span, const orchestrator::StopFn& should_stop,
     const SettleFn& settle, std::mutex& out_mutex, std::ostream& out) {
   ShardRun run;
-  // Retire endpoints that stopped answering before handing out leases: a
-  // worker that died while parked must not cost a shard its first attempt.
-  registry_.heartbeat();
-
-  // One lease per shard when possible; fewer leases simply run the task
+  // Placement: a `shards 1` request is a shard of one on a local endpoint —
+  // it never leases a remote worker, and remote_only does not apply to it.
+  // A `shards > 1` request leases, even when it collapsed to one shard: one
+  // lease per shard when possible, and fewer leases simply run the task
   // list sequentially per worker. remote_only waits for the first worker to
   // connect (a launch race is normal operations); otherwise only
   // already-idle workers are taken, and none means local endpoints.
+  const bool may_lease = request.shards > 1;
+  const bool remote_only = may_lease && config_.remote_only;
+  if (may_lease) {
+    // Retire endpoints that stopped answering before handing out leases: a
+    // worker that died while parked must not cost a shard its first attempt.
+    registry_.heartbeat();
+  }
   std::vector<std::unique_ptr<WorkerRegistry::Lease>> leases;
-  for (int wait_ms = config_.remote_only ? config_.remote_wait_ms : 0;
-       leases.size() < tasks.size(); wait_ms = 0) {
+  for (int wait_ms = remote_only ? config_.remote_wait_ms : 0;
+       may_lease && leases.size() < tasks.size(); wait_ms = 0) {
     auto lease = registry_.acquire(wait_ms);
     if (lease == nullptr) {
       break;
     }
     leases.push_back(std::move(lease));
   }
-  if (leases.empty() && config_.remote_only) {
+  if (leases.empty() && remote_only) {
     run.failure = "no remote workers connected (remote-only mode; waited " +
                   std::to_string(config_.remote_wait_ms) + " ms)";
     return run;
@@ -997,10 +920,21 @@ CampaignService::ShardRun CampaignService::run_shards(
         graft.has_clock_offset = local_clock_shared;
       }
       // Each entry settles the moment its frame arrives; the attempt's
-      // `merge` span covers the window they settled in.
+      // `merge` span covers the window they settled in. The stop is checked
+      // on every arrival, so a campaign stops between jobs inside a shard:
+      // once it fires nothing more settles, and a local endpoint is
+      // abandoned mid-shard (a remote lease runs its conversation out and
+      // stops between shards).
       SettleWindow window;
+      bool stopped = false;
       const auto on_record = [&](const std::string& line) {
-        if (settle(line)) {
+        if (!stopped && should_stop && !should_stop().empty()) {
+          stopped = true;
+          if constexpr (!kRemote) {
+            endpoint.abandon();
+          }
+        }
+        if (!stopped && settle(line)) {
           window.note(profiler_.now());
         }
       };
@@ -1009,6 +943,20 @@ CampaignService::ShardRun CampaignService::run_shards(
           tasks[i].groups, on_record, &profiler_, &graft);
       shard_span.close();
       window.record_merge(profiler_, root_span, "wire");
+      {
+        std::lock_guard lock(work_mutex);
+        run.executed += outcome.records;
+      }
+      if (stopped || (outcome.connection_lost && should_stop &&
+                      !should_stop().empty())) {
+        // A stop is never a lost worker: the shard stays unsettled, with no
+        // event and no retry spent. A broken connection is retired all the
+        // same.
+        if (outcome.connection_lost) {
+          endpoint.mark_failed();
+        }
+        return true;
+      }
       if (!outcome.connection_lost) {
         // Done, or a clean shard-error over a healthy connection: the shard
         // is settled either way and this endpoint keeps serving.
@@ -1104,16 +1052,18 @@ CampaignService::ShardRun CampaignService::run_shards(
     if (remaining == 0 || (should_stop && !should_stop().empty())) {
       break;
     }
-    registry_.heartbeat();  // don't lease an endpoint that just died parked
-    while (leases.size() < remaining) {
-      auto lease = registry_.acquire(0);
-      if (lease == nullptr) {
-        break;
+    if (may_lease) {
+      registry_.heartbeat();  // don't lease an endpoint that just died parked
+      while (leases.size() < remaining) {
+        auto lease = registry_.acquire(0);
+        if (lease == nullptr) {
+          break;
+        }
+        leases.push_back(std::move(lease));
       }
-      leases.push_back(std::move(lease));
     }
     if (leases.empty()) {
-      if (config_.remote_only) {
+      if (remote_only) {
         break;  // nobody left to run the remaining shards
       }
       locals = remaining;

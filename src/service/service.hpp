@@ -35,27 +35,28 @@ namespace ao::service {
 /// client session (`ao_campaignd` spawns one per accepted connection), and
 /// campaigns whose resource classes (CPU/AMX vs GPU vs ANE, derived from
 /// the JobKinds the request enables) are disjoint execute *concurrently*,
-/// each on its own checked-out CampaignScheduler, all sharing the one warm
-/// cache. Conflicting campaigns queue — higher `priority` first, FIFO
-/// within a priority — and per-client quotas bound queue depth and
-/// concurrency (quota violations get structured `error` replies).
+/// each on its own shard endpoints, all sharing the one warm cache.
+/// Conflicting campaigns queue — higher `priority` first, FIFO within a
+/// priority — and per-client quotas bound queue depth and concurrency
+/// (quota violations get structured `error` replies).
 ///
-/// Requests with `shards > 1` are partitioned by the ShardPlanner, and every
-/// shard runs over one transport, the frame conversation
+/// Every campaign runs one path: the warm pass streams what the cache
+/// holds, and the pending jobs run as shards — partitioned by the
+/// ShardPlanner — over one transport, the frame conversation
 /// (docs/service.md#wire-format-frames): a `task` frame out, `records`
-/// frames back, closed by a `done` frame counting them. Its endpoints are
-///  - **remote workers** (preferred when any are idle, mandatory with
-///    `remote_only`): `ao_worker --connect` processes — on this machine or
-///    any other — that announced themselves with a `worker` hello and sit
-///    parked in the WorkerRegistry; no shared filesystem anywhere.
-///  - **local endpoints** (when no remote worker is idle, or for what the
-///    remote workers left, unless `remote_only`): campaign-private
-///    `ao_worker --stdio-frames` children (or threads) on socketpairs,
-///    spawned for the campaign and reaped before its last line.
+/// frames back, closed by a `done` frame counting them. The daemon runs no
+/// numeric kernel of its own. A shard's endpoint is
+///  - a **local endpoint**: a campaign-private `ao_worker --stdio-frames`
+///    child (or thread) on a socketpair, spawned for the campaign and
+///    reaped before its last line. A `shards 1` request always runs on one.
+///  - a **remote worker** (`shards > 1` only; preferred when any are idle,
+///    mandatory with `remote_only`): an `ao_worker --connect` process — on
+///    this machine or any other — parked in the WorkerRegistry after its
+///    `worker` hello; no shared filesystem anywhere.
 /// Either way each record settles once, as it arrives: into the warm cache
 /// (and its store), the follow journal and the client stream, deduplicated
-/// by CacheKey — so the settled result is bit-identical to a
-/// single-process run.
+/// by CacheKey — so the settled result is bit-identical whatever the shard
+/// count and the endpoints.
 ///
 /// Transport-agnostic: serve() speaks the protocol over any istream/ostream
 /// pair. `ao_campaignd` runs it over a unix socket; the tests run it over
@@ -147,7 +148,8 @@ class CampaignService {
   /// session thread and the `abort` command. `abort <name>` flips `abort`
   /// and cancels the outbox; the deadline is an absolute instant on the
   /// profiler clock, checked wherever the campaign can stop cooperatively
-  /// (queue wait, between scheduler jobs, between shards).
+  /// (queue wait, the warm pass, each record a shard ships, between
+  /// shards).
   struct CancelState {
     std::uint64_t id = 0;
     std::string name;
@@ -171,18 +173,13 @@ class CampaignService {
   struct CampaignJournal;  // defined below, next to its helpers
 
   void run_campaign(const CampaignRequest& request, std::ostream& session_out);
-  /// Both execution paths receive the campaign's compiled expansion (a
-  /// PlanCache checkout made in run_campaign) instead of re-expanding the
-  /// request; run_sharded also gets the plan key so it can consult the
-  /// shard-partition memo.
-  /// `journal` (may be null) records every streamed CacheKey for `follow`.
-  void run_in_process(
-      const CampaignRequest& request,
-      const std::shared_ptr<const std::vector<orchestrator::ExperimentJob>>&
-          compiled,
-      std::uint64_t id, std::size_t expected_records, std::uint64_t root_span,
-      const orchestrator::StopFn& should_stop, CampaignJournal* journal,
-      std::ostream& out);
+  /// The one execution path of every admitted campaign: the warm pass, then
+  /// the pending jobs planned into at most `shard_count` shards and run by
+  /// run_shards(), then the `done` line (or the stop / failure reply). It
+  /// receives the campaign's compiled expansion (a PlanCache checkout made
+  /// in run_campaign) instead of re-expanding the request, and the plan key
+  /// so it can consult the shard-partition memo. `journal` (may be null)
+  /// records every streamed CacheKey for `follow`.
   void run_sharded(
       const CampaignRequest& request,
       const std::shared_ptr<const std::vector<orchestrator::ExperimentJob>>&
@@ -191,7 +188,7 @@ class CampaignService {
       std::size_t shard_count, std::size_t expected_records,
       std::uint64_t root_span, const orchestrator::StopFn& should_stop,
       CampaignJournal* journal, std::ostream& out);
-  /// The keys a campaign has streamed (run_sharded's exactly-once set).
+  /// The keys a campaign has streamed (its exactly-once set).
   using KeySet =
       std::unordered_set<orchestrator::CacheKey, orchestrator::CacheKeyHash>;
   /// What the warm pass leaves for an execution path.
@@ -200,17 +197,17 @@ class CampaignService {
     std::size_t hits = 0;              ///< records streamed from the cache
     std::string stop_code;  ///< non-empty: the campaign stopped mid-pass
   };
-  /// The warm pass both execution paths start with, outside any scheduler:
+  /// The warm pass every campaign starts with, outside any shard:
   /// every job whose entry line the warm cache (or the store behind it)
   /// holds streams verbatim as a `record` line, with its journal entry and
   /// `progress` line; the other jobs' indices are returned as pending.
-  /// `should_stop` is polled before each job, as the scheduler polls it; a
-  /// stop ends the pass with its code. Streamed keys also go into `seen`
-  /// when it is given. Recorded as one `schedule` span labelled `warm`.
+  /// `should_stop` is polled before each job; a stop ends the pass with its
+  /// code. Streamed keys also go into `seen`. Recorded as one `schedule`
+  /// span labelled `warm`.
   WarmPass serve_warm(const std::vector<orchestrator::ExperimentJob>& jobs,
                       std::uint64_t options_fp, std::size_t expected_records,
                       const orchestrator::StopFn& should_stop,
-                      CampaignJournal* journal, KeySet* seen,
+                      CampaignJournal* journal, KeySet& seen,
                       std::ostream& out);
   /// Ends a campaign stopped by `code` (an abort or an expired deadline):
   /// the `abort` span, the cancellation count, and the `<code> campaign`
@@ -218,17 +215,17 @@ class CampaignService {
   void report_stopped(const std::string& code, std::uint64_t id,
                       std::size_t streamed, std::size_t expected_records,
                       std::uint64_t root_span, std::ostream& out);
-  /// The one settle step of a record a campaign executed, in process or on
-  /// a shard: its entry line goes into the warm cache, which writes it
-  /// through to the store before returning, then the key into the journal,
-  /// then the line onto the client stream with its `progress` line
-  /// (`streamed` counts it). The caller holds the campaign's stream lock,
-  /// so a `follow` replays the records in the order the stream wrote them.
+  /// The one settle step of a record a shard shipped: its entry line goes
+  /// into the warm cache, which writes it through to the store before
+  /// returning, then the key into the journal, then the line onto the
+  /// client stream with its `progress` line (`streamed` counts it). The
+  /// caller holds the campaign's stream lock, so a `follow` replays the
+  /// records in the order the stream wrote them.
   void settle_record(const orchestrator::CacheKey& key,
                      const std::string& line, CampaignJournal* journal,
                      std::size_t& streamed, std::size_t expected_records,
                      std::ostream& out);
-  /// run_sharded's settlement point for one shipped entry line: parses it
+  /// The campaign's settlement point for one shipped entry line: parses it
   /// and settle_record()s its first arrival, and returns false for a
   /// malformed line or a key the campaign already settled. Locks the
   /// campaign's stream mutex itself.
@@ -243,17 +240,23 @@ class CampaignService {
     bool leased = false;  ///< a registry worker took part (`remote <n>`)
     std::size_t remote_executed = 0;  ///< shards registry workers completed
     std::size_t retries = 0;          ///< retry budget spent
+    /// Entry lines the endpoints shipped, over all attempts (a retry's
+    /// replays included) — the campaign's `executed` count.
+    std::size_t executed = 0;
     std::string failure;  ///< "" = every shard settled, or the campaign stopped
   };
   /// Runs the planned shard tasks over frame conversations, one driver
   /// thread per endpoint draining a shared work queue, handing every entry
   /// line to `settle` as its frame arrives; shard events go to `out` under
-  /// `out_mutex`. The endpoints are idle remote workers (waited for up to
+  /// `out_mutex`. A `shards 1` request runs on one local endpoint. A
+  /// `shards > 1` request runs on idle remote workers (waited for up to
   /// `remote_wait_ms` under remote_only) or, when none is idle and
-  /// remote_only is off, local endpoints, one per task. A shard whose
-  /// endpoint dies mid-conversation is re-dispatched to a *different*
-  /// endpoint — a surviving driver, a fresh lease, or a fresh local
-  /// endpoint — while the request's per-campaign retry budget lasts;
+  /// remote_only is off, on local endpoints, one per task. `should_stop`
+  /// is checked on each arriving record — after it fires nothing settles,
+  /// and a local endpoint is abandoned mid-shard — and between shards. A
+  /// shard whose endpoint dies mid-conversation is re-dispatched to a
+  /// *different* endpoint — a surviving driver, a fresh lease, or a fresh
+  /// local endpoint — while the request's per-campaign retry budget lasts;
   /// `settle` drops the records a retry replays. Every endpoint is released
   /// (local ones reaped) before this returns.
   ShardRun run_shards(const CampaignRequest& request,

@@ -70,7 +70,10 @@ bool FdStreamBuf::flush_out() {
   while (begin < end) {
     ssize_t wrote;
     do {
-      wrote = ::write(fd_, begin, static_cast<std::size_t>(end - begin));
+      // MSG_NOSIGNAL: a peer that shut the connection down is a failed
+      // write (EPIPE), never a SIGPIPE that kills the whole process.
+      wrote = ::send(fd_, begin, static_cast<std::size_t>(end - begin),
+                     MSG_NOSIGNAL);
     } while (wrote < 0 && errno == EINTR);
     if (wrote <= 0) {
       setp(out_buf_, out_buf_ + kBufferSize);

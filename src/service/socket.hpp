@@ -8,7 +8,7 @@
 
 namespace ao::service {
 
-/// Buffered std::streambuf over a file descriptor — what lets the campaign
+/// Buffered std::streambuf over a connected socket — what lets the campaign
 /// service speak its line protocol identically over a unix socket and over
 /// the stringstreams the tests drive it with.
 class FdStreamBuf : public std::streambuf {

@@ -158,6 +158,13 @@ void execute_task(const RemoteTask& task, std::ostream& out,
   std::mutex out_mutex;  // scheduler workers stream concurrently
   RecordBatcher batcher(out, writer, profiler, options.record_batch,
                         options.batch_flush_ns);
+  // A daemon that abandoned the shard (its campaign stopped) shut the
+  // connection down: once a frame write has failed, the shard stops between
+  // jobs instead of measuring what nobody reads.
+  const orchestrator::StopFn abandoned = [&] {
+    std::lock_guard lock(out_mutex);
+    return out.good() ? std::string{} : std::string("abandoned");
+  };
   try {
     scheduler.run(queue, [&](const orchestrator::ExperimentJob& job,
                              const orchestrator::MeasurementRecord& record,
@@ -168,7 +175,7 @@ void execute_task(const RemoteTask& task, std::ostream& out,
           orchestrator::key_for_job(job, options_fp), record);
       std::lock_guard lock(out_mutex);
       batcher.add(line);
-    });
+    }, abandoned);
   } catch (...) {
     // Records settled before the failure are real measurements the daemon
     // keeps; flush them ahead of the shard-error the caller ships.
@@ -430,6 +437,7 @@ LocalEndpoint::LocalEndpoint(const std::string& worker_binary,
     return;
   }
   stream_ = std::make_unique<SocketStream>(fds[0]);
+  fd_ = fds[0];
   if (!worker_binary.empty()) {
     // Everything the child needs is built before fork(): between fork and
     // exec a multithreaded parent's child may only make async-signal-safe
@@ -486,6 +494,11 @@ LocalEndpoint::LocalEndpoint(const std::string& worker_binary,
     stream_->setstate(std::ios::badbit);
     failed_ = true;
   }
+}
+
+void LocalEndpoint::abandon() {
+  failed_ = true;
+  ::shutdown(fd_, SHUT_RDWR);
 }
 
 LocalEndpoint::~LocalEndpoint() {

@@ -155,10 +155,16 @@ class LocalEndpoint {
   const std::string& name() const { return name_; }
   /// The conversation broke: no `bye`, and a child process is killed.
   void mark_failed() { failed_ = true; }
+  /// Cuts the conversation short (its campaign stopped mid-shard):
+  /// mark_failed(), and the socket is shut down both ways, so the daemon's
+  /// next read ends the shard conversation and a thread worker's next frame
+  /// write fails, which stops its shard between jobs.
+  void abandon();
 
  private:
   std::string name_;
   std::unique_ptr<SocketStream> stream_;  ///< the daemon's end
+  int fd_ = -1;                           ///< stream_'s socket
   pid_t pid_ = -1;                        ///< process mode
   std::thread thread_;                    ///< thread mode
   bool failed_ = false;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
@@ -105,6 +106,19 @@ bool any_line_contains(const std::vector<std::string>& lines,
     }
   }
   return false;
+}
+
+/// The number after `name` on a `stats` line; 0 when it is absent.
+std::uint64_t stats_value(const std::string& stats, const std::string& name) {
+  std::istringstream in(stats);
+  std::string word;
+  std::uint64_t value = 0;
+  while (in >> word) {
+    if (word == name && in >> value) {
+      return value;
+    }
+  }
+  return 0;
 }
 
 /// The mixed every-kind campaign of the service tests: 20 records.
@@ -444,6 +458,13 @@ TEST(Chaos, LocalWorkerKilledMidShardIsRetriedWithoutDuplicates) {
   CampaignService service(std::move(config));
   expect_rescheduled_without_duplicates(service, "local-", "local-",
                                         " shards 2");
+  // The killed child shipped records its retry shipped again: `executed`
+  // counts every shipped line, `merged` each key once.
+  const auto stats = serve_lines(service, "stats\n");
+  ASSERT_FALSE(stats.empty());
+  EXPECT_GT(stats_value(stats.back(), "executed"),
+            stats_value(stats.back(), "merged"))
+      << stats.back();
   std::filesystem::remove_all(dir);
 }
 
@@ -665,6 +686,55 @@ TEST(Deadline, RunningCampaignStopsBetweenJobsWithAStructuredError) {
   EXPECT_TRUE(stopped) << "expected the partial-progress error reply";
   EXPECT_LT(count_prefixed(lines, "record "), 20u);
   EXPECT_TRUE(any_line_contains(lines, " deadline-expired 1"));
+}
+
+// The same expiry with an `ao_worker` child as the shard of one's endpoint.
+// The child runs on its own clock; the daemon's 1ms-per-reading clock
+// expires within the first records it ships. The stop is checked on each
+// arriving record: once it fires nothing more settles, and the endpoint is
+// abandoned — the child is SIGKILLed and reaped before the reply — so the
+// store holds exactly the records the client saw.
+TEST(Deadline, RunningCampaignStopReachesAChildEndpoint) {
+  const auto dir = temp_dir("child_stop");
+  const std::string store = (dir / "chaos.store").string();
+  CampaignService::Config config;
+  config.store_path = store;
+  config.worker_binary = AO_WORKER_BINARY;
+  config.profile_clock = fast_clock();
+  CampaignService service(std::move(config));
+
+  const auto lines = serve_lines(
+      service, with_directive(nine_kind_block(1, 1), "deadline 50"));
+  ASSERT_FALSE(lines.empty());
+  EXPECT_TRUE(any_line_contains(lines, "shard 0 start worker local-0"))
+      << "the deadline must expire after the child took the shard";
+  EXPECT_EQ(count_prefixed(lines, "done campaign "), 0u);
+  EXPECT_TRUE(starts_with(lines.back(), "error deadline-exceeded campaign 1"))
+      << lines.back();
+  EXPECT_NE(lines.back().find(" streamed before stop"), std::string::npos)
+      << lines.back();
+  std::map<std::uint64_t, std::string> streamed;
+  for (const auto& line : lines) {
+    if (starts_with(line, "record ")) {
+      const auto entry = orchestrator::parse_store_entry(line.substr(7));
+      ASSERT_TRUE(entry.has_value()) << line;
+      streamed[entry->first.fingerprint()] =
+          orchestrator::serialize_record(entry->second);
+    }
+  }
+  EXPECT_GT(streamed.size(), 0u);
+  EXPECT_LT(streamed.size(), 20u);
+
+  // No endpoint outlives the reply: this process has no child left, running
+  // or unreaped.
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+
+  orchestrator::ResultCache reread;
+  reread.load(store);
+  EXPECT_EQ(entries_by_key(reread), streamed);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Deadline, QueuedCampaignIsEvictedWhenItsDeadlineExpires) {
@@ -1090,7 +1160,8 @@ TEST(Chaos, SigkilledWriterColdRebuildsAndServesIdenticalQueries) {
   const auto replay = serve_lines(recovered, kReplayedCampaign);
   const auto [replayed, done] = campaign_records(replay);
   ASSERT_EQ(done.rfind("done campaign ", 0), 0u) << done;
-  EXPECT_NE(done.find(" executed 0 hits " + std::to_string(campaign.size())),
+  EXPECT_NE(done.find(" merged 0 hits " + std::to_string(campaign.size()) +
+                      " shards 0"),
             std::string::npos)
       << done;
   EXPECT_EQ(replayed, campaign);

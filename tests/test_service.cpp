@@ -1416,8 +1416,9 @@ TEST(CampaignService, ConcurrentCampaignProfilesHoldExactlyTheirOwnTrees) {
     EXPECT_EQ(phases[obs::Phase::kAdmission], 1u) << timeline.name;
     EXPECT_EQ(phases[obs::Phase::kQueueWait], 1u) << timeline.name;
     if (timeline.name == "other") {
+      // Its one job runs as a shard of one on a local endpoint.
       EXPECT_EQ(phases[obs::Phase::kExecute], 1u);
-      EXPECT_EQ(phases[obs::Phase::kShard], 0u);
+      EXPECT_EQ(phases[obs::Phase::kShard], 1u);
     } else {
       // Both shards' conversations, with their workers' execute spans
       // grafted under them: 6 jobs, each executed on a local endpoint.
@@ -1540,14 +1541,17 @@ TEST(CampaignService, ProfileCommandReplaysTheCampaignTimeline) {
   EXPECT_NE(terminal.find("spans " + std::to_string(span_lines)),
             std::string::npos)
       << terminal;
-  // The in-process lifecycle: one campaign root, admission + queue-wait +
-  // schedule around it, one execute per executed job, serialize per record.
+  // The lifecycle of a shard of one: one campaign root, admission +
+  // queue-wait + schedule around it, the shard's conversation (shard,
+  // transport) and merge window, one execute per executed job.
   EXPECT_EQ(phases_seen["campaign"], 1u);
   EXPECT_EQ(phases_seen["admission"], 1u);
   EXPECT_EQ(phases_seen["queue-wait"], 1u);
   EXPECT_GE(phases_seen["schedule"], 1u);
   EXPECT_GE(phases_seen["execute"], 20u);
-  EXPECT_GE(phases_seen["serialize"], 20u);
+  EXPECT_EQ(phases_seen["shard"], 1u);
+  EXPECT_EQ(phases_seen["transport"], 1u);
+  EXPECT_EQ(phases_seen["merge"], 1u);
   EXPECT_GE(phase_lines, 5u);
 
   // The injected counter clock makes the timeline deterministic: replaying
@@ -1606,9 +1610,12 @@ TEST(CampaignService, StatsCarryLifetimePhaseTotals) {
   ASSERT_EQ(totals.count("execute"), 1u);
   EXPECT_GE(totals["execute"].first, 20u);
   EXPECT_GT(totals["execute"].second, 0u);
-  // Phases that never ran (no sharding happened) are not reported.
-  EXPECT_EQ(totals.count("transport"), 0u);
-  EXPECT_EQ(totals.count("merge"), 0u);
+  // The campaign ran as a shard of one: one conversation, one merge window.
+  EXPECT_EQ(totals["transport"].first, 1u);
+  EXPECT_EQ(totals["merge"].first, 1u);
+  // Phases that never ran (no retry, no stop) are not reported.
+  EXPECT_EQ(totals.count("retry"), 0u);
+  EXPECT_EQ(totals.count("abort"), 0u);
 }
 
 TEST(CampaignService, RemoteShardSpansNestTransportUnderShard) {
@@ -1908,7 +1915,10 @@ TEST(CampaignService, MetricsCommandRendersMonotonicPrometheusText) {
 
   const auto after = scrape();
   EXPECT_EQ(after.at("ao_campaigns_total"), 1);
-  EXPECT_GE(after.at("ao_jobs_executed_total"), 20);
+  // A cold campaign ships each of its 20 jobs once, from its shard:
+  // executed == merged == jobs.
+  EXPECT_EQ(after.at("ao_jobs_executed_total"), 20);
+  EXPECT_EQ(after.at("ao_merged_entries_total"), 20);
   // Counters never move backwards between scrapes.
   for (const auto& [name, value] : before) {
     ASSERT_NE(after.count(name), 0u) << name;
@@ -1934,9 +1944,10 @@ TEST(CampaignService, MetricsCommandRendersMonotonicPrometheusText) {
 // The operator surfaces of one scripted session, pinned as text: the `stats`
 // line byte for byte, the `stats-phase` phase set with its counts, and the
 // `metrics` exposition with its timing-valued samples (histogram buckets and
-// sums, the outbox high-water mark) masked. The session covers an in-process
-// campaign, a sharded campaign on in-process local workers, a query, a
-// follow and the abort of a queued campaign, so every counter family moves.
+// sums, the outbox high-water mark) masked. The session covers a `shards 1`
+// campaign (a shard of one), a `shards 2` campaign, both on thread local
+// endpoints, a query, a follow and the abort of a queued campaign, so every
+// counter family moves.
 std::string masked_surfaces(const std::vector<std::string>& lines) {
   const auto mask_last = [](const std::string& line) {
     return line.substr(0, line.rfind(' ')) + " <t>";
@@ -1994,33 +2005,33 @@ TEST(CampaignService, StatsPhaseAndMetricsTranscriptIsPinned) {
   ASSERT_FALSE(queued.empty());
   EXPECT_TRUE(starts_with(queued.back(), "error aborted campaign "));
 
-  // schedule: one `expand` span per campaign (the queued one included), one
-  // `warm` span per campaign that ran, and the sharded run's `plan-shards`.
-  // The sharded run's two local endpoints ship their timelines: 6 execute
-  // spans, a plan and a flush span each; the daemon side adds a transport
-  // and three frames (task, records, spans) per shard. Records serialize
-  // only on the in-process run.
+  // schedule: one `expand` span per campaign (the queued one included), and
+  // a `warm` and a `plan-shards` span per campaign that ran. Both ran as
+  // shards on local endpoints, which ship their timelines: 26 execute
+  // spans, a plan span per shard and a flush span per records frame (the
+  // 20-record shard of one flushes a batch of 16 and one of 4); the daemon
+  // side adds a transport, a merge and frames (task, each records frame,
+  // spans) per shard. No daemon path records a `serialize` span.
   const std::string expected = R"(stats-phase campaign count 3
 stats-phase queue-wait count 3
 stats-phase admission count 3
-stats-phase schedule count 6
-stats-phase shard count 2
+stats-phase schedule count 7
+stats-phase shard count 3
 stats-phase execute count 26
-stats-phase serialize count 20
-stats-phase frame count 6
-stats-phase transport count 2
-stats-phase merge count 2
+stats-phase frame count 10
+stats-phase transport count 3
+stats-phase merge count 3
 stats-phase abort count 1
-stats-phase plan count 5
-stats-phase flush count 2
+stats-phase plan count 6
+stats-phase flush count 4
 stats-phase query count 2
-stats campaigns 2 sharded 1 records 26 executed 20 hits 0 merged 6 cache-entries 26 store-entries 26 running 0 queued 0 peak 1 rejected 0 remote-shards 0 workers 0 idle-workers 0 aborted 1 deadline-expired 0 shard-retries 0 outbox-peak <t> outbox-blocked 0 outbox-dropped 0 plan-hits 0 plan-misses 3 plan-entries 3 queries 1 query-records 25 follows 1 stale-cursors 0
+stats campaigns 2 sharded 2 records 26 executed 26 hits 0 merged 26 cache-entries 26 store-entries 26 running 0 queued 0 peak 1 rejected 0 remote-shards 0 workers 0 idle-workers 0 aborted 1 deadline-expired 0 shard-retries 0 outbox-peak <t> outbox-blocked 0 outbox-dropped 0 plan-hits 0 plan-misses 3 plan-entries 3 queries 1 query-records 25 follows 1 stale-cursors 0
 # HELP ao_campaigns_total Campaigns completed since daemon start.
 # TYPE ao_campaigns_total counter
 ao_campaigns_total 2
-# HELP ao_campaigns_sharded_total Completed campaigns that ran sharded.
+# HELP ao_campaigns_sharded_total Completed campaigns that ran at least one shard.
 # TYPE ao_campaigns_sharded_total counter
-ao_campaigns_sharded_total 1
+ao_campaigns_sharded_total 2
 # HELP ao_campaigns_aborted_total Campaigns cancelled by the abort command.
 # TYPE ao_campaigns_aborted_total counter
 ao_campaigns_aborted_total 1
@@ -2030,9 +2041,9 @@ ao_campaigns_deadline_expired_total 0
 # HELP ao_queue_rejected_total Campaign submissions rejected at admission.
 # TYPE ao_queue_rejected_total counter
 ao_queue_rejected_total 0
-# HELP ao_jobs_executed_total Jobs executed by schedulers (local and worker-side).
+# HELP ao_jobs_executed_total Entry lines shard workers shipped, retried shards' replays included.
 # TYPE ao_jobs_executed_total counter
-ao_jobs_executed_total 20
+ao_jobs_executed_total 26
 # HELP ao_cache_hits_total Jobs served from the warm result cache.
 # TYPE ao_cache_hits_total counter
 ao_cache_hits_total 0
@@ -2041,7 +2052,7 @@ ao_cache_hits_total 0
 ao_records_streamed_total 26
 # HELP ao_merged_entries_total Distinct shard records settled into the warm cache.
 # TYPE ao_merged_entries_total counter
-ao_merged_entries_total 6
+ao_merged_entries_total 26
 # HELP ao_remote_shards_total Shards executed on remote workers.
 # TYPE ao_remote_shards_total counter
 ao_remote_shards_total 0
@@ -2147,7 +2158,7 @@ ao_phase_duration_ns_bucket{phase="flush",le="1000000000"} <t>
 ao_phase_duration_ns_bucket{phase="flush",le="10000000000"} <t>
 ao_phase_duration_ns_bucket{phase="flush",le="+Inf"} <t>
 ao_phase_duration_ns_sum{phase="flush"} <t>
-ao_phase_duration_ns_count{phase="flush"} 2
+ao_phase_duration_ns_count{phase="flush"} 4
 ao_phase_duration_ns_bucket{phase="frame",le="1000"} <t>
 ao_phase_duration_ns_bucket{phase="frame",le="10000"} <t>
 ao_phase_duration_ns_bucket{phase="frame",le="100000"} <t>
@@ -2158,7 +2169,7 @@ ao_phase_duration_ns_bucket{phase="frame",le="1000000000"} <t>
 ao_phase_duration_ns_bucket{phase="frame",le="10000000000"} <t>
 ao_phase_duration_ns_bucket{phase="frame",le="+Inf"} <t>
 ao_phase_duration_ns_sum{phase="frame"} <t>
-ao_phase_duration_ns_count{phase="frame"} 6
+ao_phase_duration_ns_count{phase="frame"} 10
 ao_phase_duration_ns_bucket{phase="merge",le="1000"} <t>
 ao_phase_duration_ns_bucket{phase="merge",le="10000"} <t>
 ao_phase_duration_ns_bucket{phase="merge",le="100000"} <t>
@@ -2169,7 +2180,7 @@ ao_phase_duration_ns_bucket{phase="merge",le="1000000000"} <t>
 ao_phase_duration_ns_bucket{phase="merge",le="10000000000"} <t>
 ao_phase_duration_ns_bucket{phase="merge",le="+Inf"} <t>
 ao_phase_duration_ns_sum{phase="merge"} <t>
-ao_phase_duration_ns_count{phase="merge"} 2
+ao_phase_duration_ns_count{phase="merge"} 3
 ao_phase_duration_ns_bucket{phase="plan",le="1000"} <t>
 ao_phase_duration_ns_bucket{phase="plan",le="10000"} <t>
 ao_phase_duration_ns_bucket{phase="plan",le="100000"} <t>
@@ -2180,7 +2191,7 @@ ao_phase_duration_ns_bucket{phase="plan",le="1000000000"} <t>
 ao_phase_duration_ns_bucket{phase="plan",le="10000000000"} <t>
 ao_phase_duration_ns_bucket{phase="plan",le="+Inf"} <t>
 ao_phase_duration_ns_sum{phase="plan"} <t>
-ao_phase_duration_ns_count{phase="plan"} 5
+ao_phase_duration_ns_count{phase="plan"} 6
 ao_phase_duration_ns_bucket{phase="query",le="1000"} <t>
 ao_phase_duration_ns_bucket{phase="query",le="10000"} <t>
 ao_phase_duration_ns_bucket{phase="query",le="100000"} <t>
@@ -2213,18 +2224,7 @@ ao_phase_duration_ns_bucket{phase="schedule",le="1000000000"} <t>
 ao_phase_duration_ns_bucket{phase="schedule",le="10000000000"} <t>
 ao_phase_duration_ns_bucket{phase="schedule",le="+Inf"} <t>
 ao_phase_duration_ns_sum{phase="schedule"} <t>
-ao_phase_duration_ns_count{phase="schedule"} 6
-ao_phase_duration_ns_bucket{phase="serialize",le="1000"} <t>
-ao_phase_duration_ns_bucket{phase="serialize",le="10000"} <t>
-ao_phase_duration_ns_bucket{phase="serialize",le="100000"} <t>
-ao_phase_duration_ns_bucket{phase="serialize",le="1000000"} <t>
-ao_phase_duration_ns_bucket{phase="serialize",le="10000000"} <t>
-ao_phase_duration_ns_bucket{phase="serialize",le="100000000"} <t>
-ao_phase_duration_ns_bucket{phase="serialize",le="1000000000"} <t>
-ao_phase_duration_ns_bucket{phase="serialize",le="10000000000"} <t>
-ao_phase_duration_ns_bucket{phase="serialize",le="+Inf"} <t>
-ao_phase_duration_ns_sum{phase="serialize"} <t>
-ao_phase_duration_ns_count{phase="serialize"} 20
+ao_phase_duration_ns_count{phase="schedule"} 7
 ao_phase_duration_ns_bucket{phase="shard",le="1000"} <t>
 ao_phase_duration_ns_bucket{phase="shard",le="10000"} <t>
 ao_phase_duration_ns_bucket{phase="shard",le="100000"} <t>
@@ -2235,7 +2235,7 @@ ao_phase_duration_ns_bucket{phase="shard",le="1000000000"} <t>
 ao_phase_duration_ns_bucket{phase="shard",le="10000000000"} <t>
 ao_phase_duration_ns_bucket{phase="shard",le="+Inf"} <t>
 ao_phase_duration_ns_sum{phase="shard"} <t>
-ao_phase_duration_ns_count{phase="shard"} 2
+ao_phase_duration_ns_count{phase="shard"} 3
 ao_phase_duration_ns_bucket{phase="transport",le="1000"} <t>
 ao_phase_duration_ns_bucket{phase="transport",le="10000"} <t>
 ao_phase_duration_ns_bucket{phase="transport",le="100000"} <t>
@@ -2246,7 +2246,7 @@ ao_phase_duration_ns_bucket{phase="transport",le="1000000000"} <t>
 ao_phase_duration_ns_bucket{phase="transport",le="10000000000"} <t>
 ao_phase_duration_ns_bucket{phase="transport",le="+Inf"} <t>
 ao_phase_duration_ns_sum{phase="transport"} <t>
-ao_phase_duration_ns_count{phase="transport"} 2
+ao_phase_duration_ns_count{phase="transport"} 3
 # EOF
 )";
   EXPECT_EQ(masked_surfaces(serve_lines(service, "stats\nmetrics\n")),

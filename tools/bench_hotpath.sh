@@ -4,8 +4,9 @@
 # Boots ao_campaignd with --profile-dir, connects two remote ao_worker
 # processes, and runs the three campaigns that between them light up every
 # gated phase:
-#   - an UNSHARDED mixed-kind campaign (queue-wait/admission/schedule/
-#     execute/serialize on the in-process path),
+#   - an UNSHARDED mixed-kind campaign (queue-wait/admission/schedule, and
+#     shard/transport/frame/merge with the worker's plan/execute/flush: a
+#     shard of one on a local `ao_worker` child),
 #   - a SHARDED remote campaign (shard/transport/frame/merge over the
 #     worker sockets),
 #   - an unsharded REPLAY of the sharded campaign under a new name/client —
@@ -55,7 +56,8 @@ for _ in $(seq 100); do
   sleep 0.1
 done
 
-# Campaign 1: unsharded — the in-process scheduler path (execute/serialize).
+# Campaign 1: unsharded — a shard of one on a local endpoint, an `ao_worker`
+# child (never a remote worker: `shards 1` leases none).
 cat > "$SCRATCH/hot-inproc.txt" <<'EOF'
 begin hot-inproc
 chips m1,m3
